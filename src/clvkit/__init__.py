@@ -26,6 +26,7 @@ from .errors import (
     EmptyTail,
     FitDiverged,
     InsufficientData,
+    InvalidDocument,
     InvalidHazard,
     InvalidRate,
     InvalidRecord,
@@ -50,6 +51,7 @@ from .projection import (
     ProjectionConfig,
     compute_alpha,
     expected_remaining_tenure,
+    project_batch,
     project_competing,
     project_customer,
     project_hazard,
@@ -79,6 +81,7 @@ from .survival import (
     jeffreys_view,
     kaplan_meier,
     load_baseline,
+    resolve,
     save_baseline,
     survival_to_hazard,
 )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -108,8 +109,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     defaults = _DEFAULTS[args.command]
     cfg: dict = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(args.config, "config file")
         if not isinstance(doc, dict):
             raise UsageError("config file must be a JSON object")
         unknown = set(doc) - set(defaults)
@@ -125,6 +125,35 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _read_json(path: str, what: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def _number(args: argparse.Namespace, dest: str, kind: type = float):
+    """Option ``dest`` converted to a finite ``kind``; a bad value is a usage error.
+
+    Config-file values bypass argparse's type conversion, so every numeric
+    option goes through here.
+    """
+    value = getattr(args, dest)
+    flag = "--" + dest.replace("_", "-")
+    noun = "an integer" if kind is int else "a number"
+    try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise TypeError
+        number = kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{flag} must be {noun}, got {value!r}") from None
+    if not math.isfinite(number):
+        raise UsageError(f"{flag} must be finite, got {value!r}")
+    return number
+
+
 def _suffixed(path: str, suffix: str) -> Path:
     p = Path(path)
     if p.suffix:
@@ -138,7 +167,10 @@ def _with_tail(baseline: BaselineHazard, tail_start, auto_tail: bool) -> Baselin
     if tail_start is None:
         tail_start = detect_tail_start(baseline)
         log.info("detected tail start at tenure %d", tail_start)
-    return extrapolate_tail(baseline, int(tail_start))
+    try:
+        return extrapolate_tail(baseline, tail_start)
+    except ValueError as exc:
+        raise UsageError(f"--tail-start: {exc}") from None
 
 
 def _warn_sparse(baseline: BaselineHazard, min_events: int) -> None:
@@ -151,7 +183,13 @@ def _warn_sparse(baseline: BaselineHazard, min_events: int) -> None:
 def run_baseline(args: argparse.Namespace) -> int:
     if args.smoothing not in ("none", "jeffreys"):
         raise UsageError(f"--smoothing must be none or jeffreys, got {args.smoothing!r}")
-    min_events = DEFAULT_MIN_EVENTS if args.min_events is None else int(args.min_events)
+    if args.tail_start is not None:
+        args.tail_start = _number(args, "tail_start", int)
+    if args.min_events is not None:
+        args.min_events = _number(args, "min_events", int)
+        if args.min_events < 0:
+            raise UsageError("--min-events must be >= 0")
+    min_events = DEFAULT_MIN_EVENTS if args.min_events is None else args.min_events
     mode = "competing" if args.competing else "single"
     records = dataio.read_calibration(args.calibration, mode)
     if args.competing:
@@ -173,9 +211,9 @@ def _resolve_discount(args: argparse.Namespace) -> DiscountSpec:
     if args.discount_annual is not None and args.discount_monthly is not None:
         raise UsageError("--discount-annual and --discount-monthly are mutually exclusive")
     if args.discount_annual is not None:
-        return DiscountSpec(annual_to_monthly_rate(float(args.discount_annual)))
+        return DiscountSpec(annual_to_monthly_rate(_number(args, "discount_annual")))
     if args.discount_monthly is not None:
-        return DiscountSpec(float(args.discount_monthly))
+        return DiscountSpec(_number(args, "discount_monthly"))
     return DiscountSpec(0.0)
 
 
@@ -187,8 +225,13 @@ def _pooling_for(loaded) -> PoolingConfig:
 
 def run_score(args: argparse.Namespace) -> int:
     discount = _resolve_discount(args)
-    config = ProjectionConfig(eps=float(args.eps), max_horizon=int(args.max_horizon))
-    chunk_size = int(args.chunk_size)
+    eps = _number(args, "eps")
+    max_horizon = _number(args, "max_horizon", int)
+    try:
+        config = ProjectionConfig(eps=eps, max_horizon=max_horizon)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    chunk_size = _number(args, "chunk_size", int)
     if chunk_size < 1:
         raise UsageError("--chunk-size must be >= 1")
     if args.competing:
@@ -214,9 +257,9 @@ def run_score(args: argparse.Namespace) -> int:
 
 
 def run_curve(args: argparse.Namespace) -> int:
-    alpha = float(args.alpha)
-    t0 = int(args.t0)
-    horizon = int(args.horizon)
+    alpha = _number(args, "alpha")
+    t0 = _number(args, "t0", int)
+    horizon = _number(args, "horizon", int)
     if alpha < 0:
         raise UsageError("--alpha must be >= 0")
     if t0 < 0:
@@ -242,14 +285,21 @@ def run_curve(args: argparse.Namespace) -> int:
 
 
 def run_fit_odds(args: argparse.Namespace) -> int:
+    ridge = _number(args, "ridge")
+    tol = _number(args, "tol")
+    max_iter = _number(args, "max_iter", int)
+    if ridge < 0.0:
+        raise UsageError("--ridge must be >= 0")
+    if max_iter < 1:
+        raise UsageError("--max-iter must be >= 1")
     loaded = load_baseline(args.baseline)
     rows = []
     for rec in dataio.read_calibration(args.calibration, "single"):
         if rec.covariates is None:
             raise MissingColumn("x1")
         rows.append(PersonPeriodRow(rec.tenure, rec.churned, rec.covariates))
-    model = fit_odds_model(rows, loaded.baseline, ridge=float(args.ridge),
-                           tol=float(args.tol), max_iter=int(args.max_iter),
+    model = fit_odds_model(rows, loaded.baseline, ridge=ridge, tol=tol,
+                           max_iter=max_iter,
                            pooling=_pooling_for(loaded))
     save_model(args.out, model)
     log.info("fit %d coefficients on %d rows in %d iterations "
@@ -260,12 +310,11 @@ def run_fit_odds(args: argparse.Namespace) -> int:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.spec, "simulation spec")
     if args.seed is not None:
         if not isinstance(doc, dict):
             raise UsageError("simulation spec must be a JSON object")
-        doc["seed"] = int(args.seed)
+        doc["seed"] = _number(args, "seed", int)
     try:
         spec = simulate.simspec_from_dict(doc)
     except (ValueError, KeyError, TypeError) as exc:

@@ -75,6 +75,15 @@ class InvalidRate(ClvkitError):
     """A discount rate is negative or not finite."""
 
 
+class InvalidDocument(ClvkitError):
+    """A JSON input file cannot be parsed or fails validation."""
+
+    def __init__(self, path, reason: str):
+        super().__init__(f"{path}: {reason}")
+        self.path = path
+        self.reason = reason
+
+
 class MissingColumn(ClvkitError):
     """A required CSV column is absent from the header."""
 

@@ -1,10 +1,12 @@
 """Batch scoring engine behind the command-line scorer.
 
-Scores customers chunk by chunk with vectorized month-stepping. Every
-customer's arithmetic is identical to the scalar per-customer functions and
-independent of chunk boundaries, so output is bit-for-bit the same for any
-chunk size (chunk_size=1 is the sequential reference). Output order always
-equals input order.
+Scores customers chunk by chunk through ``projection.project_batch``: each
+customer steps month by month only until its tenure reaches the baseline's
+tail start, and the constant-hazard rest of its survival sum is added in
+closed form. ``truncated_at`` is the month that month-stepping would
+report. Every customer's arithmetic is independent of chunk boundaries, so
+output is bit-for-bit the same for any chunk size (chunk_size=1 is the
+sequential reference). Output order always equals input order.
 """
 
 from __future__ import annotations
@@ -15,29 +17,11 @@ import numpy as np
 
 from .dataio import ProjectionRow, ScoringRecord
 from .errors import DegenerateBaseline
-from .projection import ProjectionConfig
-from .survival import BaselineHazard, PoolingConfig, hazard_at
+from .projection import ProjectionConfig, project_batch
+from .survival import BaselineHazard, PoolingConfig, resolve
 from .valuation import DiscountSpec
 
 DEFAULT_CHUNK_SIZE = 8192
-
-
-class _HazardTable:
-    """Lazily grown lookup of hazard_at values for tenures 0, 1, 2, ..."""
-
-    def __init__(self, baseline: BaselineHazard, pooling: PoolingConfig | None):
-        self._baseline = baseline
-        self._pooling = pooling
-        self._values: list[float] = []
-        self._array = np.empty(0)
-
-    def upto(self, t: int) -> np.ndarray:
-        """Array of hazards covering tenures 0..t inclusive."""
-        if t >= len(self._values):
-            for u in range(len(self._values), t + 1):
-                self._values.append(hazard_at(self._baseline, u, self._pooling))
-            self._array = np.array(self._values)
-        return self._array
 
 
 def _chunks(records: Iterable[ScoringRecord], size: int) -> Iterator[list[ScoringRecord]]:
@@ -61,37 +45,14 @@ def _alphas(scores: np.ndarray, h0: np.ndarray, ids: list[str]) -> np.ndarray:
     return np.where(zero, 0.0, scores / np.where(zero, 1.0, h0))
 
 
-def _project_chunk(ids: list[str], t0: np.ndarray, margins: np.ndarray,
-                   alphas_out: np.ndarray, hazard_of, config: ProjectionConfig,
-                   discount: DiscountSpec) -> list[ProjectionRow]:
-    """Walk months for one chunk; ``hazard_of(alive_idx, j)`` gives each
-    alive customer's hazard for month j."""
-    n = len(ids)
-    survival = np.ones(n)
-    ert = np.zeros(n)
-    value = np.zeros(n)
-    truncated = np.full(n, config.max_horizon - 1, dtype=np.int64)
-    alive = np.arange(n)
-    factor = 1.0 / (1.0 + discount.monthly_rate)
-    df = 1.0
-    j = 0
-    while alive.size and j < config.max_horizon:
-        df *= factor
-        h = hazard_of(alive, j)
-        survival[alive] *= 1.0 - h
-        s = survival[alive]
-        ert[alive] += s
-        value[alive] += s * margins[alive] * df
-        done = s < config.eps
-        if np.any(done):
-            truncated[alive[done]] = j
-            alive = alive[~done]
-        j += 1
-    return [
-        ProjectionRow(ids[i], float(alphas_out[i]), float(ert[i]), float(value[i]),
-                      int(truncated[i]))
-        for i in range(n)
-    ]
+def _at(table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return table[np.minimum(t, len(table) - 1)]
+
+
+def _rows(ids: list[str], alphas: np.ndarray, ert: np.ndarray, clv: np.ndarray,
+          truncated: np.ndarray) -> list[ProjectionRow]:
+    return [ProjectionRow(cid, a, e, v, k) for cid, a, e, v, k in
+            zip(ids, alphas.tolist(), ert.tolist(), clv.tolist(), truncated.tolist())]
 
 
 def score_stream(records: Iterable[ScoringRecord], baseline: BaselineHazard, *,
@@ -102,7 +63,7 @@ def score_stream(records: Iterable[ScoringRecord], baseline: BaselineHazard, *,
     """Score single-risk customers, preserving input order."""
     config = config or ProjectionConfig()
     discount = discount or DiscountSpec()
-    table = _HazardTable(baseline, pooling)
+    table = resolve(baseline, pooling)
     for chunk in _chunks(records, chunk_size):
         if chunk[0].churn_score is None:
             raise ValueError("records lack churn_score; use score_stream_competing")
@@ -110,14 +71,10 @@ def score_stream(records: Iterable[ScoringRecord], baseline: BaselineHazard, *,
         t0 = np.array([r.tenure for r in chunk], dtype=np.int64)
         scores = np.array([r.churn_score for r in chunk])
         margins = np.array([r.margin for r in chunk])
-        max_t0 = int(t0.max())
-        alpha = _alphas(scores, table.upto(max_t0)[t0], ids)
-
-        def hazard_of(alive: np.ndarray, j: int) -> np.ndarray:
-            h = table.upto(max_t0 + j)[t0[alive] + j]
-            return np.minimum(1.0, alpha[alive] * h)
-
-        yield from _project_chunk(ids, t0, margins, alpha, hazard_of, config, discount)
+        alpha = _alphas(scores, _at(table, t0), ids)
+        ert, clv, truncated = project_batch((table,), (alpha,), t0, margins,
+                                            discount, config)
+        yield from _rows(ids, alpha, ert, clv, truncated)
 
 
 def score_stream_competing(records: Iterable[ScoringRecord],
@@ -134,8 +91,8 @@ def score_stream_competing(records: Iterable[ScoringRecord],
     """
     config = config or ProjectionConfig()
     discount = discount or DiscountSpec()
-    table_v = _HazardTable(baseline_v, pooling_v)
-    table_i = _HazardTable(baseline_inv, pooling_inv)
+    table_v = resolve(baseline_v, pooling_v)
+    table_i = resolve(baseline_inv, pooling_inv)
     for chunk in _chunks(records, chunk_size):
         if chunk[0].score_v is None or chunk[0].score_inv is None:
             raise ValueError("records lack score_v/score_inv; use score_stream")
@@ -144,19 +101,14 @@ def score_stream_competing(records: Iterable[ScoringRecord],
         scores_v = np.array([r.score_v for r in chunk])
         scores_i = np.array([r.score_inv for r in chunk])
         margins = np.array([r.margin for r in chunk])
-        max_t0 = int(t0.max())
-        h0_v = table_v.upto(max_t0)[t0]
-        h0_i = table_i.upto(max_t0)[t0]
+        h0_v = _at(table_v, t0)
+        h0_i = _at(table_i, t0)
         alpha_v = _alphas(scores_v, h0_v, ids)
         alpha_i = _alphas(scores_i, h0_i, ids)
         h0_total = h0_v + h0_i
         alpha_out = np.where(h0_total > 0.0,
                              (scores_v + scores_i) / np.where(h0_total > 0.0, h0_total, 1.0),
                              0.0)
-
-        def hazard_of(alive: np.ndarray, j: int) -> np.ndarray:
-            hv = table_v.upto(max_t0 + j)[t0[alive] + j]
-            hi = table_i.upto(max_t0 + j)[t0[alive] + j]
-            return np.minimum(1.0, alpha_v[alive] * hv + alpha_i[alive] * hi)
-
-        yield from _project_chunk(ids, t0, margins, alpha_out, hazard_of, config, discount)
+        ert, clv, truncated = project_batch((table_v, table_i), (alpha_v, alpha_i), t0,
+                                            margins, discount, config)
+        yield from _rows(ids, alpha_out, ert, clv, truncated)

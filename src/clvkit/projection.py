@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateBaseline
 from .survival import BaselineHazard, PoolingConfig, hazard_at
+from .valuation import DiscountSpec
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,11 @@ class ProjectionConfig:
     below ``eps``, or after ``max_horizon`` months, whichever comes first.
     With a positive hazard floor h beyond the cutoff, the discarded tail is
     bounded by eps * (1 - h) / h.
+
+    The batch kernel (``project_batch``) steps month by month only up to the
+    baseline's tail start; beyond it the hazard is constant, so it finds the
+    stopping month and the rest of the sum in closed form. Its
+    ``truncated_at`` is the month that month-stepping would report.
     """
 
     eps: float = 1e-6
@@ -209,3 +215,100 @@ def project_competing(score_v: float, score_inv: float,
         alpha_v=alpha_v,
         alpha_inv=alpha_inv,
     )
+
+
+def _hazard(tables: Sequence[np.ndarray], alphas: Sequence[np.ndarray],
+            rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Clipped combined hazard of customers ``rows`` at tenures ``t``."""
+    total = None
+    for table, alpha in zip(tables, alphas):
+        term = alpha[rows] * table[np.minimum(t, len(table) - 1)]
+        total = term if total is None else total + term
+    return np.minimum(1.0, total)
+
+
+def _months_to_eps(s: np.ndarray, q: np.ndarray, eps: float,
+                   k_max: np.ndarray) -> np.ndarray:
+    """Smallest k in [1, k_max] with ``s * q**k < eps``, else k_max (s >= eps)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guess = np.ceil(np.log(eps / s) / np.log(q))
+    k = np.where(q < 1.0, np.clip(guess, 1, k_max), k_max).astype(np.int64)
+    # The log estimate can be off by a rounding; settle on the exact month.
+    while True:
+        up = (k < k_max) & ~(s * q ** k < eps)
+        down = (k > 1) & (s * q ** (k - 1) < eps)
+        if not (up.any() or down.any()):
+            return k
+        k = k + up - down
+
+
+def _geometric(q: np.ndarray, k: np.ndarray, rate: float) -> np.ndarray:
+    """``sum(r**i for i in 1..k)`` with ``r = q / (1 + rate)``, q in [0, 1]."""
+    d = 1.0 - q  # exact for q = 1 - h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # 1 - r**k through expm1/log1p keeps full precision when r is near 1.
+        partial = -np.expm1(k * (np.log1p(-d) - np.log1p(rate))) * q / (d + rate)
+    return np.where(q == 0.0, 0.0, np.where(d + rate == 0.0, k, partial))
+
+
+def project_batch(tables: Sequence[np.ndarray], alphas: Sequence[np.ndarray],
+                  t0: np.ndarray, margins: np.ndarray, discount: DiscountSpec,
+                  config: ProjectionConfig,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expected remaining tenure, CLV and truncation month for many customers.
+
+    ``tables`` holds one resolved hazard table per cause (see
+    ``survival.resolve``: entry t is the hazard at tenure t, the last entry
+    holds from there on) and ``alphas`` the matching per-customer
+    coefficients. Customer i's hazard at tenure t is
+    ``min(1, sum_c alphas[c][i] * tables[c][min(t, len(tables[c]) - 1)])``;
+    a single table is the single-risk case.
+
+    Each customer steps month by month while its tenure is below the
+    largest tail start. From there its hazard is constant, so survival
+    decays geometrically by ``q = 1 - hazard``: ``truncated_at`` is the
+    first month whose survival ``S * q**k`` falls below ``eps`` (or the
+    horizon cap), which is where month-stepping stops (the two could part
+    only on a survival within a few roundings of ``eps``), and ERT and CLV
+    add the finite geometric sums up to it. Month j contributes survival *
+    margin / (1 + rate)**(j + 1) to CLV. The switch month depends only on
+    the customer, so results do not depend on how customers are batched.
+
+    Returns ``(ert, clv, truncated_at)``.
+    """
+    eps, horizon, rate = config.eps, config.max_horizon, discount.monthly_rate
+    t0 = np.asarray(t0, dtype=np.int64)
+    margins = np.asarray(margins, dtype=np.float64)
+    n = t0.size
+    survival = np.ones(n)
+    ert = np.zeros(n)
+    value = np.zeros(n)
+    truncated = np.full(n, horizon - 1, dtype=np.int64)
+    tail_start = max(len(table) - 1 for table in tables)
+    steps = np.clip(tail_start - t0, 0, horizon)
+    factor = 1.0 / (1.0 + rate)
+    dfs = [1.0]  # dfs[j]: discount factor after j stepped months
+    alive = np.flatnonzero(steps > 0)
+    j = 0
+    while alive.size:
+        dfs.append(dfs[-1] * factor)
+        h = _hazard(tables, alphas, alive, t0[alive] + j)
+        survival[alive] *= 1.0 - h
+        s = survival[alive]
+        ert[alive] += s
+        value[alive] += s * margins[alive] * dfs[-1]
+        done = s < eps
+        truncated[alive[done]] = j
+        j += 1
+        alive = alive[~done & (steps[alive] > j)]
+
+    tail = np.flatnonzero((steps < horizon) & (survival >= eps))
+    if tail.size:
+        s = survival[tail]
+        first = steps[tail]
+        q = 1.0 - _hazard(tables, alphas, tail, np.full(tail.size, tail_start))
+        k = _months_to_eps(s, q, eps, horizon - first)
+        truncated[tail] = first + k - 1
+        ert[tail] += s * _geometric(q, k, 0.0)
+        value[tail] += margins[tail] * s * np.array(dfs)[first] * _geometric(q, k, rate)
+    return ert, value, truncated

@@ -10,6 +10,11 @@ downstream isolate the projection method itself.
 
 Each customer draws from an independent substream seeded by (seed, index),
 so any parallel split of the cohort reproduces the serial output exactly.
+Truth comes from one call of the batch kernel ``projection.project_batch``
+after all draws: the planted shape is resolved to a hazard table, each
+customer steps month by month up to the shape's last change, and the
+constant-hazard rest of the sum is added in closed form (``truncated_at``
+being the month month-stepping would stop at).
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .dataio import CAUSE_INVOLUNTARY, CAUSE_VOLUNTARY, CalibrationRecord, ScoringRecord
-from .projection import ProjectionConfig, truncated_survival_sum
-from .valuation import DiscountSpec, MarginSpec, clv
+from .projection import ProjectionConfig, project_batch, truncated_survival_sum
+from .valuation import DiscountSpec
 
 
 @dataclass(frozen=True)
@@ -34,6 +39,9 @@ class FlatShape:
 
     def rate(self, t: int) -> float:
         return self.h
+
+    def table(self, limit: int) -> np.ndarray:
+        return np.array([self.h])
 
 
 @dataclass(frozen=True)
@@ -47,6 +55,9 @@ class StepShape:
     def rate(self, t: int) -> float:
         return self.h1 if t < self.change_t else self.h2
 
+    def table(self, limit: int) -> np.ndarray:
+        return np.array([self.rate(t) for t in range(min(max(self.change_t, 0), limit) + 1)])
+
 
 @dataclass(frozen=True)
 class DecayingShape:
@@ -58,7 +69,14 @@ class DecayingShape:
     def rate(self, t: int) -> float:
         return self.a * self.b ** t
 
+    def table(self, limit: int) -> np.ndarray:
+        return np.array([self.rate(t) for t in range(limit + 1)])
 
+
+# A shape's ``table(limit)`` is its resolved hazard table, as
+# ``survival.resolve`` builds for a baseline: the rates at tenures 0..s for
+# some s <= limit, the last one holding from s on (decaying shapes never
+# settle, so theirs runs to the limit).
 BaselineShape = Union[FlatShape, StepShape, DecayingShape]
 
 
@@ -159,14 +177,6 @@ def true_ert(hazard_path: Sequence[float] | Callable[[int], float],
     return ert
 
 
-def _true_projection(hazard_fn: Callable[[int], float], spec: SimSpec) -> tuple[float, float]:
-    """(true ERT, true CLV) for one hazard path under the spec's economics."""
-    ert, _, path, _ = truncated_survival_sum(
-        hazard_fn, spec.projection.eps, spec.projection.max_horizon)
-    value = clv(path, MarginSpec.const(spec.margin), DiscountSpec(spec.discount_monthly))
-    return ert, value
-
-
 def generate_cohort(spec: SimSpec) -> Cohort:
     """Generate calibration, scoring, and truth rows for one snapshot.
 
@@ -182,18 +192,17 @@ def generate_cohort(spec: SimSpec) -> Cohort:
 
     calibration: list[CalibrationRecord] = []
     scoring: list[ScoringRecord] = []
-    truth: list[TruthRecord] = []
+    true_alpha: list[float] = []
+    # Per-customer coefficients of the truth hazard, one list per table.
+    coefs: list[list[float]] = [[], []] if competing else [[]]
     clipped = 0
     width = max(6, len(str(spec.n_customers - 1)))
+    ids = [f"c{i:0{width}d}" for i in range(spec.n_customers)]
+    t0s = np.arange(spec.n_customers, dtype=np.int64) % (spec.max_tenure + 1)
 
-    # Truth depends only on (t0, alpha draw); cache so fixed-coefficient
-    # cohorts cost one projection per tenure instead of one per customer.
-    truth_cache: dict[tuple, tuple[float, float]] = {}
-
-    for i in range(spec.n_customers):
+    for i, cid in enumerate(ids):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
-        cid = f"c{i:0{width}d}"
-        t0 = i % (spec.max_tenure + 1)
+        t0 = int(t0s[i])
         base = shape.rate(t0)
 
         if competing:
@@ -222,16 +231,11 @@ def generate_cohort(spec: SimSpec) -> Cohort:
             calibration.append(CalibrationRecord(cid, t0, churned, cause))
             scoring.append(ScoringRecord(cid, t0, spec.margin,
                                          score_v=score_v, score_inv=score_inv))
-
-            key = (t0, alpha_v, alpha_inv)
-            if key not in truth_cache:
-                def combined(j: int, _t0=t0, _av=alpha_v, _ai=alpha_inv) -> float:
-                    r = shape.rate(_t0 + j)
-                    return min(1.0, _av * f_v * r + _ai * (1.0 - f_v) * r)
-                truth_cache[key] = _true_projection(combined, spec)
-            ert, value = truth_cache[key]
-            alpha_eff = (raw_v + raw_inv) / base if base > 0.0 else alpha_v * f_v + alpha_inv * (1.0 - f_v)
-            truth.append(TruthRecord(cid, alpha_eff, ert, value))
+            # Truth hazard: min(1, alpha_v * f_v * r + alpha_inv * (1 - f_v) * r).
+            coefs[0].append(alpha_v * f_v)
+            coefs[1].append(alpha_inv * (1.0 - f_v))
+            true_alpha.append((raw_v + raw_inv) / base if base > 0.0
+                              else alpha_v * f_v + alpha_inv * (1.0 - f_v))
         else:
             alpha = dist_v.draw(rng)
             hazard = alpha * base
@@ -244,15 +248,16 @@ def generate_cohort(spec: SimSpec) -> Cohort:
                 score = min(1.0, score * rng.lognormal(0.0, spec.score_noise_sigma))
             calibration.append(CalibrationRecord(cid, t0, churned))
             scoring.append(ScoringRecord(cid, t0, spec.margin, churn_score=score))
+            coefs[0].append(alpha)
+            true_alpha.append(alpha)
 
-            key = (t0, alpha)
-            if key not in truth_cache:
-                def scaled(j: int, _t0=t0, _a=alpha) -> float:
-                    return min(1.0, _a * shape.rate(_t0 + j))
-                truth_cache[key] = _true_projection(scaled, spec)
-            ert, value = truth_cache[key]
-            truth.append(TruthRecord(cid, alpha, ert, value))
-
+    table = shape.table(spec.max_tenure + spec.projection.max_horizon)
+    ert, value, _ = project_batch(
+        [table] * len(coefs), [np.array(c) for c in coefs], t0s,
+        np.full(spec.n_customers, spec.margin), DiscountSpec(spec.discount_monthly),
+        spec.projection)
+    truth = [TruthRecord(cid, a, e, v)
+             for cid, a, e, v in zip(ids, true_alpha, ert.tolist(), value.tolist())]
     return Cohort(calibration, scoring, truth, clipped)
 
 

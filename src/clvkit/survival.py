@@ -25,6 +25,7 @@ from .errors import (
     EmptyCalibration,
     EmptyTail,
     InsufficientData,
+    InvalidDocument,
     InvalidHazard,
     InvalidRecord,
     NotMonotone,
@@ -416,6 +417,17 @@ def hazard_at(baseline: BaselineHazard, t: int,
     return _smoothed_rate(pooled_e, pooled_n, baseline.smoothing)
 
 
+def resolve(baseline: BaselineHazard, pooling: PoolingConfig | None = None) -> np.ndarray:
+    """Dense hazard table ``h[0..tail_start]`` with pooling applied.
+
+    ``h[t] == hazard_at(baseline, t, pooling)`` for ``t < tail_start`` and
+    the last entry is the tail rate, so the hazard at any tenure ``t`` is
+    ``h[min(t, tail_start)]``.
+    """
+    return np.array([hazard_at(baseline, t, pooling) for t in range(baseline.tail_start)]
+                    + [baseline.tail_rate])
+
+
 def jeffreys_view(baseline: BaselineHazard) -> BaselineHazard:
     """Rebuild the baseline with Jeffreys-smoothed rates from its counts.
 
@@ -482,5 +494,9 @@ def save_baseline(path: str | Path, baseline: BaselineHazard,
 
 
 def load_baseline(path: str | Path) -> LoadedBaseline:
+    """Read a baseline document; a malformed one raises InvalidDocument."""
     with open(path, encoding="utf-8") as fh:
-        return baseline_from_dict(json.load(fh))
+        try:
+            return baseline_from_dict(json.load(fh))
+        except (ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
+            raise InvalidDocument(path, f"not a valid baseline document: {exc}") from None

@@ -36,6 +36,27 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def assert_one_line_error(capsys, code, expected_code, *needles):
+    """The command failed with ``expected_code`` and one stderr line, no traceback."""
+    err = capsys.readouterr().err
+    assert code == expected_code
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.fixture
+def score_inputs(tmp_path, fixture_baseline):
+    """A saved baseline and a small single-risk scoring file."""
+    baseline = tmp_path / "baseline.json"
+    save_baseline(baseline, fixture_baseline)
+    scoring = tmp_path / "scoring.csv"
+    dataio.write_scoring(scoring, [dataio.ScoringRecord("c1", 3, 10.0, churn_score=0.05)])
+    return ["--baseline", str(baseline), "--scoring", str(scoring),
+            "--out", str(tmp_path / "p.csv")]
+
+
 @pytest.fixture
 def cohort_dir(tmp_path):
     spec = write_json(tmp_path / "spec.json", SIM_SPEC)
@@ -64,6 +85,13 @@ class TestSimulateCommand:
 
 
 class TestBaselineCommand:
+    @pytest.mark.parametrize("tail_start", ["20", "-1"])
+    def test_out_of_range_tail_start_is_usage_error(self, cohort_dir, tmp_path, capsys,
+                                                    tail_start):
+        code = main(["baseline", "--calibration", str(cohort_dir / "calibration.csv"),
+                     "--out", str(tmp_path / "b.json"), f"--tail-start={tail_start}"])
+        assert_one_line_error(capsys, code, 2, "--tail-start")
+
     def test_estimates_and_extrapolates(self, cohort_dir, tmp_path):
         out = tmp_path / "baseline.json"
         code = main(["baseline", "--calibration", str(cohort_dir / "calibration.csv"),
@@ -193,7 +221,46 @@ class TestScoreCommand:
         assert all(float(r["ert_months"]) > 0 for r in rows)
 
 
+    @pytest.mark.parametrize("flags, needle", [
+        (["--eps", "2"], "eps"),
+        (["--eps", "nan"], "--eps"),
+        (["--max-horizon", "0"], "max_horizon"),
+        (["--chunk-size", "0"], "--chunk-size"),
+    ])
+    def test_out_of_range_option_is_usage_error(self, score_inputs, tmp_path, capsys,
+                                                flags, needle):
+        code = main(["score", *score_inputs, *flags])
+        assert_one_line_error(capsys, code, 2, needle)
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_truncated_baseline_is_data_error(self, score_inputs, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        text = baseline.read_text(encoding="utf-8")
+        baseline.write_text(text[:len(text) // 2], encoding="utf-8")
+        code = main(["score", *score_inputs])
+        assert_one_line_error(capsys, code, 1, str(baseline))
+
+    def test_unknown_baseline_key_is_data_error(self, score_inputs, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        doc = json.loads(baseline.read_text(encoding="utf-8"))
+        doc["colour"] = "blue"
+        write_json(baseline, doc)
+        code = main(["score", *score_inputs])
+        assert_one_line_error(capsys, code, 1, str(baseline), "colour")
+
+
 class TestCurveCommand:
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_is_usage_error(self, tmp_path, fixture_baseline, capsys,
+                                             alpha):
+        path = tmp_path / "baseline.json"
+        save_baseline(path, fixture_baseline)
+        out = tmp_path / "curve.csv"
+        code = main(["curve", "--baseline", str(path), f"--alpha={alpha}",
+                     "--t0", "0", "--horizon", "5", "--out", str(out)])
+        assert_one_line_error(capsys, code, 2, "--alpha")
+        assert not out.exists()
+
     def test_unit_alpha_identity(self, tmp_path, fixture_baseline):
         path = tmp_path / "baseline.json"
         save_baseline(path, fixture_baseline)
@@ -219,6 +286,13 @@ class TestCurveCommand:
 
 
 class TestFitOddsCommand:
+    @pytest.mark.parametrize("flag", ["--ridge=-1", "--max-iter=0", "--tol=nan"])
+    def test_out_of_range_option_is_usage_error(self, tmp_path, capsys, flag):
+        code = main(["fit-odds", "--calibration", str(tmp_path / "cal.csv"),
+                     "--baseline", str(tmp_path / "b.json"), "--out", str(tmp_path / "m.json"),
+                     flag])
+        assert_one_line_error(capsys, code, 2, flag.split("=")[0])
+
     def test_fit_writes_model_json(self, tmp_path):
         rng = np.random.default_rng(15)
         baseline = baseline_from_rates([0.1] * 8, exposure=1000, tail_start=0)
@@ -288,6 +362,21 @@ class TestConfigFile:
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"calibrationn": "x"})
         assert main(["baseline", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("eps", "abc"), ("max_horizon", "many"), ("max_horizon", 2.5), ("chunk_size", True),
+    ])
+    def test_mistyped_config_value_is_usage_error(self, score_inputs, tmp_path, capsys,
+                                                  key, value):
+        cfg = write_json(tmp_path / "score.json", {key: value})
+        code = main(["score", *score_inputs, "--config", str(cfg)])
+        assert_one_line_error(capsys, code, 2, "--" + key.replace("_", "-"))
+
+    def test_config_that_is_not_json_is_usage_error(self, score_inputs, tmp_path, capsys):
+        cfg = tmp_path / "score.json"
+        cfg.write_text('{"eps": ', encoding="utf-8")
+        code = main(["score", *score_inputs, "--config", str(cfg)])
+        assert_one_line_error(capsys, code, 2, str(cfg))
 
     def test_missing_required_after_merge(self, tmp_path):
         cfg = write_json(tmp_path / "c.json", {"out": "x.json"})

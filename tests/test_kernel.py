@@ -1,0 +1,216 @@
+"""The batch projection kernel against month-by-month stepping.
+
+``truncated_survival_sum`` is the reference: it steps every month to eps or
+the horizon. The kernel steps only to the tail start and closes the rest of
+the sum in closed form, so ``truncated_at`` must agree exactly and ERT and
+CLV to 1e-12 relative (the gap left by summing in a different order).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from clvkit import dataio
+from clvkit.cli import main
+from clvkit.dataio import ScoringRecord
+from clvkit.projection import ProjectionConfig, project_batch, truncated_survival_sum
+from clvkit.simulate import (
+    DecayingShape,
+    FixedAlpha,
+    FlatShape,
+    LognormalAlpha,
+    SimSpec,
+    StepShape,
+    generate_cohort,
+)
+from clvkit.survival import PoolingConfig, hazard_at, resolve, save_baseline
+from clvkit.valuation import DiscountSpec, MarginSpec, clv
+
+from conftest import baseline_from_rates
+
+REL = 1e-12
+
+
+@dataclass(frozen=True)
+class Case:
+    """One customer: resolved tables with matching alphas, plus economics."""
+
+    tables: tuple[tuple[float, ...], ...]
+    alphas: tuple[float, ...]
+    t0: int
+    eps: float
+    max_horizon: int
+    margin: float = 1.0
+    rate: float = 0.0
+
+
+def stepping(case: Case) -> tuple[float, float, int]:
+    def hazard(j: int) -> float:
+        t = case.t0 + j
+        total = None
+        for table, alpha in zip(case.tables, case.alphas):
+            term = alpha * table[min(t, len(table) - 1)]
+            total = term if total is None else total + term
+        return min(1.0, total)
+
+    ert, _, path, truncated = truncated_survival_sum(hazard, case.eps, case.max_horizon)
+    value = clv(path, MarginSpec.const(case.margin), DiscountSpec(case.rate))
+    return ert, value, truncated
+
+
+def kernel(cases: list[Case]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    first = cases[0]
+    tables = [np.array(t) for t in first.tables]
+    alphas = [np.array([c.alphas[k] for c in cases]) for k in range(len(tables))]
+    return project_batch(tables, alphas, np.array([c.t0 for c in cases]),
+                         np.array([c.margin for c in cases]), DiscountSpec(first.rate),
+                         ProjectionConfig(first.eps, first.max_horizon))
+
+
+def close(got: float, want: float) -> bool:
+    return abs(got - want) <= REL * max(abs(got), abs(want))
+
+
+rates = st.one_of(st.just(0.0), st.floats(0.0, 0.3), st.floats(0.0, 1.0))
+alphas = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+# Margins of either sign, away from the subnormal range where relative
+# precision runs out for every summation order.
+margins = st.one_of(st.just(0.0), st.floats(0.01, 100.0), st.floats(-100.0, -0.01))
+
+
+@st.composite
+def tables_and_alphas(draw):
+    causes = draw(st.integers(1, 2))
+    tables = tuple(
+        tuple(draw(st.lists(st.floats(0.0, 0.3), min_size=n, max_size=n))) + (draw(rates),)
+        for n in draw(st.lists(st.integers(0, 40), min_size=causes, max_size=causes)))
+    return tables, tuple(draw(alphas) for _ in tables)
+
+
+@st.composite
+def cases(draw):
+    tables, alpha = draw(tables_and_alphas())
+    return Case(tables, alpha, t0=draw(st.integers(0, 60)),
+                eps=draw(st.floats(1e-9, 0.5)), max_horizon=draw(st.integers(1, 1500)),
+                margin=draw(margins),
+                rate=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.05))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=cases())
+# clipped tail: q == 0
+@example(case=Case(((0.1, 0.5),), (2.5,), t0=0, eps=1e-6, max_horizon=1200))
+# alpha 0 and tail rate 0: q == 1, sums run to the horizon
+@example(case=Case(((0.1, 0.2),), (0.0,), t0=0, eps=1e-6, max_horizon=300, rate=0.01))
+@example(case=Case(((0.1, 0.0),), (1.5,), t0=0, eps=1e-6, max_horizon=300))
+@example(case=Case(((0.1, 0.0),), (1.5,), t0=0, eps=1e-6, max_horizon=300, rate=0.02))
+# already in the tail
+@example(case=Case(((0.3, 0.2, 0.01),), (1.2,), t0=9, eps=1e-6, max_horizon=1200, rate=0.004))
+# tail start beyond the horizon
+@example(case=Case(((0.01,) * 40 + (0.5,),), (1.0,), t0=0, eps=1e-6, max_horizon=10))
+# survival below eps before the tail
+@example(case=Case(((0.9, 0.9, 0.9, 0.01),), (1.0,), t0=0, eps=0.01, max_horizon=1200))
+@example(case=Case(((0.2, 1.0, 0.3),), (1.0,), t0=0, eps=1e-6, max_horizon=1200))
+# competing causes with different tail starts
+@example(case=Case(((0.05, 0.02), (0.01,) * 12 + (0.004,)), (1.3, 0.7), t0=3,
+                   eps=1e-6, max_horizon=1200, margin=10.0, rate=0.01))
+def test_kernel_matches_month_stepping(case):
+    ert, value, truncated = kernel([case])
+    want_ert, want_value, want_truncated = stepping(case)
+    assert int(truncated[0]) == want_truncated
+    assert close(float(ert[0]), want_ert)
+    assert close(float(value[0]), want_value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batch_equals_rows_one_at_a_time(data):
+    tables, _ = data.draw(tables_and_alphas())
+    n = data.draw(st.integers(1, 12))
+    batch = [Case(tables, tuple(data.draw(alphas) for _ in tables),
+                  t0=data.draw(st.integers(0, 50)), eps=1e-6, max_horizon=400,
+                  margin=data.draw(margins), rate=0.003)
+             for _ in range(n)]
+    together = kernel(batch)
+    for i, case in enumerate(batch):
+        alone = kernel([case])
+        for got, want in zip(together, alone):
+            assert got[i] == want[0]
+
+
+def test_resolve_matches_hazard_at():
+    rates = [0.2, 0.1, 0.05, 0.02, 0.0, 0.0, 0.01, 0.03]
+    baseline = baseline_from_rates(rates, exposure=100, tail_start=6)
+    for min_events in (0, 5, 50):
+        pooling = PoolingConfig(min_events)
+        table = resolve(baseline, pooling)
+        assert len(table) == baseline.tail_start + 1
+        for t in range(20):
+            assert table[min(t, baseline.tail_start)] == hazard_at(baseline, t, pooling)
+
+
+def test_chunk_size_one_equals_batched_with_mixed_switch_months(tmp_path):
+    # Two causes whose tails start at 5 and 13: customers below, between and
+    # beyond both switch to the closed form in different months, within a
+    # chunk and across chunk boundaries.
+    rates_v = [0.04, 0.035, 0.03, 0.03, 0.025, 0.02, 0.02, 0.02]
+    rates_i = [0.01, 0.012, 0.014, 0.016, 0.018, 0.02, 0.018, 0.016,
+               0.014, 0.012, 0.01, 0.008, 0.006, 0.005, 0.005, 0.005]
+    paths = {"v": tmp_path / "v.json", "i": tmp_path / "i.json"}
+    save_baseline(paths["v"], baseline_from_rates(rates_v, exposure=1000, tail_start=5))
+    save_baseline(paths["i"], baseline_from_rates(rates_i, exposure=1000, tail_start=13))
+    rng = np.random.default_rng(31)
+    scoring = tmp_path / "scoring.csv"
+    dataio.write_scoring(scoring, (
+        ScoringRecord(f"c{i}", int(rng.integers(0, 20)), float(rng.uniform(-5, 20)),
+                      score_v=float(rng.uniform(0.0, 0.2)),
+                      score_inv=float(rng.uniform(0.0, 0.05)))
+        for i in range(600)), mode="competing")
+    outputs = {}
+    for chunk in ("1", "7", "8192"):
+        out = tmp_path / f"chunk{chunk}.csv"
+        assert main(["score", "--competing", "--baseline", str(paths["v"]),
+                     "--baseline-inv", str(paths["i"]), "--scoring", str(scoring),
+                     "--out", str(out), "--discount-annual", "0.1",
+                     "--chunk-size", chunk]) == 0
+        outputs[chunk] = out.read_bytes()
+    assert outputs["1"] == outputs["7"] == outputs["8192"]
+    truncated = {row.split(",")[-1] for row in outputs["1"].decode().splitlines()[1:]}
+    assert len(truncated) > 10
+
+
+def _truth_by_stepping(spec: SimSpec, cohort) -> None:
+    f_v = spec.competing
+    shape = spec.baseline_shape
+    for rec, truth in zip(cohort.scoring, cohort.truth):
+        if f_v is None:
+            alpha = truth.true_alpha
+
+            def hazard(j, t0=rec.tenure, a=alpha):
+                return min(1.0, a * shape.rate(t0 + j))
+        else:
+            def hazard(j, t0=rec.tenure, av=spec.alpha_dist.a, ai=spec.alpha_dist_inv.a):
+                r = shape.rate(t0 + j)
+                return min(1.0, av * f_v * r + ai * (1.0 - f_v) * r)
+
+        ert, _, path, _ = truncated_survival_sum(hazard, spec.projection.eps,
+                                                 spec.projection.max_horizon)
+        value = clv(path, MarginSpec.const(spec.margin), DiscountSpec(spec.discount_monthly))
+        assert abs(truth.true_ert - ert) <= 1e-9 * ert
+        assert abs(truth.true_clv - value) <= 1e-9 * abs(value)
+
+
+def test_simulator_truth_matches_month_stepping_for_every_shape():
+    economics = dict(margin=12.0, discount_monthly=0.006)
+    for shape in (FlatShape(0.05), StepShape(0.2, 0.03, 7), DecayingShape(0.3, 0.97)):
+        spec = SimSpec(baseline_shape=shape, alpha_dist=LognormalAlpha(0.0, 0.6),
+                       n_customers=60, max_tenure=15, seed=3, **economics)
+        _truth_by_stepping(spec, generate_cohort(spec))
+    spec = SimSpec(baseline_shape=StepShape(0.2, 0.03, 7), alpha_dist=FixedAlpha(1.5),
+                   alpha_dist_inv=FixedAlpha(0.5), competing=0.7,
+                   n_customers=40, max_tenure=15, seed=4, **economics)
+    _truth_by_stepping(spec, generate_cohort(spec))
