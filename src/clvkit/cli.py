@@ -37,8 +37,10 @@ from .survival import (
     estimate_cause_specific,
     estimate_hazard_by_tenure,
     extrapolate_tail,
-    hazard_at,
+    hazard_to_survival,
     load_baseline,
+    lookup,
+    resolve,
     save_baseline,
 )
 from .valuation import DiscountSpec, annual_to_monthly_rate
@@ -51,9 +53,6 @@ _LOG_LEVELS = {
     "info": logging.INFO,
     "debug": logging.DEBUG,
 }
-
-DEFAULT_MIN_EVENTS = 5
-
 
 class UsageError(Exception):
     """Bad flag/config combination; maps to exit code 2."""
@@ -95,6 +94,13 @@ _REQUIRED: dict[str, list[str]] = {
 }
 
 
+# Config-file values skip argparse, so _merge_config checks their JSON type:
+# flags must be booleans, paths and names strings (numbers go through _number).
+_JSON_TYPES = dict.fromkeys(["auto_tail", "competing"], bool) | dict.fromkeys(
+    ["calibration", "out", "smoothing", "baseline", "scoring", "baseline_inv", "spec",
+     "out_dir"], str)
+
+
 def _configure_logging() -> None:
     raw = os.environ.get("LOG_LEVEL", "warn").lower()
     level = _LOG_LEVELS.get(raw)
@@ -115,6 +121,11 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         unknown = set(doc) - set(defaults)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            kind = _JSON_TYPES.get(key)
+            if kind is not None and value is not None and not isinstance(value, kind):
+                noun = "true or false" if kind is bool else "a string"
+                raise UsageError(f"--{key.replace('_', '-')} must be {noun}, got {value!r}")
         cfg = doc
     for dest, default in defaults.items():
         if getattr(args, dest) is None:
@@ -189,7 +200,7 @@ def run_baseline(args: argparse.Namespace) -> int:
         args.min_events = _number(args, "min_events", int)
         if args.min_events < 0:
             raise UsageError("--min-events must be >= 0")
-    min_events = DEFAULT_MIN_EVENTS if args.min_events is None else args.min_events
+    min_events = PoolingConfig().min_events if args.min_events is None else args.min_events
     mode = "competing" if args.competing else "single"
     records = dataio.read_calibration(args.calibration, mode)
     if args.competing:
@@ -217,12 +228,6 @@ def _resolve_discount(args: argparse.Namespace) -> DiscountSpec:
     return DiscountSpec(0.0)
 
 
-def _pooling_for(loaded) -> PoolingConfig:
-    if loaded.min_events is None:
-        return PoolingConfig(DEFAULT_MIN_EVENTS)
-    return PoolingConfig(loaded.min_events)
-
-
 def run_score(args: argparse.Namespace) -> int:
     discount = _resolve_discount(args)
     eps = _number(args, "eps")
@@ -243,13 +248,13 @@ def run_score(args: argparse.Namespace) -> int:
         rows = score_stream_competing(
             records, loaded_v.baseline, loaded_i.baseline,
             config=config, discount=discount,
-            pooling_v=_pooling_for(loaded_v), pooling_inv=_pooling_for(loaded_i),
+            pooling_v=loaded_v.pooling, pooling_inv=loaded_i.pooling,
             chunk_size=chunk_size)
     else:
         loaded = load_baseline(args.baseline)
         records = dataio.read_scoring(args.scoring, "single")
         rows = score_stream(records, loaded.baseline, config=config,
-                            discount=discount, pooling=_pooling_for(loaded),
+                            discount=discount, pooling=loaded.pooling,
                             chunk_size=chunk_size)
     count = dataio.write_projections(args.out, rows)
     log.info("scored %d customers: %s", count, args.out)
@@ -267,18 +272,17 @@ def run_curve(args: argparse.Namespace) -> int:
     if horizon < 1:
         raise UsageError("--horizon must be >= 1")
     loaded = load_baseline(args.baseline)
-    pooling = _pooling_for(loaded)
+    tenures = t0 + np.arange(horizon)
+    base = lookup(resolve(loaded.baseline, loaded.pooling), tenures)
+    scaled = np.minimum(1.0, alpha * base)
+    survival = hazard_to_survival(scaled)
     # Full-precision floats: this file feeds plots and numeric checks, so it
     # must round-trip the computed values exactly.
-    survival = 1.0
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("tenure,baseline_hazard,scaled_hazard,survival\n")
-        for j in range(horizon):
-            t = t0 + j
-            base = hazard_at(loaded.baseline, t, pooling)
-            scaled = min(1.0, alpha * base)
-            survival *= 1.0 - scaled
-            fh.write(f"{t},{base!r},{scaled!r},{survival!r}\n")
+        for t, b, h, s in zip(tenures.tolist(), base.tolist(), scaled.tolist(),
+                              survival.tolist()):
+            fh.write(f"{t},{b!r},{h!r},{s!r}\n")
     log.info("wrote curve for alpha %.6f from tenure %d over %d months: %s",
              alpha, t0, horizon, args.out)
     return 0
@@ -300,7 +304,7 @@ def run_fit_odds(args: argparse.Namespace) -> int:
         rows.append(PersonPeriodRow(rec.tenure, rec.churned, rec.covariates))
     model = fit_odds_model(rows, loaded.baseline, ridge=ridge, tol=tol,
                            max_iter=max_iter,
-                           pooling=_pooling_for(loaded))
+                           pooling=loaded.pooling)
     save_model(args.out, model)
     log.info("fit %d coefficients on %d rows in %d iterations "
              "(converged=%s, log-likelihood %.4f): %s",

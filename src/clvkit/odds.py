@@ -18,11 +18,16 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .errors import EmptyCalibration, FitDiverged, InvalidRecord, OffsetUndefined
-from .projection import CustomerProjection, ProjectionConfig, truncated_survival_sum
-from .survival import BaselineHazard, PoolingConfig, hazard_at, jeffreys_view
+from .errors import (
+    EmptyCalibration,
+    FitDiverged,
+    InvalidDocument,
+    InvalidRecord,
+    OffsetUndefined,
+)
+from .projection import CustomerProjection, ProjectionConfig, fold_path
+from .survival import BaselineHazard, PoolingConfig, hazard_at, jeffreys_view, lookup, resolve
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -82,18 +87,21 @@ class OddsModel:
         }
 
 
-def _offset_table(view: BaselineHazard, pooling: PoolingConfig | None):
-    cache: dict[int, float] = {}
+def logit(p):
+    """Log-odds ``log(p / (1 - p))`` of probabilities in (0, 1)."""
+    return np.log(p / (1.0 - p))
 
-    def offset(t: int) -> float:
-        if t not in cache:
-            h0 = hazard_at(view, t, pooling)
-            if not 0.0 < h0 < 1.0:
-                raise OffsetUndefined(t)
-            cache[t] = float(logit(h0))
-        return cache[t]
 
-    return offset
+def expit(x):
+    """Logistic function; finite and free of overflow warnings for finite x."""
+    e = np.exp(-np.abs(x))  # in (0, 1], never overflows
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _log_odds(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-odds of a resolved table, and where it is defined (0 < h < 1)."""
+    defined = (table > 0.0) & (table < 1.0)
+    return logit(np.where(defined, table, 0.5)), defined
 
 
 def _design(rows: Sequence[PersonPeriodRow], view: BaselineHazard,
@@ -103,7 +111,8 @@ def _design(rows: Sequence[PersonPeriodRow], view: BaselineHazard,
     m = len(rows[0].covariates)
     if m < 1:
         raise InvalidRecord(0, "at least one covariate required")
-    offset = _offset_table(view, pooling)
+    log_odds, defined = _log_odds(resolve(view, pooling))
+    log_odds, defined, last = log_odds.tolist(), defined.tolist(), len(log_odds) - 1
     X = np.empty((len(rows), m))
     y = np.empty(len(rows))
     offsets = np.empty(len(rows))
@@ -114,9 +123,12 @@ def _design(rows: Sequence[PersonPeriodRow], view: BaselineHazard,
             raise InvalidRecord(i, f"expected {m} covariates, got {len(row.covariates)}")
         if row.tenure < 0:
             raise InvalidRecord(i, "tenure must be >= 0")
+        t = min(row.tenure, last)
+        if not defined[t]:
+            raise OffsetUndefined(row.tenure)
         X[i] = row.covariates
         y[i] = row.outcome
-        offsets[i] = offset(row.tenure)
+        offsets[i] = log_odds[t]
     return X, y, offsets
 
 
@@ -222,20 +234,6 @@ def fit_odds_model(rows: Sequence[PersonPeriodRow], baseline: BaselineHazard,
     )
 
 
-def _predict_on_view(view: BaselineHazard, beta: np.ndarray,
-                     covariates: np.ndarray, t: int,
-                     pooling: PoolingConfig | None) -> float:
-    h0 = hazard_at(view, t, pooling)
-    if not 0.0 < h0 < 1.0:
-        raise OffsetUndefined(t)
-    lin = float(beta @ covariates)
-    if lin == 0.0:
-        # Zero linear predictor reduces to the baseline itself; return it
-        # directly so the reduction is exact rather than a logit round-trip.
-        return h0
-    return float(expit(logit(h0) + lin))
-
-
 def predict_hazard_odds(model: OddsModel, covariates: Sequence[float],
                         baseline: BaselineHazard, t: int,
                         pooling: PoolingConfig | None = None) -> float:
@@ -247,7 +245,15 @@ def predict_hazard_odds(model: OddsModel, covariates: Sequence[float],
     x = np.asarray(covariates, dtype=np.float64)
     if x.shape != model.beta.shape:
         raise ValueError(f"expected {model.beta.size} covariates, got {x.size}")
-    return _predict_on_view(jeffreys_view(baseline), model.beta, x, t, pooling)
+    h0 = hazard_at(jeffreys_view(baseline), t, pooling)
+    if not 0.0 < h0 < 1.0:
+        raise OffsetUndefined(t)
+    lin = float(model.beta @ x)
+    if lin == 0.0:
+        # Zero linear predictor reduces to the baseline itself; return it
+        # directly so the reduction is exact rather than a logit round-trip.
+        return h0
+    return float(expit(logit(h0) + lin))
 
 
 def project_with_odds_model(model: OddsModel, covariates: Sequence[float],
@@ -257,29 +263,26 @@ def project_with_odds_model(model: OddsModel, covariates: Sequence[float],
                             ) -> CustomerProjection:
     """Project survival and expected remaining tenure under the odds model.
 
-    Static covariates apply at every future tenure. The projection's
-    ``alpha`` field carries the customer's hazard-odds multiplier
-    exp(beta . x), the analog of the direct scaling coefficient.
+    Static covariates apply at every future tenure, so the odds transform is
+    applied once per entry of the resolved Jeffreys table and the result is
+    folded like a unit-alpha baseline. The projection's ``alpha`` field
+    carries the customer's hazard-odds multiplier exp(beta . x), the analog
+    of the direct scaling coefficient.
     """
     x = np.asarray(covariates, dtype=np.float64)
     if x.shape != model.beta.shape:
         raise ValueError(f"expected {model.beta.size} covariates, got {x.size}")
-    if config is None:
-        config = ProjectionConfig()
-    view = jeffreys_view(baseline)
-
-    def hazard_fn(j: int) -> float:
-        return _predict_on_view(view, model.beta, x, t0 + j, pooling)
-
-    ert, hazards, path, truncated_at = truncated_survival_sum(
-        hazard_fn, config.eps, config.max_horizon)
-    return CustomerProjection(
-        alpha=float(np.exp(float(model.beta @ x))),
-        hazard_path=hazards,
-        survival_path=path,
-        ert_months=ert,
-        truncated_at=truncated_at,
-    )
+    table = resolve(jeffreys_view(baseline), pooling)
+    log_odds, defined = _log_odds(table)
+    lin = float(model.beta @ x)
+    # As in predict_hazard_odds, a zero linear predictor keeps the baseline.
+    hazards = table if lin == 0.0 else np.where(defined, expit(log_odds + lin), table)
+    projection = fold_path((hazards,), (1.0,), t0, config or ProjectionConfig(),
+                           alpha=float(np.exp(lin)))
+    reached = lookup(defined, t0 + np.arange(projection.truncated_at + 1))
+    if not reached.all():
+        raise OffsetUndefined(t0 + int(np.argmin(reached)))
+    return projection
 
 
 def model_from_dict(doc: dict) -> OddsModel:
@@ -308,5 +311,9 @@ def save_model(path: str | Path, model: OddsModel) -> None:
 
 
 def load_model(path: str | Path) -> OddsModel:
+    """Read a model document; a malformed one raises InvalidDocument."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return model_from_dict(json.load(fh))
+        except (ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
+            raise InvalidDocument(path, f"not a valid model document: {exc}") from None

@@ -18,7 +18,7 @@ import numpy as np
 from .dataio import ProjectionRow, ScoringRecord
 from .errors import DegenerateBaseline
 from .projection import ProjectionConfig, project_batch
-from .survival import BaselineHazard, PoolingConfig, resolve
+from .survival import BaselineHazard, PoolingConfig, lookup, resolve
 from .valuation import DiscountSpec
 
 DEFAULT_CHUNK_SIZE = 8192
@@ -45,10 +45,6 @@ def _alphas(scores: np.ndarray, h0: np.ndarray, ids: list[str]) -> np.ndarray:
     return np.where(zero, 0.0, scores / np.where(zero, 1.0, h0))
 
 
-def _at(table: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return table[np.minimum(t, len(table) - 1)]
-
-
 def _rows(ids: list[str], alphas: np.ndarray, ert: np.ndarray, clv: np.ndarray,
           truncated: np.ndarray) -> list[ProjectionRow]:
     return [ProjectionRow(cid, a, e, v, k) for cid, a, e, v, k in
@@ -71,7 +67,7 @@ def score_stream(records: Iterable[ScoringRecord], baseline: BaselineHazard, *,
         t0 = np.array([r.tenure for r in chunk], dtype=np.int64)
         scores = np.array([r.churn_score for r in chunk])
         margins = np.array([r.margin for r in chunk])
-        alpha = _alphas(scores, _at(table, t0), ids)
+        alpha = _alphas(scores, lookup(table, t0), ids)
         ert, clv, truncated = project_batch((table,), (alpha,), t0, margins,
                                             discount, config)
         yield from _rows(ids, alpha, ert, clv, truncated)
@@ -101,8 +97,8 @@ def score_stream_competing(records: Iterable[ScoringRecord],
         scores_v = np.array([r.score_v for r in chunk])
         scores_i = np.array([r.score_inv for r in chunk])
         margins = np.array([r.margin for r in chunk])
-        h0_v = _at(table_v, t0)
-        h0_i = _at(table_i, t0)
+        h0_v = lookup(table_v, t0)
+        h0_i = lookup(table_i, t0)
         alpha_v = _alphas(scores_v, h0_v, ids)
         alpha_i = _alphas(scores_i, h0_i, ids)
         h0_total = h0_v + h0_i

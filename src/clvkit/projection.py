@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateBaseline
-from .survival import BaselineHazard, PoolingConfig, hazard_at
+from .survival import BaselineHazard, PoolingConfig, lookup, resolve
 from .valuation import DiscountSpec
 
 
@@ -78,23 +78,52 @@ class CustomerProjection:
         object.__setattr__(self, "survival_path", survival_path)
 
 
+def _alpha(score: float, table: np.ndarray, t0: int) -> float:
+    if not (0.0 <= score <= 1.0):
+        raise ValueError(f"churn score must lie in [0, 1], got {score!r}")
+    if t0 < 0:
+        raise ValueError("tenure must be >= 0")
+    h0 = float(lookup(table, t0))
+    if h0 == 0.0 and score == 0.0:
+        return 0.0
+    alpha = score / h0 if h0 > 0.0 else math.inf
+    if math.isinf(alpha):
+        raise DegenerateBaseline(f"baseline hazard at tenure {t0} is {h0!r} even after "
+                                 f"pooling, too small to scale a score of {score!r}")
+    return alpha
+
+
 def compute_alpha(score: float, baseline: BaselineHazard, t0: int,
                   pooling: PoolingConfig | None = None) -> float:
     """Proportionality coefficient: churn score over baseline hazard at t0.
 
     A zero score yields alpha 0 even if the baseline hazard at t0 is zero
-    (the customer can never churn); a positive score against a zero baseline
-    hazard has no finite coefficient and raises DegenerateBaseline.
+    (the customer can never churn); a positive score against a zero (or so
+    small that the ratio overflows) baseline hazard has no finite
+    coefficient and raises DegenerateBaseline.
     """
-    if not (0.0 <= score <= 1.0):
-        raise ValueError(f"churn score must lie in [0, 1], got {score!r}")
-    h0 = hazard_at(baseline, t0, pooling)
-    if h0 == 0.0:
-        if score == 0.0:
-            return 0.0
-        raise DegenerateBaseline(
-            f"baseline hazard at tenure {t0} is 0 even after pooling")
-    return score / h0
+    return _alpha(score, resolve(baseline, pooling), t0)
+
+
+def _hazard(tables: Sequence[np.ndarray], alphas: Sequence, t) -> np.ndarray:
+    """Clipped combined hazard at tenures ``t``: scale each cause, sum, clip.
+
+    ``alphas`` holds one coefficient (or array broadcasting against ``t``)
+    per table.
+    """
+    total = None
+    for table, alpha in zip(tables, alphas):
+        term = alpha * lookup(table, t)
+        total = term if total is None else total + term
+    return np.minimum(1.0, total)
+
+
+def _path(tables: Sequence[np.ndarray], alphas: Sequence[float], t0: int,
+          months: int) -> np.ndarray:
+    """One customer's clipped hazards at tenures t0 .. t0 + months - 1."""
+    if t0 < 0:
+        raise ValueError("tenure must be >= 0")
+    return _hazard(tables, alphas, t0 + np.arange(months))
 
 
 def project_hazard(alpha: float, baseline: BaselineHazard, t0: int,
@@ -104,8 +133,7 @@ def project_hazard(alpha: float, baseline: BaselineHazard, t0: int,
         raise ValueError("horizon must be >= 1")
     if alpha < 0.0 or not math.isfinite(alpha):
         raise ValueError("alpha must be finite and >= 0")
-    return np.array([min(1.0, alpha * hazard_at(baseline, t0 + j, pooling))
-                     for j in range(horizon)])
+    return _path((resolve(baseline, pooling),), (alpha,), t0, horizon)
 
 
 def truncated_survival_sum(hazard_fn: Callable[[int], float],
@@ -135,6 +163,26 @@ def truncated_survival_sum(hazard_fn: Callable[[int], float],
     return ert, np.array(hazards), np.array(path), len(path) - 1
 
 
+def fold_path(tables: Sequence[np.ndarray], alphas: Sequence[float], t0: int,
+              config: ProjectionConfig, **fields) -> CustomerProjection:
+    """One customer's projection from resolved tables, with its paths.
+
+    The single-customer counterpart of ``project_batch``: the same tables,
+    scalar coefficients and hazard rule, folded month by month through
+    ``truncated_survival_sum``. The hazards are computed once up to the
+    largest tail start; the last of them holds from there on. ``fields``
+    supplies the coefficients the projection reports (``alpha`` and, for
+    competing risks, ``alpha_v`` and ``alpha_inv``).
+    """
+    tail_start = max(len(table) - 1 for table in tables)
+    hazards = _path(tables, alphas, t0, max(tail_start - t0, 0) + 1).tolist()
+    last = len(hazards) - 1
+    ert, hazard_path, survival_path, truncated_at = truncated_survival_sum(
+        lambda j: hazards[min(j, last)], config.eps, config.max_horizon)
+    return CustomerProjection(hazard_path=hazard_path, survival_path=survival_path,
+                              ert_months=ert, truncated_at=truncated_at, **fields)
+
+
 def expected_remaining_tenure(alpha: float, baseline: BaselineHazard, t0: int,
                               config: ProjectionConfig | None = None,
                               pooling: PoolingConfig | None = None,
@@ -146,37 +194,18 @@ def expected_remaining_tenure(alpha: float, baseline: BaselineHazard, t0: int,
     """
     if alpha < 0.0 or not math.isfinite(alpha):
         raise ValueError("alpha must be finite and >= 0")
-    if config is None:
-        config = ProjectionConfig()
-
-    def scaled(j: int) -> float:
-        return min(1.0, alpha * hazard_at(baseline, t0 + j, pooling))
-
-    ert, _, path, truncated_at = truncated_survival_sum(
-        scaled, config.eps, config.max_horizon)
-    return ert, path, truncated_at
+    p = fold_path((resolve(baseline, pooling),), (alpha,), t0, config or ProjectionConfig(),
+                  alpha=alpha)
+    return p.ert_months, p.survival_path, p.truncated_at
 
 
 def project_customer(score: float, baseline: BaselineHazard, t0: int,
                      config: ProjectionConfig | None = None,
                      pooling: PoolingConfig | None = None) -> CustomerProjection:
     """Full single-risk projection: alpha, paths, and expected remaining tenure."""
-    if config is None:
-        config = ProjectionConfig()
-    alpha = compute_alpha(score, baseline, t0, pooling)
-
-    def scaled(j: int) -> float:
-        return min(1.0, alpha * hazard_at(baseline, t0 + j, pooling))
-
-    ert, hazards, path, truncated_at = truncated_survival_sum(
-        scaled, config.eps, config.max_horizon)
-    return CustomerProjection(
-        alpha=alpha,
-        hazard_path=hazards,
-        survival_path=path,
-        ert_months=ert,
-        truncated_at=truncated_at,
-    )
+    table = resolve(baseline, pooling)
+    alpha = _alpha(score, table, t0)
+    return fold_path((table,), (alpha,), t0, config or ProjectionConfig(), alpha=alpha)
 
 
 def project_competing(score_v: float, score_inv: float,
@@ -192,39 +221,13 @@ def project_competing(score_v: float, score_inv: float,
     hide a combined rate above 1). Both sub-baselines must come from the
     same snapshot so their sub-hazards share exposure denominators.
     """
-    if config is None:
-        config = ProjectionConfig()
-    alpha_v = compute_alpha(score_v, baseline_v, t0, pooling)
-    alpha_inv = compute_alpha(score_inv, baseline_inv, t0, pooling)
-
-    def combined(j: int) -> float:
-        t = t0 + j
-        return min(1.0, alpha_v * hazard_at(baseline_v, t, pooling)
-                   + alpha_inv * hazard_at(baseline_inv, t, pooling))
-
-    ert, hazards, path, truncated_at = truncated_survival_sum(
-        combined, config.eps, config.max_horizon)
-    h_total = hazard_at(baseline_v, t0, pooling) + hazard_at(baseline_inv, t0, pooling)
+    tables = (resolve(baseline_v, pooling), resolve(baseline_inv, pooling))
+    alpha_v = _alpha(score_v, tables[0], t0)
+    alpha_inv = _alpha(score_inv, tables[1], t0)
+    h_total = float(lookup(tables[0], t0) + lookup(tables[1], t0))
     alpha = (score_v + score_inv) / h_total if h_total > 0.0 else 0.0
-    return CustomerProjection(
-        alpha=alpha,
-        hazard_path=hazards,
-        survival_path=path,
-        ert_months=ert,
-        truncated_at=truncated_at,
-        alpha_v=alpha_v,
-        alpha_inv=alpha_inv,
-    )
-
-
-def _hazard(tables: Sequence[np.ndarray], alphas: Sequence[np.ndarray],
-            rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Clipped combined hazard of customers ``rows`` at tenures ``t``."""
-    total = None
-    for table, alpha in zip(tables, alphas):
-        term = alpha[rows] * table[np.minimum(t, len(table) - 1)]
-        total = term if total is None else total + term
-    return np.minimum(1.0, total)
+    return fold_path(tables, (alpha_v, alpha_inv), t0, config or ProjectionConfig(),
+                     alpha=alpha, alpha_v=alpha_v, alpha_inv=alpha_inv)
 
 
 def _months_to_eps(s: np.ndarray, q: np.ndarray, eps: float,
@@ -286,17 +289,15 @@ def project_batch(tables: Sequence[np.ndarray], alphas: Sequence[np.ndarray],
     truncated = np.full(n, horizon - 1, dtype=np.int64)
     tail_start = max(len(table) - 1 for table in tables)
     steps = np.clip(tail_start - t0, 0, horizon)
-    factor = 1.0 / (1.0 + rate)
-    dfs = [1.0]  # dfs[j]: discount factor after j stepped months
+    dfs = discount.factors(int(steps.max(initial=0)))  # dfs[j]: after j months
     alive = np.flatnonzero(steps > 0)
     j = 0
     while alive.size:
-        dfs.append(dfs[-1] * factor)
-        h = _hazard(tables, alphas, alive, t0[alive] + j)
+        h = _hazard(tables, [alpha[alive] for alpha in alphas], t0[alive] + j)
         survival[alive] *= 1.0 - h
         s = survival[alive]
         ert[alive] += s
-        value[alive] += s * margins[alive] * dfs[-1]
+        value[alive] += s * margins[alive] * dfs[j + 1]
         done = s < eps
         truncated[alive[done]] = j
         j += 1
@@ -306,9 +307,9 @@ def project_batch(tables: Sequence[np.ndarray], alphas: Sequence[np.ndarray],
     if tail.size:
         s = survival[tail]
         first = steps[tail]
-        q = 1.0 - _hazard(tables, alphas, tail, np.full(tail.size, tail_start))
+        q = 1.0 - _hazard(tables, [alpha[tail] for alpha in alphas], tail_start)
         k = _months_to_eps(s, q, eps, horizon - first)
         truncated[tail] = first + k - 1
         ert[tail] += s * _geometric(q, k, 0.0)
-        value[tail] += margins[tail] * s * np.array(dfs)[first] * _geometric(q, k, rate)
+        value[tail] += margins[tail] * s * dfs[first] * _geometric(q, k, rate)
     return ert, value, truncated

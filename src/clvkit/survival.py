@@ -147,22 +147,33 @@ class LoadedBaseline(NamedTuple):
     baseline: BaselineHazard
     min_events: int | None
 
+    @property
+    def pooling(self) -> PoolingConfig:
+        """Pooling at the stored threshold, or the default one."""
+        return PoolingConfig() if self.min_events is None else PoolingConfig(self.min_events)
 
-def _smoothed_rate(events: float, exposure: float, smoothing: str) -> float:
+
+def _smoothed_rate(events, exposure, smoothing: str):
+    """Churn rate from counts (scalars or arrays) under ``smoothing``."""
     if smoothing == SMOOTHING_JEFFREYS:
         return (events + 0.5) / (exposure + 1.0)
     return events / exposure
 
 
-def _hazards_from_counts(events: np.ndarray, exposures: np.ndarray,
-                         smoothing: str) -> np.ndarray:
+def _from_counts(events: np.ndarray, exposures: np.ndarray,
+                 smoothing: str) -> BaselineHazard:
+    """Per-bin rates from counts (NaN where unobserved) and a provisional tail.
+
+    Until ``extrapolate_tail`` fixes it, the tail starts past the last bin at
+    the pooled overall rate, so ``hazard_at`` stays total.
+    """
     hazards = np.full(len(events), np.nan)
     mask = exposures > 0
-    if smoothing == SMOOTHING_JEFFREYS:
-        hazards[mask] = (events[mask] + 0.5) / (exposures[mask] + 1.0)
-    else:
-        hazards[mask] = events[mask] / exposures[mask]
-    return hazards
+    hazards[mask] = _smoothed_rate(events[mask], exposures[mask], smoothing)
+    total_n = int(exposures.sum())
+    return BaselineHazard(hazards, exposures, events, tail_start=len(exposures),
+                          tail_rate=float(events.sum() / total_n) if total_n > 0 else 0.0,
+                          smoothing=smoothing)
 
 
 def _accumulate_counts(records: Iterable[CalibrationRecord], by_cause: bool):
@@ -205,13 +216,6 @@ def _accumulate_counts(records: Iterable[CalibrationRecord], by_cause: bool):
     return to_array(exposures), to_array(events), to_array(events_v), to_array(events_inv)
 
 
-def _default_tail(events: np.ndarray, exposures: np.ndarray) -> float:
-    # Placeholder until extrapolate_tail is called: the pooled overall rate,
-    # so hazard_at stays total even on a freshly estimated baseline.
-    total_n = int(exposures.sum())
-    return float(events.sum() / total_n) if total_n > 0 else 0.0
-
-
 def estimate_hazard_by_tenure(records: Iterable[CalibrationRecord],
                               smoothing: str = SMOOTHING_NONE) -> BaselineHazard:
     """Estimate the baseline hazard curve from a one-month-ahead snapshot.
@@ -229,14 +233,7 @@ def estimate_hazard_by_tenure(records: Iterable[CalibrationRecord],
     if smoothing not in (SMOOTHING_NONE, SMOOTHING_JEFFREYS):
         raise ValueError(f"unknown smoothing {smoothing!r}")
     exposures, events, _, _ = _accumulate_counts(records, by_cause=False)
-    return BaselineHazard(
-        hazards=_hazards_from_counts(events, exposures, smoothing),
-        exposures=exposures,
-        events=events,
-        tail_start=len(exposures),
-        tail_rate=_default_tail(events, exposures),
-        smoothing=smoothing,
-    )
+    return _from_counts(events, exposures, smoothing)
 
 
 def estimate_cause_specific(records: Iterable[CalibrationRecord],
@@ -252,18 +249,8 @@ def estimate_cause_specific(records: Iterable[CalibrationRecord],
     if smoothing not in (SMOOTHING_NONE, SMOOTHING_JEFFREYS):
         raise ValueError(f"unknown smoothing {smoothing!r}")
     exposures, _, events_v, events_inv = _accumulate_counts(records, by_cause=True)
-
-    def build(events: np.ndarray) -> BaselineHazard:
-        return BaselineHazard(
-            hazards=_hazards_from_counts(events, exposures, smoothing),
-            exposures=exposures,
-            events=events,
-            tail_start=len(exposures),
-            tail_rate=_default_tail(events, exposures),
-            smoothing=smoothing,
-        )
-
-    return build(events_v), build(events_inv)
+    return (_from_counts(events_v, exposures, smoothing),
+            _from_counts(events_inv, exposures, smoothing))
 
 
 def kaplan_meier(histories: Iterable[EventHistory]) -> np.ndarray:
@@ -422,10 +409,15 @@ def resolve(baseline: BaselineHazard, pooling: PoolingConfig | None = None) -> n
 
     ``h[t] == hazard_at(baseline, t, pooling)`` for ``t < tail_start`` and
     the last entry is the tail rate, so the hazard at any tenure ``t`` is
-    ``h[min(t, tail_start)]``.
+    ``h[min(t, tail_start)]`` (see ``lookup``).
     """
     return np.array([hazard_at(baseline, t, pooling) for t in range(baseline.tail_start)]
                     + [baseline.tail_rate])
+
+
+def lookup(table: np.ndarray, t):
+    """Hazard at tenure (or array of tenures) ``t >= 0`` from a ``resolve`` table."""
+    return table[np.minimum(t, len(table) - 1)]
 
 
 def jeffreys_view(baseline: BaselineHazard) -> BaselineHazard:
@@ -438,20 +430,12 @@ def jeffreys_view(baseline: BaselineHazard) -> BaselineHazard:
     """
     tail_start = baseline.tail_start
     tail_n = int(baseline.exposures[tail_start:].sum())
+    tail_rate = baseline.tail_rate
     if tail_n > 0:
         tail_e = int(baseline.events[tail_start:].sum())
-        tail_rate = (tail_e + 0.5) / (tail_n + 1.0)
-    else:
-        tail_rate = baseline.tail_rate
-    return BaselineHazard(
-        hazards=_hazards_from_counts(baseline.events, baseline.exposures,
-                                     SMOOTHING_JEFFREYS),
-        exposures=baseline.exposures,
-        events=baseline.events,
-        tail_start=tail_start,
-        tail_rate=tail_rate,
-        smoothing=SMOOTHING_JEFFREYS,
-    )
+        tail_rate = _smoothed_rate(tail_e, tail_n, SMOOTHING_JEFFREYS)
+    return replace(_from_counts(baseline.events, baseline.exposures, SMOOTHING_JEFFREYS),
+                   tail_start=tail_start, tail_rate=tail_rate)
 
 
 def baseline_from_dict(doc: dict) -> LoadedBaseline:

@@ -2,7 +2,8 @@
 
 CLV is the sum over future months of the probability of still being a
 customer times that month's margin, discounted end-of-period: month t
-(t = 1, 2, ...) contributes survival * margin / (1 + r)^t. With no
+(t = 1, 2, ...) contributes survival * margin / (1 + r)^t, the factor being
+a running product of 1 / (1 + r) (``DiscountSpec.factors``). With no
 discounting and a constant margin this collapses to margin times expected
 remaining tenure.
 """
@@ -27,6 +28,16 @@ class DiscountSpec:
     def __post_init__(self):
         if not (math.isfinite(self.monthly_rate) and self.monthly_rate >= 0.0):
             raise InvalidRate(f"monthly rate must be finite and >= 0, got {self.monthly_rate!r}")
+
+    def factors(self, months: int) -> np.ndarray:
+        """Discount factors ``d[j]`` for j = 0..months, ``d[0] = 1``.
+
+        Each factor is the previous one times ``1 / (1 + rate)``; the
+        cumulative product performs exactly that multiplication chain.
+        """
+        step = np.full(months + 1, 1.0 / (1.0 + self.monthly_rate))
+        step[0] = 1.0
+        return np.cumprod(step)
 
 
 @dataclass(frozen=True)
@@ -70,8 +81,6 @@ def clv(survival_path: np.ndarray, margins: MarginSpec,
     An empty path values the customer at 0.
     """
     path = np.asarray(survival_path, dtype=np.float64)
-    if path.size == 0:
-        return 0.0
     if discount is None:
         discount = DiscountSpec()
     if margins.series is not None:
@@ -81,11 +90,7 @@ def clv(survival_path: np.ndarray, margins: MarginSpec,
         m = np.asarray(margins.series[:path.size], dtype=np.float64)
     else:
         m = margins.constant
-    r = discount.monthly_rate
-    if r == 0.0:
-        return float(np.sum(path * m))
-    t = np.arange(1, path.size + 1, dtype=np.float64)
-    return float(np.sum(path * m * (1.0 + r) ** (-t)))
+    return float(np.sum(path * m * discount.factors(path.size)[1:]))
 
 
 def clv_constant(ert_months: float, margin: float) -> float:

@@ -372,6 +372,19 @@ class TestConfigFile:
         code = main(["score", *score_inputs, "--config", str(cfg)])
         assert_one_line_error(capsys, code, 2, "--" + key.replace("_", "-"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("out", 5), ("calibration", ["c.csv"]), ("smoothing", 1),
+        ("competing", "false"), ("auto_tail", "no"), ("auto_tail", 1),
+    ])
+    def test_mistyped_baseline_config_value_is_usage_error(self, cohort_dir, tmp_path,
+                                                           capsys, key, value):
+        doc = {"calibration": str(cohort_dir / "calibration.csv"),
+               "out": str(tmp_path / "b.json"), key: value}
+        cfg = write_json(tmp_path / "baseline.json", doc)
+        code = main(["baseline", "--config", str(cfg)])
+        assert_one_line_error(capsys, code, 2, "--" + key.replace("_", "-"), repr(value))
+        assert not (tmp_path / "b.json").exists()
+
     def test_config_that_is_not_json_is_usage_error(self, score_inputs, tmp_path, capsys):
         cfg = tmp_path / "score.json"
         cfg.write_text('{"eps": ', encoding="utf-8")
@@ -392,6 +405,10 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_cli_import_leaves_scipy_out(self):
+        code = "import sys, clvkit.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_module_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "clvkit.cli", "--help"],

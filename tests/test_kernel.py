@@ -10,14 +10,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import csv
+import math
+
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clvkit import dataio
 from clvkit.cli import main
 from clvkit.dataio import ScoringRecord
-from clvkit.projection import ProjectionConfig, project_batch, truncated_survival_sum
+from clvkit.errors import DegenerateBaseline, OffsetUndefined
+from clvkit.odds import OddsModel, project_with_odds_model
+from clvkit.projection import (
+    ProjectionConfig,
+    expected_remaining_tenure,
+    project_batch,
+    project_competing,
+    project_customer,
+    truncated_survival_sum,
+)
 from clvkit.simulate import (
     DecayingShape,
     FixedAlpha,
@@ -27,7 +40,14 @@ from clvkit.simulate import (
     StepShape,
     generate_cohort,
 )
-from clvkit.survival import PoolingConfig, hazard_at, resolve, save_baseline
+from clvkit.survival import (
+    BaselineHazard,
+    PoolingConfig,
+    hazard_at,
+    jeffreys_view,
+    resolve,
+    save_baseline,
+)
 from clvkit.valuation import DiscountSpec, MarginSpec, clv
 
 from conftest import baseline_from_rates
@@ -214,3 +234,137 @@ def test_simulator_truth_matches_month_stepping_for_every_shape():
                    alpha_dist_inv=FixedAlpha(0.5), competing=0.7,
                    n_customers=40, max_tenure=15, seed=4, **economics)
     _truth_by_stepping(spec, generate_cohort(spec))
+
+
+# Single-customer APIs against the batch kernel, on baselines drawn from
+# counts: empty and sparse bins pool, tail starts anywhere in the observed
+# range, and rates up to 1 make large alphas clip.
+
+@st.composite
+def baselines(draw):
+    exposures = np.array(draw(st.lists(st.one_of(st.just(0), st.integers(1, 300)),
+                                       min_size=1, max_size=40)), dtype=np.int64)
+    events = np.array([draw(st.integers(0, min(int(e), 12))) for e in exposures],
+                      dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        hazards = np.where(exposures > 0, events / np.maximum(exposures, 1), np.nan)
+    return BaselineHazard(hazards, exposures, events,
+                          tail_start=draw(st.integers(0, exposures.size)),
+                          tail_rate=draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                                   st.floats(0.0, 1.0))))
+
+
+poolings = st.sampled_from([0, 1, 5, 50]).map(PoolingConfig)
+configs = st.builds(ProjectionConfig, eps=st.floats(1e-9, 0.5),
+                    max_horizon=st.integers(1, 1500))
+tenures = st.integers(0, 60)
+
+
+def assert_agrees_with_kernel(ert, path, truncated, tables, alphas, t0, config):
+    k_ert, _, k_truncated = project_batch(
+        tables, [np.array([a]) for a in alphas], np.array([t0]), np.ones(1),
+        DiscountSpec(), config)
+    assert truncated == int(k_truncated[0])
+    assert len(path) == truncated + 1
+    assert close(ert, float(k_ert[0]))
+    assert np.all(np.diff(path) <= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(baseline=baselines(), pooling=poolings, t0=tenures, config=configs,
+       alpha=st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(5.0, 500.0)))
+def test_expected_remaining_tenure_agrees_with_kernel(baseline, pooling, t0, config, alpha):
+    ert, path, truncated = expected_remaining_tenure(alpha, baseline, t0, config, pooling)
+    assert_agrees_with_kernel(ert, path, truncated, (resolve(baseline, pooling),),
+                              (alpha,), t0, config)
+
+
+def scaled_alpha(score, baseline, t0, pooling):
+    # A score with no finite coefficient raises DegenerateBaseline, which
+    # test_score_over_vanishing_hazard_is_degenerate covers.
+    h0 = hazard_at(baseline, t0, pooling)
+    assume(h0 > 0.0 or score == 0.0)
+    alpha = score / h0 if h0 > 0.0 else 0.0
+    assume(math.isfinite(alpha))
+    return alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(baseline=baselines(), pooling=poolings, t0=tenures, config=configs,
+       score=st.floats(0.0, 1.0))
+def test_project_customer_agrees_with_kernel(baseline, pooling, t0, config, score):
+    alpha = scaled_alpha(score, baseline, t0, pooling)
+    projection = project_customer(score, baseline, t0, config, pooling)
+    assert projection.alpha == alpha
+    assert_agrees_with_kernel(projection.ert_months, projection.survival_path,
+                              projection.truncated_at, (resolve(baseline, pooling),),
+                              (alpha,), t0, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(baseline_v=baselines(), baseline_inv=baselines(), pooling=poolings, t0=tenures,
+       config=configs, score_v=st.floats(0.0, 1.0), score_inv=st.floats(0.0, 1.0))
+def test_project_competing_agrees_with_kernel(baseline_v, baseline_inv, pooling, t0,
+                                              config, score_v, score_inv):
+    alphas = (scaled_alpha(score_v, baseline_v, t0, pooling),
+              scaled_alpha(score_inv, baseline_inv, t0, pooling))
+    projection = project_competing(score_v, score_inv, baseline_v, baseline_inv, t0,
+                                   config, pooling)
+    assert (projection.alpha_v, projection.alpha_inv) == alphas
+    tables = (resolve(baseline_v, pooling), resolve(baseline_inv, pooling))
+    assert_agrees_with_kernel(projection.ert_months, projection.survival_path,
+                              projection.truncated_at, tables, alphas, t0, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(baseline=baselines(), pooling=poolings, t0=tenures, config=configs)
+def test_odds_projection_at_zero_beta_is_unit_alpha_on_jeffreys_view(
+        baseline, pooling, t0, config):
+    model = OddsModel(beta=np.zeros(2), ridge=0.0, log_likelihood=0.0, iterations=1,
+                      converged=True, baseline_sha=baseline.content_sha())
+    view = jeffreys_view(baseline)
+    ert, path, truncated = expected_remaining_tenure(1.0, view, t0, config, pooling)
+    # The odds model has no log-odds offset where the view's hazard is 0 or 1;
+    # it must fail at the first such tenure the projection reaches.
+    undefined = [t0 + j for j in range(truncated + 1)
+                 if not 0.0 < hazard_at(view, t0 + j, pooling) < 1.0]
+    if undefined:
+        with pytest.raises(OffsetUndefined) as err:
+            project_with_odds_model(model, [0.7, -1.2], baseline, t0, config, pooling)
+        assert err.value.tenure == undefined[0]
+        return
+    projection = project_with_odds_model(model, [0.7, -1.2], baseline, t0, config, pooling)
+    assert projection.ert_months == ert
+    assert np.array_equal(projection.survival_path, path)
+    assert projection.truncated_at == truncated
+
+
+def test_score_over_vanishing_hazard_is_degenerate():
+    # 0.5 / 5e-324 overflows: no finite alpha, as for a zero hazard.
+    baseline = BaselineHazard([0.1], [10], [1], tail_start=1, tail_rate=5e-324)
+    for project in (lambda t0: project_customer(0.5, baseline, t0),
+                    lambda t0: project_competing(0.5, 0.0, baseline, baseline, t0)):
+        project(0)
+        with pytest.raises(DegenerateBaseline):
+            project(3)
+
+
+def test_curve_baseline_column_matches_hazard_at_on_pooled_bins(tmp_path):
+    exposures = np.array([400, 30, 0, 12, 250, 2, 0, 0, 90, 300, 300, 300], dtype=np.int64)
+    events = np.array([40, 2, 0, 1, 20, 1, 0, 0, 3, 9, 9, 9], dtype=np.int64)
+    with np.errstate(invalid="ignore"):
+        hazards = np.where(exposures > 0, events / np.maximum(exposures, 1), np.nan)
+    baseline = BaselineHazard(hazards, exposures, events, tail_start=9, tail_rate=0.03)
+    path = tmp_path / "baseline.json"
+    save_baseline(path, baseline, min_events=8)
+    out = tmp_path / "curve.csv"
+    assert main(["curve", "--baseline", str(path), "--alpha", "1.7", "--t0", "0",
+                 "--horizon", "15", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    pooling = PoolingConfig(8)
+    assert [float(r["baseline_hazard"]) for r in rows] == [
+        hazard_at(baseline, t, pooling) for t in range(15)]
+    pooled = [t for t in range(9) if np.isnan(hazards[t])
+              or hazard_at(baseline, t, pooling) != hazards[t]]
+    assert len(pooled) >= 5

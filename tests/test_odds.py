@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import expit, logit
 
-from clvkit.errors import EmptyCalibration, FitDiverged, OffsetUndefined
+from clvkit import odds
+from clvkit.errors import EmptyCalibration, FitDiverged, InvalidDocument, OffsetUndefined
 from clvkit.odds import (
     OddsModel,
     PersonPeriodRow,
@@ -238,3 +240,46 @@ class TestModelSerialization:
         doc["extra"] = 1
         with pytest.raises(ValueError):
             model_from_dict(doc)
+
+
+class TestLoadModelErrors:
+    GOOD = {"version": 1, "beta": [0.1], "ridge": 0.0, "log_likelihood": -1.0,
+            "iterations": 3, "converged": True, "baseline_sha": "abc"}
+
+    def check(self, path):
+        with pytest.raises(InvalidDocument) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
+    def test_truncated_json(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"version": 1, "beta": [0.1', encoding="utf-8")
+        self.check(path)
+
+    def test_wrong_key_set(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = {k: v for k, v in self.GOOD.items() if k != "ridge"}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        self.check(path)
+
+    def test_wrong_version(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**self.GOOD, "version": 2}), encoding="utf-8")
+        self.check(path)
+
+
+class TestLogisticFunctions:
+    """The module's own logit/expit against scipy.special as the oracle."""
+
+    def test_match_scipy(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 801), [-1e300, 1e300]])
+        assert np.allclose(odds.expit(x), expit(x), rtol=1e-14, atol=0.0)
+        p = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 999), [5e-324, 1e-300]])
+        assert np.allclose(odds.logit(p), logit(p), rtol=1e-12, atol=1e-15)
+
+    def test_expit_finite_without_warnings_for_extreme_inputs(self):
+        x = np.array([-np.finfo(float).max, -1e4, -800.0, 800.0, 1e4, np.finfo(float).max])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            h = odds.expit(x)
+        assert np.all(np.isfinite(h))
+        assert np.all((h >= 0.0) & (h <= 1.0))
