@@ -10,12 +10,18 @@ validation.
 """
 
 from .dataio import (
+    CalibrationBatch,
     CalibrationRecord,
+    ProjectionBatch,
     ProjectionRow,
+    ScoringBatch,
     ScoringRecord,
     read_calibration,
+    read_calibration_batches,
     read_projections,
     read_scoring,
+    read_scoring_batches,
+    write_projection_batches,
     write_projections,
 )
 from .errors import (
@@ -39,13 +45,19 @@ from .errors import (
 from .odds import (
     OddsModel,
     PersonPeriodRow,
+    fit_odds_columns,
     fit_odds_model,
     load_model,
     predict_hazard_odds,
     project_with_odds_model,
     save_model,
 )
-from .pipeline import score_stream, score_stream_competing
+from .pipeline import (
+    score_batches,
+    score_batches_competing,
+    score_stream,
+    score_stream_competing,
+)
 from .projection import (
     CustomerProjection,
     ProjectionConfig,
@@ -74,7 +86,9 @@ from .survival import (
     PoolingConfig,
     detect_tail_start,
     estimate_cause_specific,
+    estimate_cause_specific_from_batches,
     estimate_hazard_by_tenure,
+    estimate_hazard_from_batches,
     extrapolate_tail,
     hazard_at,
     hazard_to_survival,

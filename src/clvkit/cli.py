@@ -27,15 +27,15 @@ import numpy as np
 
 from . import dataio, simulate
 from .errors import ClvkitError, MissingColumn
-from .odds import PersonPeriodRow, fit_odds_model, save_model
-from .pipeline import DEFAULT_CHUNK_SIZE, score_stream, score_stream_competing
+from .odds import fit_odds_columns, save_model
+from .pipeline import DEFAULT_CHUNK_SIZE, score_batches, score_batches_competing
 from .projection import ProjectionConfig
 from .survival import (
     BaselineHazard,
     PoolingConfig,
     detect_tail_start,
-    estimate_cause_specific,
-    estimate_hazard_by_tenure,
+    estimate_cause_specific_from_batches,
+    estimate_hazard_from_batches,
     extrapolate_tail,
     hazard_to_survival,
     load_baseline,
@@ -202,13 +202,13 @@ def run_baseline(args: argparse.Namespace) -> int:
             raise UsageError("--min-events must be >= 0")
     min_events = PoolingConfig().min_events if args.min_events is None else args.min_events
     mode = "competing" if args.competing else "single"
-    records = dataio.read_calibration(args.calibration, mode)
+    batches = dataio.read_calibration_batches(args.calibration, mode)
     if args.competing:
-        baseline_v, baseline_inv = estimate_cause_specific(records, args.smoothing)
+        baseline_v, baseline_inv = estimate_cause_specific_from_batches(batches, args.smoothing)
         outputs = [(_suffixed(args.out, "v"), baseline_v),
                    (_suffixed(args.out, "inv"), baseline_inv)]
     else:
-        outputs = [(Path(args.out), estimate_hazard_by_tenure(records, args.smoothing))]
+        outputs = [(Path(args.out), estimate_hazard_from_batches(batches, args.smoothing))]
     for path, baseline in outputs:
         baseline = _with_tail(baseline, args.tail_start, args.auto_tail)
         _warn_sparse(baseline, min_events)
@@ -244,19 +244,17 @@ def run_score(args: argparse.Namespace) -> int:
             raise UsageError("--competing requires --baseline-inv")
         loaded_v = load_baseline(args.baseline)
         loaded_i = load_baseline(args.baseline_inv)
-        records = dataio.read_scoring(args.scoring, "competing")
-        rows = score_stream_competing(
-            records, loaded_v.baseline, loaded_i.baseline,
+        batches = dataio.read_scoring_batches(args.scoring, "competing", chunk_size)
+        projections = score_batches_competing(
+            batches, loaded_v.baseline, loaded_i.baseline,
             config=config, discount=discount,
-            pooling_v=loaded_v.pooling, pooling_inv=loaded_i.pooling,
-            chunk_size=chunk_size)
+            pooling_v=loaded_v.pooling, pooling_inv=loaded_i.pooling)
     else:
         loaded = load_baseline(args.baseline)
-        records = dataio.read_scoring(args.scoring, "single")
-        rows = score_stream(records, loaded.baseline, config=config,
-                            discount=discount, pooling=loaded.pooling,
-                            chunk_size=chunk_size)
-    count = dataio.write_projections(args.out, rows)
+        batches = dataio.read_scoring_batches(args.scoring, "single", chunk_size)
+        projections = score_batches(batches, loaded.baseline, config=config,
+                                    discount=discount, pooling=loaded.pooling)
+    count = dataio.write_projection_batches(args.out, projections)
     log.info("scored %d customers: %s", count, args.out)
     return 0
 
@@ -288,6 +286,11 @@ def run_curve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stack(parts: list[np.ndarray], empty_shape: tuple[int, ...]) -> np.ndarray:
+    """Batch columns joined into one C-contiguous array (rows first)."""
+    return np.concatenate(parts) if parts else np.empty(empty_shape)
+
+
 def run_fit_odds(args: argparse.Namespace) -> int:
     ridge = _number(args, "ridge")
     tol = _number(args, "tol")
@@ -297,18 +300,21 @@ def run_fit_odds(args: argparse.Namespace) -> int:
     if max_iter < 1:
         raise UsageError("--max-iter must be >= 1")
     loaded = load_baseline(args.baseline)
-    rows = []
-    for rec in dataio.read_calibration(args.calibration, "single"):
-        if rec.covariates is None:
+    tenure, churned, covariates = [], [], []
+    for batch in dataio.read_calibration_batches(args.calibration, "single"):
+        if batch.covariates is None:
             raise MissingColumn("x1")
-        rows.append(PersonPeriodRow(rec.tenure, rec.churned, rec.covariates))
-    model = fit_odds_model(rows, loaded.baseline, ridge=ridge, tol=tol,
-                           max_iter=max_iter,
-                           pooling=loaded.pooling)
+        tenure.append(batch.tenure)
+        churned.append(batch.churned)
+        covariates.append(batch.covariates)
+    rows = sum(map(len, tenure))
+    model = fit_odds_columns(_stack(tenure, (0,)), _stack(churned, (0,)),
+                             _stack(covariates, (0, 0)), loaded.baseline, ridge=ridge,
+                             tol=tol, max_iter=max_iter, pooling=loaded.pooling)
     save_model(args.out, model)
     log.info("fit %d coefficients on %d rows in %d iterations "
              "(converged=%s, log-likelihood %.4f): %s",
-             model.beta.size, len(rows), model.iterations, model.converged,
+             model.beta.size, rows, model.iterations, model.converged,
              model.log_likelihood, args.out)
     return 0
 

@@ -104,32 +104,49 @@ def _log_odds(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logit(np.where(defined, table, 0.5)), defined
 
 
-def _design(rows: Sequence[PersonPeriodRow], view: BaselineHazard,
-            pooling: PoolingConfig | None):
-    if not rows:
+def _design(tenure: np.ndarray, outcome: np.ndarray, covariates: np.ndarray,
+            widths: np.ndarray | None, view: BaselineHazard, pooling: PoolingConfig | None):
+    """Response and offsets for the design matrix ``covariates``, checked row by row.
+
+    ``widths`` holds each record's covariate count when the matrix was built
+    from records (a ragged record is an error), else None. The first row
+    that breaks a rule, in input order, raises: its outcome, then its
+    covariate count, its tenure and its offset.
+    """
+    n, m = len(tenure), covariates.shape[1]
+    if n == 0:
         raise EmptyCalibration("no person-period rows")
-    m = len(rows[0].covariates)
     if m < 1:
         raise InvalidRecord(0, "at least one covariate required")
     log_odds, defined = _log_odds(resolve(view, pooling))
-    log_odds, defined, last = log_odds.tolist(), defined.tolist(), len(log_odds) - 1
-    X = np.empty((len(rows), m))
-    y = np.empty(len(rows))
-    offsets = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        if row.outcome not in (0, 1):
-            raise InvalidRecord(i, f"outcome must be 0 or 1, got {row.outcome!r}")
-        if len(row.covariates) != m:
-            raise InvalidRecord(i, f"expected {m} covariates, got {len(row.covariates)}")
-        if row.tenure < 0:
+    bad_outcome = ~((outcome == 0) | (outcome == 1))
+    bad_width = np.zeros(n, dtype=bool) if widths is None else widths != m
+    negative = tenure < 0
+    t = np.where(negative, 0, np.minimum(tenure, len(log_odds) - 1))
+    bad = bad_outcome | bad_width | negative | ~defined[t]
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_outcome[i]:
+            raise InvalidRecord(i, f"outcome must be 0 or 1, got {outcome[i:i + 1].tolist()[0]!r}")
+        if bad_width[i]:
+            raise InvalidRecord(i, f"expected {m} covariates, got {widths[i]}")
+        if negative[i]:
             raise InvalidRecord(i, "tenure must be >= 0")
-        t = min(row.tenure, last)
-        if not defined[t]:
-            raise OffsetUndefined(row.tenure)
-        X[i] = row.covariates
-        y[i] = row.outcome
-        offsets[i] = log_odds[t]
-    return X, y, offsets
+        raise OffsetUndefined(int(tenure[i]))
+    return outcome.astype(np.float64), log_odds[t]
+
+
+def _record_columns(rows: Sequence[PersonPeriodRow]):
+    """Tenure, outcome (the records' own objects), covariates and covariate counts."""
+    n = len(rows)
+    widths = np.fromiter((len(r.covariates) for r in rows), np.int64, n)
+    m = int(widths[0]) if n else 0
+    if (widths == m).all():
+        covariates = np.array([r.covariates for r in rows], dtype=np.float64).reshape(n, m)
+    else:
+        covariates = np.zeros((n, m))  # never used: _design rejects the ragged row
+    return (np.array([r.tenure for r in rows], dtype=np.int64),
+            np.fromiter((r.outcome for r in rows), object, n), covariates, widths)
 
 
 def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray,
@@ -168,13 +185,29 @@ def fit_odds_model(rows: Sequence[PersonPeriodRow], baseline: BaselineHazard,
     numerically equal to the outcomes, under which no finite maximizer
     exists).
     """
+    return _fit(*_record_columns(list(rows)), baseline, ridge, tol, max_iter, pooling)
+
+
+def fit_odds_columns(tenure: np.ndarray, outcome: np.ndarray, covariates: np.ndarray,
+                     baseline: BaselineHazard, ridge: float = 1e-6, tol: float = 1e-8,
+                     max_iter: int = 50, pooling: PoolingConfig | None = None) -> OddsModel:
+    """``fit_odds_model`` over columns: one row per customer-month.
+
+    ``covariates`` is the (rows, m) design matrix; keep it C-contiguous, as
+    a transposed layout changes the BLAS summation order and with it the
+    last bits of the fit.
+    """
+    return _fit(tenure, outcome, covariates, None, baseline, ridge, tol, max_iter, pooling)
+
+
+def _fit(tenure, outcome, X, widths, baseline: BaselineHazard, ridge: float, tol: float,
+         max_iter: int, pooling: PoolingConfig | None) -> OddsModel:
     if ridge < 0.0:
         raise ValueError("ridge must be >= 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    rows = list(rows)
     view = jeffreys_view(baseline)
-    X, y, offsets = _design(rows, view, pooling)
+    y, offsets = _design(tenure, outcome, X, widths, view, pooling)
     m = X.shape[1]
 
     beta = np.zeros(m)

@@ -16,11 +16,18 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .dataio import CAUSE_INVOLUNTARY, CAUSE_VOLUNTARY, CalibrationRecord
+from .dataio import (
+    CALIBRATION_BATCH_SIZE,
+    CAUSE_INVOLUNTARY,
+    CAUSE_VOLUNTARY,
+    CalibrationBatch,
+    CalibrationRecord,
+    chunks,
+)
 from .errors import (
     EmptyCalibration,
     EmptyTail,
@@ -176,44 +183,111 @@ def _from_counts(events: np.ndarray, exposures: np.ndarray,
                           smoothing=smoothing)
 
 
-def _accumulate_counts(records: Iterable[CalibrationRecord], by_cause: bool):
-    exposures: dict[int, int] = {}
-    events: dict[int, int] = {}
-    events_v: dict[int, int] = {}
-    events_inv: dict[int, int] = {}
-    n = 0
-    for i, rec in enumerate(records):
-        n += 1
-        tenure = rec.tenure
-        churned = rec.churned
-        if not isinstance(tenure, (int, np.integer)) or isinstance(tenure, bool) or tenure < 0:
-            raise InvalidRecord(i, f"tenure must be a non-negative integer, got {tenure!r}")
-        if isinstance(churned, bool):
-            churned = int(churned)
-        if churned not in (0, 1):
-            raise InvalidRecord(i, f"churn flag must be 0 or 1, got {rec.churned!r}")
-        exposures[tenure] = exposures.get(tenure, 0) + 1
-        if churned:
-            events[tenure] = events.get(tenure, 0) + 1
-            if by_cause:
-                if rec.cause == CAUSE_VOLUNTARY:
-                    events_v[tenure] = events_v.get(tenure, 0) + 1
-                elif rec.cause == CAUSE_INVOLUNTARY:
-                    events_inv[tenure] = events_inv.get(tenure, 0) + 1
-                else:
-                    raise InvalidRecord(i, f"churner needs cause V or I, got {rec.cause!r}")
-    if n == 0:
+def _item(column: np.ndarray, i: int):
+    """Entry ``i`` of a column as the Python value it was built from."""
+    return column[i:i + 1].tolist()[0]
+
+
+def _first_invalid(tenure: np.ndarray, churned: np.ndarray, cause: np.ndarray | None,
+                   start: int) -> None:
+    """Raise InvalidRecord for the first row that cannot be counted.
+
+    Columns may hold objects (``_record_batches``), so the tenure check
+    covers type as well as sign. ``cause`` is checked for churners only, and
+    only when counting by cause. ``start`` is the index of the batch's first
+    row.
+    """
+    if tenure.dtype == object:
+        bad_tenure = np.fromiter(
+            (not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 0
+             for t in tenure.tolist()), bool, len(tenure))
+    else:
+        bad_tenure = tenure < 0
+    bad_churn = ~((churned == 0) | (churned == 1))
+    bad = bad_tenure | bad_churn
+    if cause is not None:
+        bad_cause = (churned == 1) & ~((cause == CAUSE_VOLUNTARY) | (cause == CAUSE_INVOLUNTARY))
+        bad |= bad_cause
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if bad_tenure[i]:
+        raise InvalidRecord(start + i, "tenure must be a non-negative integer, "
+                                       f"got {_item(tenure, i)!r}")
+    if bad_churn[i]:
+        raise InvalidRecord(start + i, f"churn flag must be 0 or 1, got {_item(churned, i)!r}")
+    raise InvalidRecord(start + i, f"churner needs cause V or I, got {_item(cause, i)!r}")
+
+
+def _plus(total: np.ndarray, tenures: np.ndarray, size: int) -> np.ndarray:
+    """``total`` plus the count of each tenure, over at least ``size >= len(total)`` bins."""
+    counts = np.bincount(tenures, minlength=size)
+    counts[:len(total)] += total
+    return counts
+
+
+def _count(batches: Iterable[CalibrationBatch], by_cause: bool) -> tuple[np.ndarray, ...]:
+    """Exposures, events and (by cause) voluntary/involuntary events per tenure.
+
+    Rows are numbered from 0 across batches in InvalidRecord. All arrays
+    have length ``t_max + 1``; without ``by_cause`` the two cause arrays are
+    None.
+    """
+    exposures = events = np.zeros(0, dtype=np.int64)
+    events_v = events_inv = exposures if by_cause else None
+    start = 0
+    for batch in batches:
+        cause = batch.cause if by_cause else None
+        _first_invalid(batch.tenure, batch.churned, cause, start)
+        tenure = batch.tenure.astype(np.int64, copy=False)
+        churned = batch.churned == 1
+        exposures = _plus(exposures, tenure, len(exposures))
+        size = len(exposures)
+        events = _plus(events, tenure[churned], size)
+        if by_cause:
+            events_v = _plus(events_v, tenure[churned & (cause == CAUSE_VOLUNTARY)], size)
+            events_inv = _plus(events_inv, tenure[churned & (cause == CAUSE_INVOLUNTARY)], size)
+        start += len(tenure)
+    if start == 0:
         raise EmptyCalibration("no calibration records")
-    t_max = max(exposures)
-    size = t_max + 1
+    return exposures, events, events_v, events_inv
 
-    def to_array(counts: dict[int, int]) -> np.ndarray:
-        arr = np.zeros(size, dtype=np.int64)
-        for t, c in counts.items():
-            arr[t] = c
-        return arr
 
-    return to_array(exposures), to_array(events), to_array(events_v), to_array(events_inv)
+def _record_batches(records: Iterable[CalibrationRecord]) -> Iterator[CalibrationBatch]:
+    """Batches of records whose columns hold the records' own objects (dtype object).
+
+    Counting then checks the records' values as given: a tenure that is not
+    an integer or a churn flag that is not 0 or 1 raises InvalidRecord.
+    """
+    for chunk in chunks(records, CALIBRATION_BATCH_SIZE):
+        n = len(chunk)
+        yield CalibrationBatch(tuple(r.customer_id for r in chunk),
+                               np.fromiter((r.tenure for r in chunk), object, n),
+                               np.fromiter((r.churned for r in chunk), object, n),
+                               np.fromiter((r.cause for r in chunk), object, n), None)
+
+
+def _check_smoothing(smoothing: str) -> None:
+    if smoothing not in (SMOOTHING_NONE, SMOOTHING_JEFFREYS):
+        raise ValueError(f"unknown smoothing {smoothing!r}")
+
+
+def estimate_hazard_from_batches(batches: Iterable[CalibrationBatch],
+                                 smoothing: str = SMOOTHING_NONE) -> BaselineHazard:
+    """``estimate_hazard_by_tenure`` over column batches (``dataio.read_calibration_batches``)."""
+    _check_smoothing(smoothing)
+    exposures, events, _, _ = _count(batches, by_cause=False)
+    return _from_counts(events, exposures, smoothing)
+
+
+def estimate_cause_specific_from_batches(batches: Iterable[CalibrationBatch],
+                                         smoothing: str = SMOOTHING_NONE,
+                                         ) -> tuple[BaselineHazard, BaselineHazard]:
+    """``estimate_cause_specific`` over column batches (``dataio.read_calibration_batches``)."""
+    _check_smoothing(smoothing)
+    exposures, _, events_v, events_inv = _count(batches, by_cause=True)
+    return (_from_counts(events_v, exposures, smoothing),
+            _from_counts(events_inv, exposures, smoothing))
 
 
 def estimate_hazard_by_tenure(records: Iterable[CalibrationRecord],
@@ -230,10 +304,7 @@ def estimate_hazard_by_tenure(records: Iterable[CalibrationRecord],
     tail rate (the pooled overall rate); call ``detect_tail_start`` and
     ``extrapolate_tail`` to fix the tail properly.
     """
-    if smoothing not in (SMOOTHING_NONE, SMOOTHING_JEFFREYS):
-        raise ValueError(f"unknown smoothing {smoothing!r}")
-    exposures, events, _, _ = _accumulate_counts(records, by_cause=False)
-    return _from_counts(events, exposures, smoothing)
+    return estimate_hazard_from_batches(_record_batches(records), smoothing)
 
 
 def estimate_cause_specific(records: Iterable[CalibrationRecord],
@@ -246,11 +317,7 @@ def estimate_cause_specific(records: Iterable[CalibrationRecord],
     makes the two sub-hazards sum to the whole-base hazard.
     Returns ``(baseline_v, baseline_inv)``.
     """
-    if smoothing not in (SMOOTHING_NONE, SMOOTHING_JEFFREYS):
-        raise ValueError(f"unknown smoothing {smoothing!r}")
-    exposures, _, events_v, events_inv = _accumulate_counts(records, by_cause=True)
-    return (_from_counts(events_v, exposures, smoothing),
-            _from_counts(events_inv, exposures, smoothing))
+    return estimate_cause_specific_from_batches(_record_batches(records), smoothing)
 
 
 def kaplan_meier(histories: Iterable[EventHistory]) -> np.ndarray:

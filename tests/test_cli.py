@@ -421,3 +421,46 @@ class TestUsage:
         baseline = tmp_path / "baseline.json"
         assert main(["baseline", "--calibration", str(cohort_dir / "calibration.csv"),
                      "--out", str(baseline), "--tail-start", "0"]) == 0
+
+
+class TestDataErrors:
+    def test_score_over_underflowing_tail_rate_is_degenerate(self, tmp_path, capsys):
+        # 0.5 / 5e-324 overflows to inf: no finite alpha exists.
+        baseline = write_json(tmp_path / "b.json", {
+            "version": 1, "hazards": [0.1], "exposures": [10], "events": [1],
+            "tail_start": 0, "tail_rate": 5e-324, "smoothing": "none"})
+        scoring = tmp_path / "s.csv"
+        scoring.write_text("customer_id,tenure,churn_score,margin\nc1,3,0.5,10\n",
+                           encoding="utf-8")
+        code = main(["score", "--baseline", str(baseline), "--scoring", str(scoring),
+                     "--out", str(tmp_path / "p.csv")])
+        assert_one_line_error(capsys, code, 1, "'c1'", "5e-324")
+
+    def test_competing_score_over_underflowing_tail_rate_is_degenerate(self, tmp_path,
+                                                                       capsys):
+        doc = {"version": 1, "hazards": [0.1], "exposures": [10], "events": [1],
+               "tail_start": 0, "tail_rate": 5e-324, "smoothing": "none"}
+        tiny = write_json(tmp_path / "v.json", doc)
+        normal = write_json(tmp_path / "i.json", {**doc, "tail_rate": 0.1})
+        scoring = tmp_path / "s.csv"
+        scoring.write_text("customer_id,tenure,score_v,score_inv,margin\nc1,3,0.5,0.1,10\n",
+                           encoding="utf-8")
+        code = main(["score", "--competing", "--baseline", str(tiny),
+                     "--baseline-inv", str(normal), "--scoring", str(scoring),
+                     "--out", str(tmp_path / "p.csv")])
+        assert_one_line_error(capsys, code, 1, "'c1'", "5e-324")
+
+    @pytest.mark.parametrize("command", ["baseline", "score"])
+    def test_tenure_past_int64_is_data_error(self, score_inputs, tmp_path, capsys, command):
+        if command == "score":
+            path = tmp_path / "s.csv"
+            path.write_text("customer_id,tenure,churn_score,margin\n"
+                            "c1,99999999999999999999,0.5,10\n", encoding="utf-8")
+            argv = ["score", *score_inputs[:2], "--scoring", str(path),
+                    "--out", str(tmp_path / "p.csv")]
+        else:
+            path = tmp_path / "c.csv"
+            path.write_text("customer_id,tenure,churned\nc1,99999999999999999999,1\n",
+                            encoding="utf-8")
+            argv = ["baseline", "--calibration", str(path), "--out", str(tmp_path / "b.json")]
+        assert_one_line_error(capsys, main(argv), 1, "row 2", "'tenure'")

@@ -190,3 +190,26 @@ class TestWriters:
         path = tmp_path / "s.csv"
         dataio.write_scoring(path, records)
         assert list(dataio.read_scoring(path)) == records
+
+
+class TestTenureRange:
+    """A tenure past int64 is a data error naming its row, not an overflow."""
+
+    def test_calibration_tenure_past_int64(self, tmp_path):
+        path = write(tmp_path / "c.csv",
+                     "customer_id,tenure,churned\nc1,5,0\nc2,99999999999999999999,1\n")
+        with pytest.raises(InvalidValue) as err:
+            list(dataio.read_calibration(path))
+        assert (err.value.row, err.value.column) == (3, "tenure")
+
+    def test_scoring_tenure_past_int64(self, tmp_path):
+        path = write(tmp_path / "s.csv",
+                     "customer_id,tenure,churn_score,margin\nc1,99999999999999999999,0.1,1\n")
+        with pytest.raises(InvalidValue) as err:
+            list(dataio.read_scoring(path))
+        assert (err.value.row, err.value.column) == (2, "tenure")
+
+    def test_largest_int64_tenure_reads(self, tmp_path):
+        path = write(tmp_path / "s.csv",
+                     "customer_id,tenure,churn_score,margin\nc1,9223372036854775807,0.1,1\n")
+        assert list(dataio.read_scoring(path))[0].tenure == 2**63 - 1
