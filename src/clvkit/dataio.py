@@ -12,29 +12,44 @@ Files are UTF-8 CSV with a header row that must match the declared schema
 exactly (case-sensitive). LF and CRLF are both accepted; blank lines are
 skipped. Floats are written with six decimal places.
 
-Readers yield validated column batches: up to ``batch_size`` rows at a
-time, transposed and parsed column by column into numpy arrays, with every
-rule checked on whole columns (duplicate ids also across batches). The
-record readers (``read_calibration``, ``read_scoring``) are views over the
-same batches. Only when a batch breaks a rule do the per-row checks run
-over it, to report the first failing row as a row-by-row reader would: its
-row number (header = row 1), column and reason. An error therefore surfaces
-when its batch is read, before any record of that batch is consumed, and
-its message does not depend on the batch size.
+Readers yield validated column batches: up to ``batch_size`` records at a
+time, parsed column by column into numpy arrays, with every rule checked on
+whole columns (duplicate ids also across batches). A batch whose text has
+no quote, carriage return, NUL or blank line is split as text at commas
+and newlines; any other batch is read by ``csv.reader``, which reads a
+quoted field on past the batch's last line if it must. Either way the
+cells are those ``csv.reader`` gives. The record readers
+(``read_calibration``, ``read_scoring``) are views over the same batches.
+Only when a batch breaks a rule (a line with another number of fields
+than the schema's is one) do the per-row checks run over it, to report the
+first failing row as a row-by-row reader would: its row number (header =
+row 1, counting csv records), column and reason. An error therefore
+surfaces when its batch is read, before any record of that batch is
+consumed, and its message does not depend on the batch size. Text that is
+not UTF-8, or a record csv refuses (a field past its size limit), is
+``InvalidDocument`` naming the file, raised after the records before it
+have been checked.
+
+The projection writer formats each batch through one line template and
+quotes ids as ``csv.writer`` does; it writes to a temporary file that
+replaces the output only once every batch is written.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
+import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DuplicateCustomerId, InvalidValue, MissingColumn
+from .errors import DuplicateCustomerId, InvalidDocument, InvalidValue, MissingColumn
 
 CAUSE_VOLUNTARY = "V"
 CAUSE_INVOLUNTARY = "I"
@@ -47,7 +62,16 @@ PROJECTION_COLUMNS = ["customer_id", "alpha", "ert_months", "clv", "truncated_at
 CALIBRATION_BATCH_SIZE = 512
 SCORING_BATCH_SIZE = 8192
 
-_FLOAT_FMT = "{:.6f}"
+# Largest tenure (months) a calibration row may hold. Counting sizes its
+# arrays by the largest tenure, so this bounds them at about 0.8 MB each.
+MAX_CALIBRATION_TENURE = 100_000
+
+_FLOAT_FMT = "%.6f"
+_PROJECTION_LINE = f"%s,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d\n"
+# Characters that may make csv.writer quote an id. A batch holding one has
+# its ids quoted by csv.writer itself, which (on Python 3.11) leaves an id
+# with a lone "\r" unquoted, so a hand-written rule could drift from it.
+_CSV_SPECIAL = re.compile('[,"\r\n]')
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # (churned, cause) cells a competing-risks calibration row may hold.
 _CAUSE_CELLS = {("1", CAUSE_VOLUNTARY), ("1", CAUSE_INVOLUNTARY), ("0", "")}
@@ -277,7 +301,8 @@ def _check_id(cells: list[str], columns: list[str], row: int, seen: set[str]) ->
 def _check_calibration_row(cells: list[str], row: int, columns: list[str],
                            seen: set[str]) -> None:
     _check_id(cells, columns, row, seen)
-    _parse_tenure(cells[1], row)
+    if _parse_tenure(cells[1], row) > MAX_CALIBRATION_TENURE:
+        raise InvalidValue(row, "tenure", f"must be <= {MAX_CALIBRATION_TENURE}")
     if cells[2] not in ("0", "1"):
         raise InvalidValue(row, "churned", "must be 0 or 1")
     offset = 3
@@ -353,7 +378,8 @@ def _calibration_batch(columns: list, competing: bool) -> CalibrationBatch | Non
     n_cov = len(columns) - 3 - competing
     tenure = _tenures(columns[1])
     churned = columns[2]
-    if tenure is None or not set(churned) <= {"0", "1"}:
+    if (tenure is None or tenure.max() > MAX_CALIBRATION_TENURE
+            or not set(churned) <= {"0", "1"}):
         return None
     cause = None
     if competing:
@@ -387,47 +413,116 @@ def _scoring_batch(columns: list) -> ScoringBatch | None:
     return ScoringBatch(columns[0], tenure, margin, score_v=score_v, score_inv=score_inv)
 
 
-def _row_batches(reader, size: int) -> Iterator[tuple[list[list[str]], range | list[int]]]:
-    """Non-blank rows in lists of at most ``size``, with their row numbers."""
+def _until_error(lines: Iterator[str], failed: list[UnicodeDecodeError]) -> Iterator[str]:
+    """``lines`` up to the first one that cannot be decoded; that error goes to ``failed``.
+
+    The text then simply ends, so the records before it are read and checked
+    the same way at every batch size before the error is raised.
+    """
+    try:
+        yield from lines
+    except UnicodeDecodeError as exc:
+        failed.append(exc)
+
+
+def _plain(text: str, lines: list[str]) -> bool:
+    """Whether ``csv.reader`` reads each of ``lines`` as ``line.split(",")``.
+
+    That holds when the text has no quote, carriage return, NUL or blank
+    line and no line long enough to hold a field past csv's size limit.
+    """
+    if '"' in text or "\r" in text or "\0" in text or "\n\n" in text or text[0] == "\n":
+        return False
+    limit = csv.field_size_limit()
+    return len(text) <= limit or max(map(len, lines)) <= limit
+
+
+def _text_batches(source: Iterator[str], path: str | Path, width: int, size: int):
+    """Records after the header in batches of at most ``size``.
+
+    Yields (row numbers, columns, rows) for each batch's non-blank records:
+    ``columns`` holds the cells transposed when every record has ``width``
+    fields, else it is None and ``rows`` holds each record's cells. A batch
+    of plain lines (``_plain``) is split as text; any other batch is read by
+    ``csv.reader`` from the same lines, and from the file beyond them where a
+    quoted field runs on. A record csv cannot read ends the batch before it,
+    and its error is raised after that batch.
+    """
     first = 2
-    while rows := list(islice(reader, size)):
-        numbers: range | list[int] = range(first, first + len(rows))
+    while lines := list(islice(source, size)):
+        text = "".join(lines)
+        if _plain(text, lines):
+            numbers = range(first, first + len(lines))
+            first += len(lines)
+            if set(map(str.count, lines, repeat(","))) != {width - 1}:
+                yield numbers, None, [line.rstrip("\n").split(",") for line in lines]
+                continue
+            del lines  # free each copy of the text before the cells exist
+            text = text.replace("\n", ",")
+            cells = text.split(",")
+            del text, cells[len(numbers) * width:]  # the cell after a final newline
+            yield numbers, [tuple(cells[j::width]) for j in range(width)], None
+            continue
+        del text
+        rows: list[list[str]] = []
+        error = None
+        try:
+            rows.extend(islice(csv.reader(chain(lines, source)), size))
+        except csv.Error as exc:
+            error = InvalidDocument(path, f"row {first + len(rows)}: {exc}")
+        del lines
+        numbers = range(first, first + len(rows))
         first += len(rows)
         if not all(rows):
             numbers = [n for n, cells in zip(numbers, rows) if cells]
             rows = [cells for cells in rows if cells]
         if rows:
-            yield rows, numbers
+            columns = _columns(rows, width)
+            yield numbers, columns, None if columns else rows
+            del columns
+        del rows
+        if error is not None:
+            raise error
 
 
 def _read_batches(path: str | Path, header_columns, batch_of, row_check, size: int):
-    """Shared reader loop: header, then one validated batch per ``size`` rows.
+    """Shared reader loop: header, then one validated batch per ``size`` records.
 
     ``header_columns(header)`` checks the file's header and returns the
     column names of its rows; ``batch_of(columns)`` parses the transposed
     cells into a batch, or returns None when a cell breaks a rule, and
     ``row_check(cells, row, names, seen)`` then names the first failing row.
+    Text that is not UTF-8, or a record csv cannot read, is InvalidDocument
+    naming the file.
     """
     if size < 1:
         raise ValueError("batch_size must be >= 1")
+    failed: list[UnicodeDecodeError] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        columns = header_columns(next(reader, None))
-        seen: set[str] = set()
-        for rows, numbers in _row_batches(reader, size):
-            transposed = _columns(rows, len(columns))
-            batch = None
-            if transposed is not None and _add_ids(transposed[0], seen):
-                batch = batch_of(transposed)
+        source = _until_error(fh, failed)
+        try:
+            header = next(csv.reader(source), None)
+        except csv.Error as exc:
+            raise InvalidDocument(path, f"row 1: {exc}") from None
+        if not failed:
+            columns = header_columns(header)
+            seen: set[str] = set()
+            for numbers, transposed, rows in _text_batches(source, path, len(columns), size):
+                batch = None
+                if transposed is not None and _add_ids(transposed[0], seen):
+                    batch = batch_of(transposed)
+                    if batch is None:
+                        seen.difference_update(transposed[0])
                 if batch is None:
-                    seen.difference_update(transposed[0])
-            if batch is None:
-                for cells, row in zip(rows, numbers):
-                    row_check(cells, row, columns, seen)
-                raise AssertionError("a row check must fail where a column check did")
-            rows.clear()  # the row lists are no longer needed; free them early
-            del transposed
-            yield batch
+                    for cells, row in zip(rows or zip(*transposed), numbers):
+                        row_check(cells, row, columns, seen)
+                    raise AssertionError("a row check must fail where a column check did")
+                del transposed, rows  # free the cells before the next batch is read
+                yield batch
+    if failed:
+        exc = failed[0]
+        raise InvalidDocument(path, f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
+                                    "cannot be decoded)")
 
 
 def read_calibration_batches(path: str | Path, mode: str = "single",
@@ -479,18 +574,42 @@ def read_scoring(path: str | Path, mode: str = "single") -> Iterator[ScoringReco
         yield from batch.records()
 
 
+def _csv_field(value: str) -> str:
+    """``value`` as ``csv.writer`` writes it in a row of several fields."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((value, ""))
+    return out.getvalue()[:-2]
+
+
 def write_projection_batches(path: str | Path, batches: Iterable[ProjectionBatch]) -> int:
-    """Write projection batches in order; returns the number of rows written."""
+    """Write projection batches in order; returns the number of rows written.
+
+    The rows go to a temporary file beside ``path``, which replaces ``path``
+    only after the last batch: if a batch fails, ``path`` is left as it was.
+    Each batch is formatted through one line template, with ids quoted as
+    ``csv.writer`` quotes them.
+    """
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     count = 0
-    fmt = _FLOAT_FMT.format
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PROJECTION_COLUMNS)
-        for b in batches:
-            writer.writerows(zip(b.ids, map(fmt, b.alpha.tolist()),
-                                 map(fmt, b.ert_months.tolist()), map(fmt, b.clv.tolist()),
-                                 b.truncated_at.tolist()))
-            count += len(b.ids)
+    fh = open(tmp, "x", newline="", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(",".join(PROJECTION_COLUMNS) + "\n")
+            for b in batches:
+                ids = b.ids
+                if _CSV_SPECIAL.search("".join(ids)):
+                    ids = map(_csv_field, ids)
+                # Line by line: joining the batch first is about 20% faster but
+                # holds every line and their join at once (0.8 MB more peak).
+                fh.writelines(map(_PROJECTION_LINE.__mod__, zip(
+                    ids, b.alpha.tolist(), b.ert_months.tolist(), b.clv.tolist(),
+                    b.truncated_at.tolist())))
+                count += len(b.ids)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return count
 
 
@@ -540,7 +659,7 @@ def write_calibration(path: str | Path, records: Iterable[CalibrationRecord],
             if mode == "competing":
                 row.append(rec.cause or "")
             if rec.covariates:
-                row.extend(_FLOAT_FMT.format(x) for x in rec.covariates)
+                row.extend(_FLOAT_FMT % x for x in rec.covariates)
             writer.writerow(row)
             count += 1
         if header is None:
@@ -559,15 +678,15 @@ def write_scoring(path: str | Path, records: Iterable[ScoringRecord],
             if mode == "competing":
                 writer.writerow([
                     rec.customer_id, str(rec.tenure),
-                    _FLOAT_FMT.format(rec.score_v or 0.0),
-                    _FLOAT_FMT.format(rec.score_inv or 0.0),
-                    _FLOAT_FMT.format(rec.margin),
+                    _FLOAT_FMT % (rec.score_v or 0.0),
+                    _FLOAT_FMT % (rec.score_inv or 0.0),
+                    _FLOAT_FMT % rec.margin,
                 ])
             else:
                 writer.writerow([
                     rec.customer_id, str(rec.tenure),
-                    _FLOAT_FMT.format(rec.churn_score or 0.0),
-                    _FLOAT_FMT.format(rec.margin),
+                    _FLOAT_FMT % (rec.churn_score or 0.0),
+                    _FLOAT_FMT % rec.margin,
                 ])
             count += 1
     return count

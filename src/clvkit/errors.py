@@ -76,7 +76,7 @@ class InvalidRate(ClvkitError):
 
 
 class InvalidDocument(ClvkitError):
-    """A JSON input file cannot be parsed or fails validation."""
+    """An input file cannot be decoded or parsed, or a JSON document fails validation."""
 
     def __init__(self, path, reason: str):
         super().__init__(f"{path}: {reason}")

@@ -464,3 +464,80 @@ class TestDataErrors:
                             encoding="utf-8")
             argv = ["baseline", "--calibration", str(path), "--out", str(tmp_path / "b.json")]
         assert_one_line_error(capsys, main(argv), 1, "row 2", "'tenure'")
+
+
+class TestScoreOutputIsAtomic:
+    """A failed ``score`` leaves ``--out`` as it was and no temporary file behind."""
+
+    def _run(self, tmp_path, argv, prior):
+        out = tmp_path / "p.csv"
+        if prior is not None:
+            out.write_bytes(prior)
+        before = {p.name for p in tmp_path.iterdir()}
+        code = main([*argv, "--out", str(out)])
+        assert code == 1
+        if prior is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == prior
+        assert {p.name for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("prior", [None, b"old,contents\n"])
+    def test_duplicate_id_in_a_later_chunk(self, score_inputs, tmp_path, prior):
+        scoring = tmp_path / "dup.csv"
+        scoring.write_text("customer_id,tenure,churn_score,margin\n"
+                           "c1,3,0.05,10\nc1,4,0.05,10\n", encoding="utf-8")
+        self._run(tmp_path, ["score", *score_inputs[:2], "--scoring", str(scoring),
+                             "--chunk-size", "1"], prior)
+
+    @pytest.mark.parametrize("prior", [None, b"old,contents\n"])
+    def test_degenerate_baseline_in_a_later_chunk(self, tmp_path, prior):
+        baseline = write_json(tmp_path / "b.json", {
+            "version": 1, "hazards": [0.1, 0.1], "exposures": [10, 10], "events": [1, 1],
+            "tail_start": 1, "tail_rate": 5e-324, "smoothing": "none"})
+        scoring = tmp_path / "s.csv"
+        scoring.write_text("customer_id,tenure,churn_score,margin\n"
+                           "c0,0,0.1,10\nc1,3,0.5,10\n", encoding="utf-8")
+        self._run(tmp_path, ["score", "--baseline", str(baseline), "--scoring", str(scoring),
+                             "--chunk-size", "1"], prior)
+
+    def test_success_replaces_out(self, score_inputs, tmp_path):
+        out = tmp_path / "p.csv"
+        out.write_text("old\n", encoding="utf-8")
+        assert main(["score", *score_inputs]) == 0
+        assert read_csv(out)[0]["customer_id"] == "c1"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "baseline.json", "p.csv", "scoring.csv"]
+
+
+class TestUnreadableInput:
+    """Input csv cannot decode or read is exit 1 with one line naming the file."""
+
+    @pytest.mark.parametrize("command", ["baseline", "score"])
+    def test_not_utf8(self, score_inputs, tmp_path, capsys, command):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\xff\xfec\x00u\x00s\x00")
+        if command == "score":
+            argv = ["score", *score_inputs[:2], "--scoring", str(path),
+                    "--out", str(tmp_path / "p.csv")]
+        else:
+            argv = ["baseline", "--calibration", str(path), "--out", str(tmp_path / "b.json")]
+        assert_one_line_error(capsys, main(argv), 1, str(path), "UTF-8")
+
+    def test_oversized_field(self, score_inputs, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("customer_id,tenure,churn_score,margin\nc1,3,0.05,10\n"
+                        f"c2,3,0.05,{'1' * 200_000}\n", encoding="utf-8")
+        argv = ["score", *score_inputs[:2], "--scoring", str(path),
+                "--out", str(tmp_path / "p.csv")]
+        assert_one_line_error(capsys, main(argv), 1, str(path), "row 3", "field limit")
+        assert not (tmp_path / "p.csv").exists()
+
+
+def test_calibration_tenure_past_ceiling_is_data_error(tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("customer_id,tenure,churned\nc1,1000000000000,1\n", encoding="utf-8")
+    code = main(["baseline", "--calibration", str(path), "--out", str(tmp_path / "b.json")])
+    assert_one_line_error(capsys, code, 1, "row 2", "'tenure'",
+                          f"<= {dataio.MAX_CALIBRATION_TENURE}")
+    assert not (tmp_path / "b.json").exists()

@@ -15,6 +15,7 @@ import io
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from clvkit import dataio
 from clvkit.cli import main
 from clvkit.dataio import CalibrationRecord, ScoringRecord
-from clvkit.errors import DuplicateCustomerId, InvalidValue, MissingColumn
+from clvkit.errors import DuplicateCustomerId, InvalidDocument, InvalidValue, MissingColumn
 from clvkit.odds import PersonPeriodRow, fit_odds_model, save_model
 from clvkit.survival import (
     detect_tail_start,
@@ -321,3 +322,182 @@ def test_baseline_command_equals_record_api(tmp_path, competing):
         expected = tmp_path / f"expected_{name}"
         save_baseline(expected, extrapolate_tail(baseline, detect_tail_start(baseline)))
         assert (tmp_path / name).read_bytes() == expected.read_bytes()
+
+
+# Text-level batches: the writer's line template against csv.writer, and the
+# readers' plain split against their csv fallback.
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(
+           st.text(st.sampled_from(list(',"\r\n abé中\U0001f600')), max_size=6),
+           *[st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e300]))] * 3,
+           st.integers(0, 10**6)), max_size=20),
+       size=st.sampled_from([1, 3, 8192]))
+def test_projection_writer_equals_csv_writer(rows, size):
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(dataio.PROJECTION_COLUMNS)
+    fmt = "{:.6f}".format
+    writer.writerows((cid, fmt(a), fmt(e), fmt(c), t) for cid, a, e, c, t in rows)
+    batches = [dataio.ProjectionBatch.from_rows([dataio.ProjectionRow(*r) for r in chunk])
+               for chunk in dataio.chunks(rows, size)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        assert dataio.write_projection_batches(path, batches) == len(rows)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert [p.name for p in Path(tmp).iterdir()] == ["p.csv"]
+
+
+@st.composite
+def irregular_files(draw, kind):
+    """(text, mode) for a file whose lines csv must read: quoted multi-line ids,
+    lone carriage returns, NULs, blank lines, short and long rows, LF or CRLF,
+    with or without a final newline."""
+    if kind == "calibration":
+        header = "customer_id,tenure,churned"
+    else:
+        header = "customer_id,tenure,churn_score,margin"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [header]
+    for i in range(draw(st.integers(1, 10))):
+        cells = [f"c{i}", str(draw(st.integers(0, 40)))]
+        if kind == "calibration":
+            cells.append(draw(st.sampled_from(["0", "1"])))
+        else:
+            cells += [repr(draw(st.floats(0.0, 1.0))), repr(draw(st.floats(-1e6, 1e6)))]
+        shape = draw(st.sampled_from(["plain"] * 4 + ["multiline", "quoted", "cr", "nul",
+                                                      "blank", "short", "long"]))
+        if shape == "multiline":
+            cells[0] = f'"c{newline * draw(st.integers(1, 3))}{i}"'
+        elif shape == "quoted":
+            cells[0] = f'"q"",{i}"'
+        elif shape == "cr":
+            cells[0] = f"c\r{i}"
+        elif shape == "nul":
+            cells[0] = f"c\x00{i}"
+        elif shape == "blank":
+            lines.append("")
+        elif shape == "short":
+            cells.pop()
+        elif shape == "long":
+            cells.append("7")
+        lines.append(",".join(cells))
+    text = newline.join(lines)
+    if draw(st.booleans()):
+        text += newline
+    return text
+
+
+def _read_both_ways(text, reader):
+    """The outcome at each batch size, with plain batches split as text and
+    with every batch read by csv."""
+    outcomes = []
+    for size in BATCH_SIZES:
+        outcomes.append(_outcome_of_file(text, reader, size))
+        with mock.patch.object(dataio, "_plain", lambda text, lines: False):
+            outcomes.append(_outcome_of_file(text, reader, size))
+    return outcomes
+
+
+def _outcome_of_file(text, reader, size):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            return [rec for batch in reader(path, "single", size) for rec in batch.records()]
+        except (InvalidValue, DuplicateCustomerId, MissingColumn) as exc:
+            return type(exc), str(exc)
+        except InvalidDocument as exc:
+            return type(exc), exc.reason
+
+
+def _assert_reference(found, records):
+    """``found`` is the reference reader's outcome; a record csv refuses
+    (NUL before Python 3.11) is InvalidDocument."""
+    try:
+        expected = outcome(records)
+    except csv.Error:
+        assert found[0] is InvalidDocument, found
+    else:
+        assert found == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=irregular_files("scoring"))
+def test_scoring_plain_split_equals_csv_fallback(text):
+    outcomes = _read_both_ways(text, dataio.read_scoring_batches)
+    assert all(o == outcomes[0] for o in outcomes), outcomes
+    _assert_reference(outcomes[0], reference_scoring(text, "single"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=irregular_files("calibration"))
+def test_calibration_plain_split_equals_csv_fallback(text):
+    outcomes = _read_both_ways(text, dataio.read_calibration_batches)
+    assert all(o == outcomes[0] for o in outcomes), outcomes
+    _assert_reference(outcomes[0], reference_calibration(text, "single", 0))
+
+
+def _filler(n, start=0):
+    """Rows valid in a scoring file and in a calibration file with one covariate."""
+    return "".join(f"c{i},{i % 40},1,1\n" for i in range(start, start + n))
+
+
+@pytest.mark.parametrize("reader,header", [
+    (dataio.read_scoring_batches, "customer_id,tenure,churn_score,margin"),
+    (dataio.read_calibration_batches, "customer_id,tenure,churned,x1")])
+@pytest.mark.parametrize("where", ["header", "after rows"])
+def test_undecodable_bytes_name_the_file(tmp_path, reader, header, where):
+    path = tmp_path / "in.csv"
+    good = f"{header}\n" + _filler(20_000)
+    data = b"\xff\xfe" + good.encode() if where == "header" else good.encode() + b"\xff\n"
+    path.write_bytes(data)
+    for size in BATCH_SIZES:
+        for plain in (True, False):
+            with mock.patch.object(dataio, "_plain", dataio._plain if plain
+                                   else lambda text, lines: False):
+                with pytest.raises(InvalidDocument) as err:
+                    list(reader(path, "single", size))
+            assert str(path) in str(err.value) and "UTF-8" in str(err.value)
+
+
+def test_rows_before_undecodable_bytes_are_checked_first(tmp_path):
+    path = tmp_path / "in.csv"
+    text = ("customer_id,tenure,churn_score,margin\n" + _filler(3)
+            + "c1,5,0.1,1\n" + _filler(20_000, start=10))
+    path.write_bytes(text.encode() + b"\xff\n")
+    for size in BATCH_SIZES:
+        with pytest.raises(DuplicateCustomerId) as err:
+            list(dataio.read_scoring_batches(path, "single", size))
+        assert err.value.row == 5
+
+
+@pytest.mark.parametrize("reader,header,row", [
+    (dataio.read_scoring_batches, "customer_id,tenure,churn_score,margin", "c,1,0.1,{}"),
+    (dataio.read_calibration_batches, "customer_id,tenure,churned,x1", "c,1,0,{}")])
+def test_oversized_field_names_file_and_row(tmp_path, reader, header, row):
+    path = tmp_path / "in.csv"
+    path.write_text(f"{header}\n" + _filler(5) + row.format("1" * 200_000) + "\n"
+                    + _filler(5, start=10), encoding="utf-8")
+    for size in BATCH_SIZES:
+        for plain in (True, False):
+            with mock.patch.object(dataio, "_plain", dataio._plain if plain
+                                   else lambda text, lines: False):
+                with pytest.raises(InvalidDocument) as err:
+                    list(reader(path, "single", size))
+            assert err.value.reason.startswith("row 7: field larger than field limit")
+            assert str(path) in str(err.value)
+
+
+def test_calibration_tenure_ceiling(tmp_path):
+    path = tmp_path / "c.csv"
+    top = dataio.MAX_CALIBRATION_TENURE
+    path.write_text(f"customer_id,tenure,churned\na,{top},0\nb,{top + 1},1\n",
+                    encoding="utf-8")
+    for size in BATCH_SIZES:
+        with pytest.raises(InvalidValue) as err:
+            list(dataio.read_calibration_batches(path, "single", size))
+        assert (err.value.row, err.value.column) == (3, "tenure")
+    path.write_text(f"customer_id,tenure,churned\na,{top},0\n", encoding="utf-8")
+    (batch,) = dataio.read_calibration_batches(path)
+    assert batch.tenure.tolist() == [top]
