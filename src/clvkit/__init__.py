@@ -25,6 +25,7 @@ from .dataio import (
     write_projections,
 )
 from .errors import (
+    BaselineMismatch,
     ClvkitError,
     DegenerateBaseline,
     DuplicateCustomerId,
@@ -76,6 +77,7 @@ from .simulate import (
     LognormalAlpha,
     SimSpec,
     StepShape,
+    TruthBatch,
     TruthRecord,
     generate_cohort,
     true_ert,

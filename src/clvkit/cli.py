@@ -333,9 +333,9 @@ def run_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mode = "competing" if spec.competing is not None else "single"
-    dataio.write_calibration(out_dir / "calibration.csv", cohort.calibration, mode)
-    dataio.write_scoring(out_dir / "scoring.csv", cohort.scoring, mode)
-    simulate.write_truth(out_dir / "truth.csv", cohort.truth)
+    dataio.write_calibration(out_dir / "calibration.csv", cohort.calibration_batch, mode)
+    dataio.write_scoring(out_dir / "scoring.csv", cohort.scoring_batch, mode)
+    simulate.write_truth(out_dir / "truth.csv", cohort.truth_batch)
     if cohort.clipped_hazards:
         log.warning("%d simulated hazards or score pairs exceeded 1 and were clipped",
                     cohort.clipped_hazards)

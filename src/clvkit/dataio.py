@@ -30,9 +30,11 @@ not UTF-8, or a record csv refuses (a field past its size limit), is
 ``InvalidDocument`` naming the file, raised after the records before it
 have been checked.
 
-The projection writer formats each batch through one line template and
-quotes ids as ``csv.writer`` does; it writes to a temporary file that
-replaces the output only once every batch is written.
+Every writer (projections, and the simulator's calibration, scoring and
+truth files) formats each batch through one line template and quotes ids
+as ``csv.writer`` does. Record inputs are converted to batches first. The
+projection writer writes to a temporary file that replaces the output only
+once every batch is written.
 """
 
 from __future__ import annotations
@@ -131,6 +133,21 @@ class CalibrationBatch(NamedTuple):
     churned: np.ndarray
     cause: np.ndarray | None
     covariates: np.ndarray | None
+
+    @classmethod
+    def from_records(cls, records: list[CalibrationRecord]) -> CalibrationBatch:
+        """Columns of ``records``, with "" for a None cause.
+
+        Covariates are a column block if the first record has them.
+        """
+        n = len(records)
+        covariates = None
+        if records[0].covariates:
+            covariates = np.array([r.covariates for r in records], dtype=np.float64)
+        return cls(tuple(r.customer_id for r in records),
+                   np.fromiter((r.tenure for r in records), np.int64, n),
+                   np.fromiter((r.churned for r in records), np.int64, n),
+                   np.array([r.cause or "" for r in records]), covariates)
 
     def records(self) -> Iterator[CalibrationRecord]:
         n = len(self.ids)
@@ -581,6 +598,42 @@ def _csv_field(value: str) -> str:
     return out.getvalue()[:-2]
 
 
+def _write_rows(fh, template: str, ids: tuple[str, ...], columns: Iterable) -> int:
+    """Write one ``template`` line per id, with ids quoted as ``csv.writer`` quotes them.
+
+    ``columns`` holds the other fields, one array (or sequence) per column.
+    """
+    cells = ids
+    if _CSV_SPECIAL.search("".join(ids)):
+        cells = map(_csv_field, ids)
+    # Line by line: joining the batch first is about 20% faster but holds
+    # every line and their join at once (0.8 MB more peak on 8192 rows).
+    fh.writelines(map(template.__mod__, zip(cells, *(
+        c.tolist() if isinstance(c, np.ndarray) else c for c in columns))))
+    return len(ids)
+
+
+def write_csv(path: str | Path, header: list[str], template: str,
+              batches: Iterable[tuple[tuple[str, ...], Iterable]]) -> int:
+    """Write ``header`` and, for each ``(ids, columns)`` batch, one line per id.
+
+    Lines are ``template % (id, *fields)``; returns the number of rows written.
+    """
+    count = 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for ids, columns in batches:
+            count += _write_rows(fh, template, ids, columns)
+    return count
+
+
+def as_batches(rows, batch_type: type, size: int = SCORING_BATCH_SIZE) -> Iterator:
+    """``rows`` if it is one ``batch_type``, else its records in batches of ``size``."""
+    if isinstance(rows, batch_type):
+        return iter([rows])
+    return map(batch_type.from_records, chunks(rows, size))
+
+
 def write_projection_batches(path: str | Path, batches: Iterable[ProjectionBatch]) -> int:
     """Write projection batches in order; returns the number of rows written.
 
@@ -597,15 +650,7 @@ def write_projection_batches(path: str | Path, batches: Iterable[ProjectionBatch
         with fh:
             fh.write(",".join(PROJECTION_COLUMNS) + "\n")
             for b in batches:
-                ids = b.ids
-                if _CSV_SPECIAL.search("".join(ids)):
-                    ids = map(_csv_field, ids)
-                # Line by line: joining the batch first is about 20% faster but
-                # holds every line and their join at once (0.8 MB more peak).
-                fh.writelines(map(_PROJECTION_LINE.__mod__, zip(
-                    ids, b.alpha.tolist(), b.ert_months.tolist(), b.clv.tolist(),
-                    b.truncated_at.tolist())))
-                count += len(b.ids)
+                count += _write_rows(fh, _PROJECTION_LINE, b.ids, b[1:])
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -643,50 +688,46 @@ def read_projections(path: str | Path) -> Iterator[ProjectionRow]:
             )
 
 
-def write_calibration(path: str | Path, records: Iterable[CalibrationRecord],
+def write_calibration(path: str | Path, records: CalibrationBatch | Iterable[CalibrationRecord],
                       mode: str = "single") -> int:
+    """Write calibration rows, a column batch or records; returns the row count.
+
+    The first batch sets the covariate columns. In competing-risks mode a
+    batch without a cause column writes empty causes.
+    """
     _check_mode(mode)
-    count = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header: list[str] | None = None
-        for rec in records:
-            if header is None:
-                n_cov = len(rec.covariates) if rec.covariates else 0
-                header = _calibration_header(mode, n_cov)
-                writer.writerow(header)
-            row = [rec.customer_id, str(rec.tenure), str(rec.churned)]
-            if mode == "competing":
-                row.append(rec.cause or "")
-            if rec.covariates:
-                row.extend(_FLOAT_FMT % x for x in rec.covariates)
-            writer.writerow(row)
-            count += 1
-        if header is None:
-            writer.writerow(_calibration_header(mode, 0))
-    return count
+    competing = mode == "competing"
+    batches = as_batches(records, CalibrationBatch, CALIBRATION_BATCH_SIZE)
+    first = next(batches, None)
+    n_cov = 0 if first is None or first.covariates is None else first.covariates.shape[1]
+    template = "%s,%d,%d" + ",%s" * competing + f",{_FLOAT_FMT}" * n_cov + "\n"
+
+    def rows():
+        for b in () if first is None else chain([first], batches):
+            columns = [b.tenure, b.churned]
+            if competing:
+                columns.append(repeat("") if b.cause is None else b.cause)
+            if n_cov:
+                columns.extend(b.covariates.T)
+            yield b.ids, columns
+
+    return write_csv(path, _calibration_header(mode, n_cov), template, rows())
 
 
-def write_scoring(path: str | Path, records: Iterable[ScoringRecord],
+def write_scoring(path: str | Path, records: ScoringBatch | Iterable[ScoringRecord],
                   mode: str = "single") -> int:
+    """Write scoring rows, a column batch or records; returns the row count.
+
+    A score column the batch lacks is written as zeros.
+    """
     _check_mode(mode)
-    count = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_scoring_header(mode))
-        for rec in records:
-            if mode == "competing":
-                writer.writerow([
-                    rec.customer_id, str(rec.tenure),
-                    _FLOAT_FMT % (rec.score_v or 0.0),
-                    _FLOAT_FMT % (rec.score_inv or 0.0),
-                    _FLOAT_FMT % rec.margin,
-                ])
-            else:
-                writer.writerow([
-                    rec.customer_id, str(rec.tenure),
-                    _FLOAT_FMT % (rec.churn_score or 0.0),
-                    _FLOAT_FMT % rec.margin,
-                ])
-            count += 1
-    return count
+    names = ["score_v", "score_inv"] if mode == "competing" else ["churn_score"]
+    template = "%s,%d" + f",{_FLOAT_FMT}" * (len(names) + 1) + "\n"
+
+    def rows():
+        for b in as_batches(records, ScoringBatch):
+            scores = [repeat(0.0) if getattr(b, name) is None else getattr(b, name)
+                      for name in names]
+            yield b.ids, [b.tenure, *scores, b.margin]
+
+    return write_csv(path, _scoring_header(mode), template, rows())

@@ -57,6 +57,16 @@ class OffsetUndefined(ClvkitError):
         self.tenure = tenure
 
 
+class BaselineMismatch(ClvkitError):
+    """A model is applied to a baseline other than the one it was fitted on."""
+
+    def __init__(self, expected_sha: str, actual_sha: str):
+        super().__init__(f"model was fitted on baseline {expected_sha[:12]}, "
+                         f"got baseline {actual_sha[:12]}")
+        self.expected_sha = expected_sha
+        self.actual_sha = actual_sha
+
+
 class FitDiverged(ClvkitError):
     """Model fitting failed to make progress (e.g. perfect separation)."""
 

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BaselineMismatch,
     EmptyCalibration,
     FitDiverged,
     InvalidDocument,
@@ -300,11 +301,15 @@ def project_with_odds_model(model: OddsModel, covariates: Sequence[float],
     applied once per entry of the resolved Jeffreys table and the result is
     folded like a unit-alpha baseline. The projection's ``alpha`` field
     carries the customer's hazard-odds multiplier exp(beta . x), the analog
-    of the direct scaling coefficient.
+    of the direct scaling coefficient. ``baseline`` must be the one the
+    model was fitted on (``BaselineMismatch`` otherwise).
     """
     x = np.asarray(covariates, dtype=np.float64)
     if x.shape != model.beta.shape:
         raise ValueError(f"expected {model.beta.size} covariates, got {x.size}")
+    sha = baseline.content_sha()
+    if sha != model.baseline_sha:
+        raise BaselineMismatch(model.baseline_sha, sha)
     table = resolve(jeffreys_view(baseline), pooling)
     log_odds, defined = _log_odds(table)
     lin = float(model.beta @ x)

@@ -8,27 +8,62 @@ value. Scoring rows carry the true next-month hazard as the churn score (a
 perfect churn model) unless score noise is switched on, so errors observed
 downstream isolate the projection method itself.
 
-Each customer draws from an independent substream seeded by (seed, index),
-so any parallel split of the cohort reproduces the serial output exactly.
-Truth comes from one call of the batch kernel ``projection.project_batch``
-after all draws: the planted shape is resolved to a hazard table, each
-customer steps month by month up to the shape's last change, and the
-constant-hazard rest of the sum is added in closed form (``truncated_at``
-being the month month-stepping would stop at).
+Customer i draws from its own stream, ``PCG64(SeedSequence((seed, i)))``,
+so any parallel split of the cohort reproduces the serial output exactly
+and the three files are byte-stable per ``(seed, i)``. The streams are not
+seeded one ``SeedSequence`` at a time: ``pcg64_states`` runs SeedSequence's
+published hash-mix over every customer's entropy words at once (numpy
+uint32 columns) and applies PCG64's seeding step, and one ``Generator`` is
+set to each customer's state in turn for that customer's draws. Every run
+checks the first and last customers' states against numpy's own seeding
+and raises on a mismatch rather than writing other streams.
+
+Only the draws run per customer, in a fixed order: alpha (voluntary, then
+involuntary under competing risks), the churn uniform, the cause uniform
+for churners under competing risks, then the score noise. Everything else
+(base rates, clipping, churn flags, causes, scores, truth) is computed on
+numpy columns, and the cohort holds column batches that the writers format
+through line templates. Truth comes from one call of the batch kernel
+``projection.project_batch``: the planted shape is resolved to a hazard
+table, each customer steps month by month up to the shape's last change,
+and the constant-hazard rest of the sum is added in closed form
+(``truncated_at`` being the month month-stepping would stop at).
 """
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .dataio import CAUSE_INVOLUNTARY, CAUSE_VOLUNTARY, CalibrationRecord, ScoringRecord
+from .dataio import (
+    CAUSE_INVOLUNTARY,
+    CAUSE_VOLUNTARY,
+    MAX_CALIBRATION_TENURE,
+    CalibrationBatch,
+    CalibrationRecord,
+    ScoringBatch,
+    ScoringRecord,
+    as_batches,
+    write_csv,
+)
 from .projection import ProjectionConfig, project_batch, truncated_survival_sum
+from .survival import lookup
 from .valuation import DiscountSpec
+
+
+def _check(name: str, value, ok: bool, rule: str) -> None:
+    """Raise ValueError naming ``name`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+
+
+def _check_rate(name: str, value: float) -> None:
+    _check(name, value, 0.0 <= value <= 1.0, "lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -36,6 +71,9 @@ class FlatShape:
     """Constant hazard at every tenure."""
 
     h: float
+
+    def __post_init__(self):
+        _check_rate("h", self.h)
 
     def rate(self, t: int) -> float:
         return self.h
@@ -52,6 +90,10 @@ class StepShape:
     h2: float
     change_t: int
 
+    def __post_init__(self):
+        _check_rate("h1", self.h1)
+        _check_rate("h2", self.h2)
+
     def rate(self, t: int) -> float:
         return self.h1 if t < self.change_t else self.h2
 
@@ -65,6 +107,10 @@ class DecayingShape:
 
     a: float
     b: float
+
+    def __post_init__(self):
+        _check_rate("a", self.a)
+        _check("b", self.b, 0.0 < self.b <= 1.0, "lie in (0, 1]")
 
     def rate(self, t: int) -> float:
         return self.a * self.b ** t
@@ -84,6 +130,9 @@ BaselineShape = Union[FlatShape, StepShape, DecayingShape]
 class FixedAlpha:
     a: float
 
+    def __post_init__(self):
+        _check("a", self.a, math.isfinite(self.a) and self.a >= 0.0, "be finite and >= 0")
+
     def draw(self, rng: np.random.Generator) -> float:
         return self.a
 
@@ -93,11 +142,19 @@ class LognormalAlpha:
     mu: float
     sigma: float
 
+    def __post_init__(self):
+        _check("mu", self.mu, math.isfinite(self.mu), "be finite")
+        _check("sigma", self.sigma, math.isfinite(self.sigma) and self.sigma >= 0.0,
+               "be finite and >= 0")
+
     def draw(self, rng: np.random.Generator) -> float:
         return float(rng.lognormal(self.mu, self.sigma))
 
 
 AlphaDist = Union[FixedAlpha, LognormalAlpha]
+
+# Customer indices are one 32-bit entropy word each (see ``pcg64_states``).
+MAX_CUSTOMERS = 2 ** 32
 
 
 @dataclass(frozen=True)
@@ -124,14 +181,22 @@ class SimSpec:
     projection: ProjectionConfig = field(default_factory=ProjectionConfig)
 
     def __post_init__(self):
-        if self.n_customers < 1:
-            raise ValueError("n_customers must be >= 1")
-        if self.max_tenure < 0:
-            raise ValueError("max_tenure must be >= 0")
-        if self.competing is not None and not 0.0 <= self.competing <= 1.0:
-            raise ValueError("competing split fraction must lie in [0, 1]")
-        if self.score_noise_sigma < 0.0:
-            raise ValueError("score_noise_sigma must be >= 0")
+        _check("n_customers", self.n_customers, 1 <= self.n_customers <= MAX_CUSTOMERS,
+               f"lie in [1, {MAX_CUSTOMERS}]")
+        # A calibration file past the tenure ceiling could not be read back.
+        _check("max_tenure", self.max_tenure, 0 <= self.max_tenure <= MAX_CALIBRATION_TENURE,
+               f"lie in [0, {MAX_CALIBRATION_TENURE}]")
+        _check("seed", self.seed, self.seed >= 0, "be >= 0")
+        if self.competing is not None:
+            _check("competing", self.competing, 0.0 <= self.competing <= 1.0,
+                   "lie in [0, 1]")
+        _check("score_noise_sigma", self.score_noise_sigma,
+               math.isfinite(self.score_noise_sigma) and self.score_noise_sigma >= 0.0,
+               "be finite and >= 0")
+        _check("margin", self.margin, math.isfinite(self.margin), "be finite")
+        _check("discount_monthly", self.discount_monthly,
+               math.isfinite(self.discount_monthly) and self.discount_monthly >= 0.0,
+               "be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -144,14 +209,51 @@ class TruthRecord:
     true_clv: float
 
 
-@dataclass
-class Cohort:
-    """Generated snapshot: calibration rows, scoring rows, per-customer truth."""
+class TruthBatch(NamedTuple):
+    """Ground truth for consecutive customers, as columns."""
 
-    calibration: list[CalibrationRecord]
-    scoring: list[ScoringRecord]
-    truth: list[TruthRecord]
+    ids: tuple[str, ...]
+    true_alpha: np.ndarray
+    true_ert: np.ndarray
+    true_clv: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: list[TruthRecord]) -> TruthBatch:
+        return cls(tuple(r.customer_id for r in records),
+                   np.array([r.true_alpha for r in records], dtype=np.float64),
+                   np.array([r.true_ert for r in records], dtype=np.float64),
+                   np.array([r.true_clv for r in records], dtype=np.float64))
+
+    def records(self) -> Iterator[TruthRecord]:
+        for fields in zip(self.ids, self.true_alpha.tolist(), self.true_ert.tolist(),
+                          self.true_clv.tolist()):
+            yield TruthRecord(*fields)
+
+
+@dataclass(eq=False)
+class Cohort:
+    """Generated snapshot as column batches: calibration, scoring and truth.
+
+    ``calibration``, ``scoring`` and ``truth`` are the same rows as records,
+    built on first access.
+    """
+
+    calibration_batch: CalibrationBatch
+    scoring_batch: ScoringBatch
+    truth_batch: TruthBatch
     clipped_hazards: int = 0
+
+    @cached_property
+    def calibration(self) -> list[CalibrationRecord]:
+        return list(self.calibration_batch.records())
+
+    @cached_property
+    def scoring(self) -> list[ScoringRecord]:
+        return list(self.scoring_batch.records())
+
+    @cached_property
+    def truth(self) -> list[TruthRecord]:
+        return list(self.truth_batch.records())
 
 
 def true_ert(hazard_path: Sequence[float] | Callable[[int], float],
@@ -177,6 +279,114 @@ def true_ert(hazard_path: Sequence[float] | Callable[[int], float],
     return ert
 
 
+# SeedSequence's hash-mix constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n >= 0`` as little-endian 32-bit words, as SeedSequence splits an int."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+class _HashMix:
+    """SeedSequence's ``hashmix`` over uint32 columns.
+
+    The multiplier advances by one step per call whatever the values, so one
+    scalar serves every customer.
+    """
+
+    def __init__(self, init: int, mult: int):
+        self.const, self.mult = init, mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(self.const)
+        self.const = self.const * self.mult & _MASK32
+        value = value * np.uint32(self.const)
+        return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> _XSHIFT)
+
+
+def pcg64_states(seed: int, indices: np.ndarray) -> tuple[list[int], list[int]]:
+    """PCG64 ``(state, inc)`` lists of ``PCG64(SeedSequence((seed, i)))`` for each index.
+
+    Each customer's entropy is ``words(seed) + words(i)`` (``i < 2**32``, one
+    word). The pool of four words is mixed as ``SeedSequence.mix_entropy``
+    mixes it, ``generate_state(4, uint64)`` draws four words from it, and
+    PCG64 seeds from those with ``initstate = w0 << 64 | w1`` and ``initseq =
+    w2 << 64 | w3``: ``inc = initseq << 1 | 1`` and ``state = (inc +
+    initstate) * M + inc`` modulo 2**128. The integers are numpy's
+    ``bit_generator.state["state"]`` values.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    indices = np.asarray(indices)
+    if indices.size and (indices.min() < 0 or indices.max() >= MAX_CUSTOMERS):
+        raise ValueError(f"customer indices must lie in [0, {MAX_CUSTOMERS})")
+    entropy = [np.full(indices.size, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    entropy.append(indices.astype(np.uint32))
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    zeros = np.zeros(indices.size, dtype=np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zeros) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    draw = _HashMix(_INIT_B, _MULT_B)
+    words = [draw(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    # generate_state's uint64 words are little-endian pairs of uint32 words.
+    w0, w1, w2, w3 = ((words[2 * k] | words[2 * k + 1] << np.uint64(32)).astype(object)
+                      for k in range(4))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    return state.tolist(), inc.tolist()
+
+
+# Customers seeded per call of ``pcg64_states``: bounds the Python ints held.
+_SEED_CHUNK = 4096
+
+
+def _customer_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """One generator set in turn to the streams of customers 0..n-1.
+
+    The states of customers 0 and n-1 are checked against numpy's own
+    seeding before their draws; a mismatch raises RuntimeError.
+    """
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    doc = bitgen.state
+    pcg = doc["state"]
+    for start in range(0, n, _SEED_CHUNK):
+        states, incs = pcg64_states(seed, np.arange(start, min(start + _SEED_CHUNK, n)))
+        for i in {0, n - 1} & {start, start + len(states) - 1}:
+            expected = np.random.PCG64(np.random.SeedSequence((seed, i))).state["state"]
+            if (expected["state"], expected["inc"]) != (states[i - start], incs[i - start]):
+                raise RuntimeError(f"bulk PCG64 seeding disagrees with numpy "
+                                   f"{np.__version__} at customer {i} of seed {seed}")
+        for state, inc in zip(states, incs):
+            pcg["state"] = state
+            pcg["inc"] = inc
+            bitgen.state = doc
+            yield rng
+
+
 def generate_cohort(spec: SimSpec) -> Cohort:
     """Generate calibration, scoring, and truth rows for one snapshot.
 
@@ -184,124 +394,156 @@ def generate_cohort(spec: SimSpec) -> Cohort:
     every tenure bin the same exposure (up to one customer). Deterministic
     in the seed.
     """
-    shape = spec.baseline_shape
+    n = spec.n_customers
     competing = spec.competing is not None
     dist_v = spec.alpha_dist
     dist_inv = spec.alpha_dist_inv if spec.alpha_dist_inv is not None else spec.alpha_dist
     f_v = spec.competing if competing else 1.0
+    sigma = spec.score_noise_sigma
+    table = spec.baseline_shape.table(spec.max_tenure + spec.projection.max_horizon)
+    t0 = np.arange(n, dtype=np.int64) % (spec.max_tenure + 1)
+    base = lookup(table, t0)
+    width = max(6, len(str(n - 1)))
+    ids = tuple(map(f"c%0{width}d".__mod__, range(n)))
 
-    calibration: list[CalibrationRecord] = []
-    scoring: list[ScoringRecord] = []
-    true_alpha: list[float] = []
-    # Per-customer coefficients of the truth hazard, one list per table.
-    coefs: list[list[float]] = [[], []] if competing else [[]]
-    clipped = 0
-    width = max(6, len(str(spec.n_customers - 1)))
-    ids = [f"c{i:0{width}d}" for i in range(spec.n_customers)]
-    t0s = np.arange(spec.n_customers, dtype=np.int64) % (spec.max_tenure + 1)
+    # The draws, customer by customer in stream order.
+    alpha_v, alpha_inv, u_churn, u_cause, noise_v, noise_inv = ([] for _ in range(6))
+    streams = _customer_streams(spec.seed, n)
+    if competing:
+        w_v, w_inv = f_v, 1.0 - f_v
+        for rng, b in zip(streams, base.tolist()):
+            a_v = dist_v.draw(rng)
+            a_inv = dist_inv.draw(rng)
+            u = rng.random()
+            alpha_v.append(a_v)
+            alpha_inv.append(a_inv)
+            u_churn.append(u)
+            # A churner draws its cause (u < 1, so clipping the sum at 1 never
+            # changes who churns).
+            u_cause.append(rng.random() if u < a_v * w_v * b + a_inv * w_inv * b else np.nan)
+            if sigma > 0.0:
+                noise_v.append(rng.lognormal(0.0, sigma))
+                noise_inv.append(rng.lognormal(0.0, sigma))
+    else:
+        for rng in streams:
+            alpha_v.append(dist_v.draw(rng))
+            u_churn.append(rng.random())
+            if sigma > 0.0:
+                noise_v.append(rng.lognormal(0.0, sigma))
+    alpha_v = np.array(alpha_v, dtype=np.float64)
+    u_churn = np.array(u_churn)
 
-    for i, cid in enumerate(ids):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
-        t0 = int(t0s[i])
-        base = shape.rate(t0)
+    if competing:
+        alpha_inv = np.array(alpha_inv, dtype=np.float64)
+        raw_v = alpha_v * f_v * base
+        raw_inv = alpha_inv * (1.0 - f_v) * base
+        p_churn = raw_v + raw_inv
+        over = p_churn > 1.0
+        clipped = int(over.sum())
+        churned = u_churn < np.where(over, 1.0, p_churn)
+        cause = np.full(n, "", dtype="U1")
+        share_v = raw_v[churned] / p_churn[churned]
+        cause[churned] = np.where(np.array(u_cause)[churned] < share_v,
+                                  CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY)
+        score_v, score_inv = raw_v, raw_inv
+        if sigma > 0.0:
+            score_v = raw_v * np.array(noise_v)
+            score_inv = raw_inv * np.array(noise_inv)
+        total = score_v + score_inv
+        over = total > 1.0
+        clipped += int(over.sum())
+        score_v = np.divide(score_v, total, out=score_v.copy(), where=over)
+        score_inv = np.divide(score_inv, total, out=score_inv.copy(), where=over)
+        scores = {"score_v": score_v, "score_inv": score_inv}
+        # Truth hazard: min(1, alpha_v * f_v * r + alpha_inv * (1 - f_v) * r).
+        coefs = [alpha_v * f_v, alpha_inv * (1.0 - f_v)]
+        true_alpha = np.divide(p_churn, base, out=coefs[0] + coefs[1], where=base > 0.0)
+    else:
+        hazard = alpha_v * base
+        over = hazard > 1.0
+        clipped = int(over.sum())
+        hazard[over] = 1.0
+        churned = u_churn < hazard
+        cause = None
+        score = hazard
+        if sigma > 0.0:
+            noisy = hazard * np.array(noise_v)
+            # min(1.0, noisy) as Python takes it: 1.0 unless noisy < 1.0.
+            score = np.where(noisy < 1.0, noisy, 1.0)
+        scores = {"churn_score": score}
+        coefs = [alpha_v]
+        true_alpha = alpha_v
 
-        if competing:
-            alpha_v = dist_v.draw(rng)
-            alpha_inv = dist_inv.draw(rng)
-            raw_v = alpha_v * f_v * base
-            raw_inv = alpha_inv * (1.0 - f_v) * base
-            p_churn = raw_v + raw_inv
-            if p_churn > 1.0:
-                clipped += 1
-                p_churn = 1.0
-            churned = int(rng.random() < p_churn)
-            cause = None
-            if churned:
-                share_v = raw_v / (raw_v + raw_inv)
-                cause = CAUSE_VOLUNTARY if rng.random() < share_v else CAUSE_INVOLUNTARY
-            score_v, score_inv = raw_v, raw_inv
-            if spec.score_noise_sigma > 0.0:
-                score_v *= rng.lognormal(0.0, spec.score_noise_sigma)
-                score_inv *= rng.lognormal(0.0, spec.score_noise_sigma)
-            total = score_v + score_inv
-            if total > 1.0:
-                clipped += 1
-                score_v /= total
-                score_inv /= total
-            calibration.append(CalibrationRecord(cid, t0, churned, cause))
-            scoring.append(ScoringRecord(cid, t0, spec.margin,
-                                         score_v=score_v, score_inv=score_inv))
-            # Truth hazard: min(1, alpha_v * f_v * r + alpha_inv * (1 - f_v) * r).
-            coefs[0].append(alpha_v * f_v)
-            coefs[1].append(alpha_inv * (1.0 - f_v))
-            true_alpha.append((raw_v + raw_inv) / base if base > 0.0
-                              else alpha_v * f_v + alpha_inv * (1.0 - f_v))
-        else:
-            alpha = dist_v.draw(rng)
-            hazard = alpha * base
-            if hazard > 1.0:
-                clipped += 1
-                hazard = 1.0
-            churned = int(rng.random() < hazard)
-            score = hazard
-            if spec.score_noise_sigma > 0.0:
-                score = min(1.0, score * rng.lognormal(0.0, spec.score_noise_sigma))
-            calibration.append(CalibrationRecord(cid, t0, churned))
-            scoring.append(ScoringRecord(cid, t0, spec.margin, churn_score=score))
-            coefs[0].append(alpha)
-            true_alpha.append(alpha)
-
-    table = shape.table(spec.max_tenure + spec.projection.max_horizon)
-    ert, value, _ = project_batch(
-        [table] * len(coefs), [np.array(c) for c in coefs], t0s,
-        np.full(spec.n_customers, spec.margin), DiscountSpec(spec.discount_monthly),
-        spec.projection)
-    truth = [TruthRecord(cid, a, e, v)
-             for cid, a, e, v in zip(ids, true_alpha, ert.tolist(), value.tolist())]
-    return Cohort(calibration, scoring, truth, clipped)
-
-
-def write_truth(path: str | Path, truths: Iterable[TruthRecord]) -> int:
-    """Write the per-customer truth file next to the generated CSVs."""
-    count = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["customer_id", "true_alpha", "true_ert", "true_clv"])
-        for t in truths:
-            writer.writerow([t.customer_id, f"{t.true_alpha:.6f}",
-                             f"{t.true_ert:.6f}", f"{t.true_clv:.6f}"])
-            count += 1
-    return count
+    margin = np.full(n, float(spec.margin))
+    ert, value, _ = project_batch([table] * len(coefs), coefs, t0, margin,
+                                  DiscountSpec(spec.discount_monthly), spec.projection)
+    return Cohort(CalibrationBatch(ids, t0, churned.astype(np.int64), cause, None),
+                  ScoringBatch(ids, t0, margin, **scores),
+                  TruthBatch(ids, true_alpha, ert, value), clipped)
 
 
-def _shape_from_dict(doc: dict) -> BaselineShape:
-    kind = doc.get("kind")
-    if kind == "flat":
-        return FlatShape(h=float(doc["h"]))
-    if kind == "step":
-        return StepShape(h1=float(doc["h1"]), h2=float(doc["h2"]),
-                         change_t=int(doc["change_t"]))
-    if kind == "decaying":
-        return DecayingShape(a=float(doc["a"]), b=float(doc["b"]))
-    raise ValueError(f"unknown baseline_shape kind {kind!r}")
+TRUTH_COLUMNS = ["customer_id", "true_alpha", "true_ert", "true_clv"]
+_TRUTH_LINE = "%s,%.6f,%.6f,%.6f\n"
 
 
-def _alpha_dist_from_dict(doc: dict) -> AlphaDist:
-    kind = doc.get("kind")
-    if kind == "fixed":
-        return FixedAlpha(a=float(doc["a"]))
-    if kind == "lognormal":
-        return LognormalAlpha(mu=float(doc["mu"]), sigma=float(doc["sigma"]))
-    raise ValueError(f"unknown alpha_dist kind {kind!r}")
+def write_truth(path: str | Path, truths: TruthBatch | Iterable[TruthRecord]) -> int:
+    """Write the per-customer truth file next to the generated CSVs.
+
+    ``truths`` is a column batch or truth records; returns the row count.
+    """
+    return write_csv(path, TRUTH_COLUMNS, _TRUTH_LINE,
+                     ((b.ids, b[1:]) for b in as_batches(truths, TruthBatch)))
+
+
+def _number(doc: dict, key: str, kind: type = float):
+    """``doc[key]`` as a ``kind``; ValueError naming ``key`` if it is not one."""
+    value = doc[key]
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+# Kinds of the nested spec documents: the class built and its numeric keys.
+_SHAPES = {"flat": (FlatShape, {"h": float}),
+           "step": (StepShape, {"h1": float, "h2": float, "change_t": int}),
+           "decaying": (DecayingShape, {"a": float, "b": float})}
+_ALPHA_DISTS = {"fixed": (FixedAlpha, {"a": float}),
+                "lognormal": (LognormalAlpha, {"mu": float, "sigma": float})}
+
+
+def _nested(doc: dict, key: str, kinds: dict):
+    """The object the document at ``doc[key]`` describes; errors name ``key.field``."""
+    sub = doc[key]
+    if not isinstance(sub, dict):
+        raise ValueError(f"{key} must be a JSON object")
+    kind = sub.get("kind")
+    if kind not in kinds:
+        raise ValueError(f"unknown {key} kind {kind!r}")
+    cls, fields = kinds[kind]
+    for name in fields:
+        if name not in sub:
+            raise ValueError(f"{key} missing key: {name}")
+    try:
+        return cls(**{name: _number(sub, name, conv) for name, conv in fields.items()})
+    except ValueError as exc:  # its message starts with the field's name
+        raise ValueError(f"{key}.{exc}") from None
 
 
 _SPEC_KEYS = {"baseline_shape", "alpha_dist", "n_customers", "max_tenure", "seed",
               "competing", "alpha_dist_inv", "score_noise_sigma", "margin",
               "discount_monthly", "eps", "max_horizon"}
+_SPEC_DEFAULTS = {"score_noise_sigma": 0.0, "margin": 1.0, "discount_monthly": 0.0,
+                  "eps": 1e-6, "max_horizon": 1200}
 
 
 def simspec_from_dict(doc: dict) -> SimSpec:
-    """Parse a simulation spec document, rejecting unknown keys."""
+    """Parse a simulation spec document, rejecting unknown keys and bad values.
+
+    Each error is a ValueError whose message names the offending key.
+    """
     if not isinstance(doc, dict):
         raise ValueError("simulation spec must be a JSON object")
     unknown = set(doc) - _SPEC_KEYS
@@ -310,21 +552,20 @@ def simspec_from_dict(doc: dict) -> SimSpec:
     for key in ("baseline_shape", "alpha_dist", "n_customers", "max_tenure", "seed"):
         if key not in doc:
             raise ValueError(f"simulation spec missing key: {key}")
-    projection = ProjectionConfig(
-        eps=float(doc.get("eps", 1e-6)),
-        max_horizon=int(doc.get("max_horizon", 1200)),
-    )
-    alpha_inv = doc.get("alpha_dist_inv")
+    doc = _SPEC_DEFAULTS | doc
+    projection = ProjectionConfig(eps=_number(doc, "eps"),
+                                  max_horizon=_number(doc, "max_horizon", int))
     return SimSpec(
-        baseline_shape=_shape_from_dict(doc["baseline_shape"]),
-        alpha_dist=_alpha_dist_from_dict(doc["alpha_dist"]),
-        n_customers=int(doc["n_customers"]),
-        max_tenure=int(doc["max_tenure"]),
-        seed=int(doc["seed"]),
-        competing=None if doc.get("competing") is None else float(doc["competing"]),
-        alpha_dist_inv=None if alpha_inv is None else _alpha_dist_from_dict(alpha_inv),
-        score_noise_sigma=float(doc.get("score_noise_sigma", 0.0)),
-        margin=float(doc.get("margin", 1.0)),
-        discount_monthly=float(doc.get("discount_monthly", 0.0)),
+        baseline_shape=_nested(doc, "baseline_shape", _SHAPES),
+        alpha_dist=_nested(doc, "alpha_dist", _ALPHA_DISTS),
+        n_customers=_number(doc, "n_customers", int),
+        max_tenure=_number(doc, "max_tenure", int),
+        seed=_number(doc, "seed", int),
+        competing=None if doc.get("competing") is None else _number(doc, "competing"),
+        alpha_dist_inv=(None if doc.get("alpha_dist_inv") is None
+                        else _nested(doc, "alpha_dist_inv", _ALPHA_DISTS)),
+        score_noise_sigma=_number(doc, "score_noise_sigma"),
+        margin=_number(doc, "margin"),
+        discount_monthly=_number(doc, "discount_monthly"),
         projection=projection,
     )

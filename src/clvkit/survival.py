@@ -24,6 +24,7 @@ from .dataio import (
     CALIBRATION_BATCH_SIZE,
     CAUSE_INVOLUNTARY,
     CAUSE_VOLUNTARY,
+    MAX_CALIBRATION_TENURE,
     CalibrationBatch,
     CalibrationRecord,
     chunks,
@@ -193,16 +194,18 @@ def _first_invalid(tenure: np.ndarray, churned: np.ndarray, cause: np.ndarray | 
     """Raise InvalidRecord for the first row that cannot be counted.
 
     Columns may hold objects (``_record_batches``), so the tenure check
-    covers type as well as sign. ``cause`` is checked for churners only, and
-    only when counting by cause. ``start`` is the index of the batch's first
-    row.
+    covers type as well as sign. A tenure past ``MAX_CALIBRATION_TENURE`` is
+    invalid too: counting sizes its arrays by the largest tenure. ``cause``
+    is checked for churners only, and only when counting by cause. ``start``
+    is the index of the batch's first row.
     """
     if tenure.dtype == object:
         bad_tenure = np.fromiter(
-            (not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 0
-             for t in tenure.tolist()), bool, len(tenure))
+            (not isinstance(t, (int, np.integer)) or isinstance(t, bool)
+             or not 0 <= t <= MAX_CALIBRATION_TENURE for t in tenure.tolist()),
+            bool, len(tenure))
     else:
-        bad_tenure = tenure < 0
+        bad_tenure = (tenure < 0) | (tenure > MAX_CALIBRATION_TENURE)
     bad_churn = ~((churned == 0) | (churned == 1))
     bad = bad_tenure | bad_churn
     if cause is not None:
@@ -212,8 +215,8 @@ def _first_invalid(tenure: np.ndarray, churned: np.ndarray, cause: np.ndarray | 
         return
     i = int(np.argmax(bad))
     if bad_tenure[i]:
-        raise InvalidRecord(start + i, "tenure must be a non-negative integer, "
-                                       f"got {_item(tenure, i)!r}")
+        raise InvalidRecord(start + i, "tenure must be an integer in "
+                                       f"[0, {MAX_CALIBRATION_TENURE}], got {_item(tenure, i)!r}")
     if bad_churn[i]:
         raise InvalidRecord(start + i, f"churn flag must be 0 or 1, got {_item(churned, i)!r}")
     raise InvalidRecord(start + i, f"churner needs cause V or I, got {_item(cause, i)!r}")

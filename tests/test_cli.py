@@ -83,6 +83,38 @@ class TestSimulateCommand:
         spec = write_json(tmp_path / "spec.json", {"bogus": 1})
         assert main(["simulate", "--spec", str(spec), "--out-dir", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("change, key", [
+        ({"seed": -1}, "seed"),
+        ({"alpha_dist": {"kind": "lognormal", "mu": 0.0, "sigma": -0.5}}, "alpha_dist.sigma"),
+        ({"alpha_dist": {"kind": "lognormal", "mu": 0.0, "sigma": "nan"}}, "alpha_dist.sigma"),
+        ({"alpha_dist": {"kind": "lognormal", "mu": 0.0, "sigma": "inf"}}, "alpha_dist.sigma"),
+        ({"competing": 0.5, "alpha_dist_inv": {"kind": "lognormal", "mu": 0.0, "sigma": -1}},
+         "alpha_dist_inv.sigma"),
+        ({"alpha_dist": {"kind": "fixed", "a": -1.0}}, "alpha_dist.a"),
+        ({"baseline_shape": {"kind": "flat", "h": -0.5}}, "baseline_shape.h"),
+        ({"baseline_shape": {"kind": "flat", "h": 1.5}}, "baseline_shape.h"),
+        ({"baseline_shape": {"kind": "step", "h1": 0.1, "h2": 2.0, "change_t": 3}},
+         "baseline_shape.h2"),
+        ({"baseline_shape": {"kind": "decaying", "a": 1.2, "b": 0.9}}, "baseline_shape.a"),
+        ({"baseline_shape": {"kind": "decaying", "a": 0.3, "b": 0.0}}, "baseline_shape.b"),
+        ({"baseline_shape": {"kind": "decaying", "a": 0.3, "b": 1.5}}, "baseline_shape.b"),
+        ({"margin": "nan"}, "margin"),
+        ({"discount_monthly": -0.01}, "discount_monthly"),
+        ({"max_tenure": 100_001}, "max_tenure"),
+    ])
+    def test_out_of_range_spec_value_names_the_key(self, tmp_path, capsys, change, key):
+        spec = write_json(tmp_path / "spec.json", SIM_SPEC | change)
+        out = tmp_path / "x"
+        code = main(["simulate", "--spec", str(spec), "--out-dir", str(out)])
+        assert_one_line_error(capsys, code, 2, f"bad simulation spec: {key} must")
+        assert not out.exists()
+
+    def test_negative_seed_override_names_the_key(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", SIM_SPEC)
+        code = main(["simulate", "--spec", str(spec), "--out-dir", str(tmp_path / "x"),
+                     "--seed", "-3"])
+        assert_one_line_error(capsys, code, 2, "seed must be >= 0")
+
 
 class TestBaselineCommand:
     @pytest.mark.parametrize("tail_start", ["20", "-1"])

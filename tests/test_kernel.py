@@ -8,7 +8,7 @@ CLV to 1e-12 relative (the gap left by summing in a different order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import csv
 import math
@@ -39,6 +39,7 @@ from clvkit.simulate import (
     SimSpec,
     StepShape,
     generate_cohort,
+    pcg64_states,
 )
 from clvkit.survival import (
     BaselineHazard,
@@ -144,6 +145,44 @@ def test_kernel_matches_month_stepping(case):
     assert int(truncated[0]) == want_truncated
     assert close(float(ert[0]), want_ert)
     assert close(float(value[0]), want_value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cases(), scale=st.floats(-100.0, 100.0), other=margins)
+def test_clv_is_linear_in_margin(case, scale, other):
+    # CLV(scale * m + other) = scale * CLV(m) + CLV(other), in the kernel (three
+    # customers differing only in margin) and in clv() on the stepped path; ERT
+    # does not depend on the margin at all.
+    mixed = scale * case.margin + other
+    ert, value, truncated = kernel([replace(case, margin=m)
+                                    for m in (case.margin, other, mixed)])
+    assert ert[0] == ert[1] == ert[2] and truncated[0] == truncated[1] == truncated[2]
+    _, _, path, _ = truncated_survival_sum(
+        lambda j: min(1.0, sum(a * t[min(case.t0 + j, len(t) - 1)]
+                               for t, a in zip(case.tables, case.alphas))),
+        case.eps, case.max_horizon)
+    discount = DiscountSpec(case.rate)
+    stepped = [clv(path, MarginSpec.const(m), discount) for m in (case.margin, other, mixed)]
+    for v_m, v_other, v_mixed in (value.tolist(), stepped):
+        size = abs(scale * v_m) + abs(v_other)
+        assert abs(v_mixed - (scale * v_m + v_other)) <= 1e-12 * size + 1e-300
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                      st.integers(2**64, 2**160)),
+       indices=st.lists(st.integers(0, 2**32 - 1), max_size=6))
+@example(seed=0, indices=[])
+@example(seed=2**32, indices=[1, 2**32 - 1])
+@example(seed=2**96, indices=[5])
+def test_bulk_seeding_matches_numpy(seed, indices):
+    # Entropy words(seed) + words(i) of 2 to 7 words: shorter than the pool of
+    # four, filling it, and running past it into the extra mixing rounds.
+    indices = [0] + indices
+    states, incs = pcg64_states(seed, np.array(indices, dtype=np.int64))
+    for i, state, inc in zip(indices, states, incs):
+        expected = np.random.PCG64(np.random.SeedSequence((seed, i))).state["state"]
+        assert (state, inc) == (expected["state"], expected["inc"])
 
 
 @settings(max_examples=100, deadline=None)

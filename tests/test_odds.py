@@ -8,7 +8,13 @@ import pytest
 from scipy.special import expit, logit
 
 from clvkit import odds
-from clvkit.errors import EmptyCalibration, FitDiverged, InvalidDocument, OffsetUndefined
+from clvkit.errors import (
+    BaselineMismatch,
+    EmptyCalibration,
+    FitDiverged,
+    InvalidDocument,
+    OffsetUndefined,
+)
 from clvkit.odds import (
     OddsModel,
     PersonPeriodRow,
@@ -186,6 +192,16 @@ class TestProjection:
         assert np.all(projection.hazard_path == pytest.approx(0.25, rel=1e-12))
         assert projection.ert_months == pytest.approx(3.0, abs=1e-3)
         assert projection.alpha == pytest.approx(3.0, rel=1e-12)
+
+    def test_rejects_a_baseline_other_than_the_fitted_one(self):
+        fitted, other = flat_view_baseline(), varying_baseline()
+        model = OddsModel(beta=np.array([0.2]), ridge=0.0, log_likelihood=0.0,
+                          iterations=1, converged=True, baseline_sha=fitted.content_sha())
+        project_with_odds_model(model, [1.0], fitted, 0)
+        with pytest.raises(BaselineMismatch) as err:
+            project_with_odds_model(model, [1.0], other, 0)
+        assert err.value.expected_sha == fitted.content_sha()
+        assert err.value.actual_sha == other.content_sha()
 
     def test_zero_beta_matches_unit_alpha_on_smoothed_baseline(self):
         baseline = varying_baseline()

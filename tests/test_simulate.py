@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from clvkit import dataio
+from clvkit import dataio, simulate
 from clvkit.projection import expected_remaining_tenure
 from clvkit.simulate import (
     DecayingShape,
@@ -106,6 +106,51 @@ class TestGenerateCohort:
         # voluntary share of churn should track its share of the hazard
         share = sum(r.cause == "V" for r in churners) / len(churners)
         assert share == pytest.approx((2.0 * 0.6) / (2.0 * 0.6 + 0.5 * 0.4), abs=0.05)
+
+
+class TestStreams:
+    def test_each_customer_draws_from_its_own_stream(self):
+        # A seed of two words, plus the customer index: each customer's alpha
+        # is the first draw of a generator seeded from (seed, i) alone.
+        spec = SimSpec(baseline_shape=FlatShape(0.1), alpha_dist=LognormalAlpha(0.2, 0.7),
+                       n_customers=300, max_tenure=5, seed=2**40 + 3)
+        cohort = generate_cohort(spec)
+        for i, truth in enumerate(cohort.truth):
+            rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
+            assert truth.true_alpha == rng.lognormal(0.2, 0.7)
+
+    @pytest.mark.parametrize("wrong", [0, 9])
+    def test_seeding_mismatch_raises(self, monkeypatch, wrong):
+        bulk = simulate.pcg64_states
+
+        def off_by_one(seed, indices):
+            states, incs = bulk(seed, indices)
+            states[wrong] ^= 1
+            return states, incs
+
+        monkeypatch.setattr(simulate, "pcg64_states", off_by_one)
+        spec = SimSpec(baseline_shape=FlatShape(0.1), alpha_dist=FixedAlpha(1.0),
+                       n_customers=10, max_tenure=3, seed=5)
+        with pytest.raises(RuntimeError, match=f"customer {wrong} "):
+            generate_cohort(spec)
+
+    @pytest.mark.parametrize("competing", [None, 0.6])
+    def test_batches_and_records_write_the_same_bytes(self, tmp_path, competing):
+        spec = SimSpec(baseline_shape=StepShape(0.3, 0.05, 4),
+                       alpha_dist=LognormalAlpha(0.0, 0.8), competing=competing,
+                       n_customers=400, max_tenure=9, seed=31, score_noise_sigma=0.4,
+                       margin=7.5)
+        cohort = generate_cohort(spec)
+        mode = "single" if competing is None else "competing"
+        for form, (cal, sco, tru) in {
+                "batch": (cohort.calibration_batch, cohort.scoring_batch, cohort.truth_batch),
+                "records": (cohort.calibration, cohort.scoring, cohort.truth)}.items():
+            assert dataio.write_calibration(tmp_path / f"c_{form}", cal, mode) == 400
+            assert dataio.write_scoring(tmp_path / f"s_{form}", sco, mode) == 400
+            assert write_truth(tmp_path / f"t_{form}", tru) == 400
+        for name in "cst":
+            assert (tmp_path / f"{name}_batch").read_bytes() == \
+                (tmp_path / f"{name}_records").read_bytes()
 
 
 class TestTrueErt:

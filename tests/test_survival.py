@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from clvkit.dataio import CalibrationRecord
+from clvkit.dataio import MAX_CALIBRATION_TENURE, CalibrationBatch, CalibrationRecord
 from clvkit.errors import (
     EmptyCalibration,
     EmptyTail,
@@ -21,6 +21,7 @@ from clvkit.survival import (
     detect_tail_start,
     estimate_cause_specific,
     estimate_hazard_by_tenure,
+    estimate_hazard_from_batches,
     extrapolate_tail,
     hazard_at,
     hazard_to_survival,
@@ -83,6 +84,20 @@ class TestEstimateHazardByTenure:
     def test_negative_tenure(self):
         with pytest.raises(InvalidRecord):
             estimate_hazard_by_tenure([CalibrationRecord("a", -1, 0)])
+
+    def test_tenure_past_ceiling(self):
+        # Counting sizes its arrays by the largest tenure: 10**12 months once
+        # asked numpy for 7.28 TiB. Record and column inputs both stop first.
+        at_ceiling = CalibrationRecord("a", MAX_CALIBRATION_TENURE, 0)
+        assert estimate_hazard_by_tenure([at_ceiling]).t_max == MAX_CALIBRATION_TENURE
+        for tenure in (MAX_CALIBRATION_TENURE + 1, 10**12):
+            with pytest.raises(InvalidRecord) as err:
+                estimate_hazard_by_tenure([at_ceiling, CalibrationRecord("b", tenure, 0)])
+            assert err.value.row == 1
+            assert str(MAX_CALIBRATION_TENURE) in err.value.reason
+            batch = CalibrationBatch(("a",), np.array([tenure]), np.array([0]), None, None)
+            with pytest.raises(InvalidRecord):
+                estimate_hazard_from_batches([batch])
 
     def test_recovers_known_constant_hazard(self):
         # Oracle: the generator's planted rate. 20k exposure per tenure bin
