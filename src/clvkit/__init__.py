@@ -18,7 +18,6 @@ from .dataio import (
     ScoringRecord,
     read_calibration,
     read_calibration_batches,
-    read_projections,
     read_scoring,
     read_scoring_batches,
     write_projection_batches,

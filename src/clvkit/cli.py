@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,47 +57,26 @@ class UsageError(Exception):
     """Bad flag/config combination; maps to exit code 2."""
 
 
-# Per-command option defaults. None means "no value": either truly optional
-# or required (listed in _REQUIRED) and checked after config merging.
-_DEFAULTS: dict[str, dict] = {
-    "baseline": {
-        "calibration": None, "out": None, "smoothing": "none",
-        "tail_start": None, "auto_tail": False, "min_events": None,
-        "competing": False,
-    },
-    "score": {
-        "baseline": None, "scoring": None, "out": None,
-        "eps": 1e-6, "max_horizon": 1200,
-        "discount_annual": None, "discount_monthly": None,
-        "competing": False, "baseline_inv": None,
-        "chunk_size": DEFAULT_CHUNK_SIZE,
-    },
-    "curve": {
-        "baseline": None, "alpha": None, "t0": None, "horizon": None, "out": None,
-    },
-    "fit-odds": {
-        "calibration": None, "baseline": None, "out": None,
-        "ridge": 1e-6, "tol": 1e-8, "max_iter": 50,
-    },
-    "simulate": {
-        "spec": None, "out_dir": None, "seed": None,
-    },
-}
+class Option(NamedTuple):
+    """One option of a command: its flag, whose config key is the flag's name
+    with dashes as underscores, and the values it takes.
 
-_REQUIRED: dict[str, list[str]] = {
-    "baseline": ["calibration", "out"],
-    "score": ["baseline", "scoring", "out"],
-    "curve": ["baseline", "alpha", "t0", "horizon", "out"],
-    "fit-odds": ["calibration", "baseline", "out"],
-    "simulate": ["spec", "out_dir"],
-}
+    ``kind`` is str (a path), bool (a flag that sets True), int, float or a
+    tuple of the allowed strings. A number must be finite and at least
+    ``minimum``. A required option has no default and must be set by its
+    flag or the config file.
+    """
 
+    flag: str
+    kind: object = str
+    default: object = None
+    required: bool = False
+    minimum: int | None = None
+    help: str | None = None
 
-# Config-file values skip argparse, so _merge_config checks their JSON type:
-# flags must be booleans, paths and names strings (numbers go through _number).
-_JSON_TYPES = dict.fromkeys(["auto_tail", "competing"], bool) | dict.fromkeys(
-    ["calibration", "out", "smoothing", "baseline", "scoring", "baseline_inv", "spec",
-     "out_dir"], str)
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
 def _configure_logging() -> None:
@@ -111,28 +89,51 @@ def _configure_logging() -> None:
     log.setLevel(level)
 
 
+def _checked(option: Option, value):
+    """``value`` of ``option``, from its flag or the config file; a bad one is a usage error."""
+    if option.kind in (int, float):
+        try:
+            value = dataio.json_number(value, option.flag, option.kind)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if option.minimum is not None and value < option.minimum:
+            raise UsageError(f"{option.flag} must be >= {option.minimum}")
+        return value
+    if isinstance(option.kind, tuple):
+        valid, noun = value in option.kind, " or ".join(option.kind)
+    elif option.kind is bool:
+        valid, noun = isinstance(value, bool), "true or false"
+    else:
+        valid, noun = isinstance(value, str), "a string"
+    if not valid:
+        raise UsageError(f"{option.flag} must be {noun}, got {value!r}")
+    return value
+
+
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    defaults = _DEFAULTS[args.command]
+    """Set each option from its flag, else the config file, else its default.
+
+    Every value given by a flag or the config file is checked, and a JSON
+    null counts as not given.
+    """
+    _, _, options = COMMANDS[args.command]
+    options = {option.dest: option for option in options}
     cfg: dict = {}
     if args.config is not None:
         doc = _read_json(args.config, "config file")
         if not isinstance(doc, dict):
             raise UsageError("config file must be a JSON object")
-        unknown = set(doc) - set(defaults)
+        unknown = set(doc) - set(options)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in doc.items():
-            kind = _JSON_TYPES.get(key)
-            if kind is not None and value is not None and not isinstance(value, kind):
-                noun = "true or false" if kind is bool else "a string"
-                raise UsageError(f"--{key.replace('_', '-')} must be {noun}, got {value!r}")
-        cfg = doc
-    for dest, default in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, cfg.get(dest, default))
-    for dest in _REQUIRED[args.command]:
-        if getattr(args, dest) is None:
-            raise UsageError(f"missing required option --{dest.replace('_', '-')}")
+        cfg = {key: _checked(options[key], value) for key, value in doc.items()
+               if value is not None}
+    for dest, option in options.items():
+        value = getattr(args, dest)
+        value = cfg.get(dest, option.default) if value is None else _checked(option, value)
+        if value is None and option.required:
+            raise UsageError(f"missing required option {option.flag}")
+        setattr(args, dest, value)
     return args
 
 
@@ -142,27 +143,6 @@ def _read_json(path: str, what: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{what} {path} is not valid JSON: {exc}") from None
-
-
-def _number(args: argparse.Namespace, dest: str, kind: type = float):
-    """Option ``dest`` converted to a finite ``kind``; a bad value is a usage error.
-
-    Config-file values bypass argparse's type conversion, so every numeric
-    option goes through here.
-    """
-    value = getattr(args, dest)
-    flag = "--" + dest.replace("_", "-")
-    noun = "an integer" if kind is int else "a number"
-    try:
-        if isinstance(value, bool) or (
-                kind is int and isinstance(value, float) and not value.is_integer()):
-            raise TypeError
-        number = kind(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{flag} must be {noun}, got {value!r}") from None
-    if not math.isfinite(number):
-        raise UsageError(f"{flag} must be finite, got {value!r}")
-    return number
 
 
 def _suffixed(path: str, suffix: str) -> Path:
@@ -192,14 +172,6 @@ def _warn_sparse(baseline: BaselineHazard, min_events: int) -> None:
 
 
 def run_baseline(args: argparse.Namespace) -> int:
-    if args.smoothing not in ("none", "jeffreys"):
-        raise UsageError(f"--smoothing must be none or jeffreys, got {args.smoothing!r}")
-    if args.tail_start is not None:
-        args.tail_start = _number(args, "tail_start", int)
-    if args.min_events is not None:
-        args.min_events = _number(args, "min_events", int)
-        if args.min_events < 0:
-            raise UsageError("--min-events must be >= 0")
     min_events = PoolingConfig().min_events if args.min_events is None else args.min_events
     mode = "competing" if args.competing else "single"
     batches = dataio.read_calibration_batches(args.calibration, mode)
@@ -222,36 +194,31 @@ def _resolve_discount(args: argparse.Namespace) -> DiscountSpec:
     if args.discount_annual is not None and args.discount_monthly is not None:
         raise UsageError("--discount-annual and --discount-monthly are mutually exclusive")
     if args.discount_annual is not None:
-        return DiscountSpec(annual_to_monthly_rate(_number(args, "discount_annual")))
+        return DiscountSpec(annual_to_monthly_rate(args.discount_annual))
     if args.discount_monthly is not None:
-        return DiscountSpec(_number(args, "discount_monthly"))
+        return DiscountSpec(args.discount_monthly)
     return DiscountSpec(0.0)
 
 
 def run_score(args: argparse.Namespace) -> int:
     discount = _resolve_discount(args)
-    eps = _number(args, "eps")
-    max_horizon = _number(args, "max_horizon", int)
     try:
-        config = ProjectionConfig(eps=eps, max_horizon=max_horizon)
+        config = ProjectionConfig(eps=args.eps, max_horizon=args.max_horizon)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    chunk_size = _number(args, "chunk_size", int)
-    if chunk_size < 1:
-        raise UsageError("--chunk-size must be >= 1")
     if args.competing:
         if args.baseline_inv is None:
             raise UsageError("--competing requires --baseline-inv")
         loaded_v = load_baseline(args.baseline)
         loaded_i = load_baseline(args.baseline_inv)
-        batches = dataio.read_scoring_batches(args.scoring, "competing", chunk_size)
+        batches = dataio.read_scoring_batches(args.scoring, "competing", args.chunk_size)
         projections = score_batches_competing(
             batches, loaded_v.baseline, loaded_i.baseline,
             config=config, discount=discount,
             pooling_v=loaded_v.pooling, pooling_inv=loaded_i.pooling)
     else:
         loaded = load_baseline(args.baseline)
-        batches = dataio.read_scoring_batches(args.scoring, "single", chunk_size)
+        batches = dataio.read_scoring_batches(args.scoring, "single", args.chunk_size)
         projections = score_batches(batches, loaded.baseline, config=config,
                                     discount=discount, pooling=loaded.pooling)
     count = dataio.write_projection_batches(args.out, projections)
@@ -260,19 +227,10 @@ def run_score(args: argparse.Namespace) -> int:
 
 
 def run_curve(args: argparse.Namespace) -> int:
-    alpha = _number(args, "alpha")
-    t0 = _number(args, "t0", int)
-    horizon = _number(args, "horizon", int)
-    if alpha < 0:
-        raise UsageError("--alpha must be >= 0")
-    if t0 < 0:
-        raise UsageError("--t0 must be >= 0")
-    if horizon < 1:
-        raise UsageError("--horizon must be >= 1")
     loaded = load_baseline(args.baseline)
-    tenures = t0 + np.arange(horizon)
+    tenures = args.t0 + np.arange(args.horizon)
     base = lookup(resolve(loaded.baseline, loaded.pooling), tenures)
-    scaled = np.minimum(1.0, alpha * base)
+    scaled = np.minimum(1.0, args.alpha * base)
     survival = hazard_to_survival(scaled)
     # Full-precision floats: this file feeds plots and numeric checks, so it
     # must round-trip the computed values exactly.
@@ -282,7 +240,7 @@ def run_curve(args: argparse.Namespace) -> int:
                               survival.tolist()):
             fh.write(f"{t},{b!r},{h!r},{s!r}\n")
     log.info("wrote curve for alpha %.6f from tenure %d over %d months: %s",
-             alpha, t0, horizon, args.out)
+             args.alpha, args.t0, args.horizon, args.out)
     return 0
 
 
@@ -292,13 +250,6 @@ def _stack(parts: list[np.ndarray], empty_shape: tuple[int, ...]) -> np.ndarray:
 
 
 def run_fit_odds(args: argparse.Namespace) -> int:
-    ridge = _number(args, "ridge")
-    tol = _number(args, "tol")
-    max_iter = _number(args, "max_iter", int)
-    if ridge < 0.0:
-        raise UsageError("--ridge must be >= 0")
-    if max_iter < 1:
-        raise UsageError("--max-iter must be >= 1")
     loaded = load_baseline(args.baseline)
     tenure, churned, covariates = [], [], []
     for batch in dataio.read_calibration_batches(args.calibration, "single"):
@@ -309,8 +260,8 @@ def run_fit_odds(args: argparse.Namespace) -> int:
         covariates.append(batch.covariates)
     rows = sum(map(len, tenure))
     model = fit_odds_columns(_stack(tenure, (0,)), _stack(churned, (0,)),
-                             _stack(covariates, (0, 0)), loaded.baseline, ridge=ridge,
-                             tol=tol, max_iter=max_iter, pooling=loaded.pooling)
+                             _stack(covariates, (0, 0)), loaded.baseline, ridge=args.ridge,
+                             tol=args.tol, max_iter=args.max_iter, pooling=loaded.pooling)
     save_model(args.out, model)
     log.info("fit %d coefficients on %d rows in %d iterations "
              "(converged=%s, log-likelihood %.4f): %s",
@@ -324,7 +275,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         if not isinstance(doc, dict):
             raise UsageError("simulation spec must be a JSON object")
-        doc["seed"] = _number(args, "seed", int)
+        doc["seed"] = args.seed
     try:
         spec = simulate.simspec_from_dict(doc)
     except (ValueError, KeyError, TypeError) as exc:
@@ -343,71 +294,74 @@ def run_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each command's runner, help line and options, in the order --help lists them.
+COMMANDS: dict[str, tuple] = {
+    "baseline": (run_baseline, "estimate the baseline hazard curve", [
+        Option("--calibration", required=True, help="calibration CSV path"),
+        Option("--out", required=True, help="output baseline JSON path"),
+        Option("--smoothing", ("none", "jeffreys"), "none"),
+        Option("--tail-start", int, help="fix the tail start tenure explicitly"),
+        Option("--auto-tail", bool, False,
+               help="detect the tail start automatically (the default)"),
+        Option("--min-events", int, minimum=0,
+               help="pooling threshold stored with the baseline (default 5)"),
+        Option("--competing", bool, False,
+               help="cause-specific mode; writes _v and _inv baselines"),
+    ]),
+    "score": (run_score, "project scoring records into alpha/ERT/CLV", [
+        Option("--baseline", required=True, help="baseline JSON path"),
+        Option("--scoring", required=True, help="scoring CSV path"),
+        Option("--out", required=True, help="output projections CSV path"),
+        Option("--eps", float, 1e-6, help="survival truncation threshold"),
+        Option("--max-horizon", int, 1200, help="hard cap on projected months"),
+        Option("--discount-annual", float),
+        Option("--discount-monthly", float),
+        Option("--competing", bool, False),
+        Option("--baseline-inv", help="involuntary baseline JSON (competing mode)"),
+        Option("--chunk-size", int, DEFAULT_CHUNK_SIZE, minimum=1,
+               help="customers scored per batch (1 = sequential)"),
+    ]),
+    "curve": (run_curve, "emit one scaled hazard curve as plot data", [
+        Option("--baseline", required=True, help="baseline JSON path"),
+        Option("--alpha", float, required=True, minimum=0, help="scaling coefficient"),
+        Option("--t0", int, required=True, minimum=0, help="current tenure to project from"),
+        Option("--horizon", int, required=True, minimum=1, help="months to emit"),
+        Option("--out", required=True, help="output CSV path"),
+    ]),
+    "fit-odds": (run_fit_odds, "fit the covariate hazard-odds model", [
+        Option("--calibration", required=True,
+               help="calibration CSV with covariate columns x1..xm"),
+        Option("--baseline", required=True, help="baseline JSON path (offset source)"),
+        Option("--out", required=True, help="output model JSON path"),
+        Option("--ridge", float, 1e-6, minimum=0, help="ridge penalty (default 1e-6)"),
+        Option("--tol", float, 1e-8, help="convergence tolerance (default 1e-8)"),
+        Option("--max-iter", int, 50, minimum=1, help="iteration cap (default 50)"),
+    ]),
+    "simulate": (run_simulate, "generate a synthetic cohort with known truth", [
+        Option("--spec", required=True, help="simulation spec JSON path"),
+        Option("--out-dir", required=True, help="directory for the output files"),
+        Option("--seed", int, help="override the spec's seed"),
+    ]),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clvkit",
         description="Customer survival, expected remaining tenure, and "
                     "lifetime value from a baseline hazard curve and churn scores.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("baseline", help="estimate the baseline hazard curve")
-    p.add_argument("--calibration", help="calibration CSV path")
-    p.add_argument("--out", help="output baseline JSON path")
-    p.add_argument("--smoothing", choices=["none", "jeffreys"])
-    p.add_argument("--tail-start", dest="tail_start", type=int,
-                   help="fix the tail start tenure explicitly")
-    p.add_argument("--auto-tail", dest="auto_tail", action="store_const", const=True,
-                   help="detect the tail start automatically (the default)")
-    p.add_argument("--min-events", dest="min_events", type=int,
-                   help="pooling threshold stored with the baseline (default 5)")
-    p.add_argument("--competing", action="store_const", const=True,
-                   help="cause-specific mode; writes _v and _inv baselines")
-    p.add_argument("--config", help="JSON config file mirroring these flags")
-    p.set_defaults(func=run_baseline)
-
-    p = sub.add_parser("score", help="project scoring records into alpha/ERT/CLV")
-    p.add_argument("--baseline", help="baseline JSON path")
-    p.add_argument("--scoring", help="scoring CSV path")
-    p.add_argument("--out", help="output projections CSV path")
-    p.add_argument("--eps", type=float, help="survival truncation threshold")
-    p.add_argument("--max-horizon", dest="max_horizon", type=int,
-                   help="hard cap on projected months")
-    p.add_argument("--discount-annual", dest="discount_annual", type=float)
-    p.add_argument("--discount-monthly", dest="discount_monthly", type=float)
-    p.add_argument("--competing", action="store_const", const=True)
-    p.add_argument("--baseline-inv", dest="baseline_inv",
-                   help="involuntary baseline JSON (competing mode)")
-    p.add_argument("--chunk-size", dest="chunk_size", type=int,
-                   help="customers scored per batch (1 = sequential)")
-    p.add_argument("--config", help="JSON config file mirroring these flags")
-    p.set_defaults(func=run_score)
-
-    p = sub.add_parser("curve", help="emit one scaled hazard curve as plot data")
-    p.add_argument("--baseline", help="baseline JSON path")
-    p.add_argument("--alpha", type=float, help="scaling coefficient")
-    p.add_argument("--t0", type=int, help="current tenure to project from")
-    p.add_argument("--horizon", type=int, help="months to emit")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--config", help="JSON config file mirroring these flags")
-    p.set_defaults(func=run_curve)
-
-    p = sub.add_parser("fit-odds", help="fit the covariate hazard-odds model")
-    p.add_argument("--calibration", help="calibration CSV with covariate columns x1..xm")
-    p.add_argument("--baseline", help="baseline JSON path (offset source)")
-    p.add_argument("--out", help="output model JSON path")
-    p.add_argument("--ridge", type=float, help="ridge penalty (default 1e-6)")
-    p.add_argument("--tol", type=float, help="convergence tolerance (default 1e-8)")
-    p.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (default 50)")
-    p.add_argument("--config", help="JSON config file mirroring these flags")
-    p.set_defaults(func=run_fit_odds)
-
-    p = sub.add_parser("simulate", help="generate a synthetic cohort with known truth")
-    p.add_argument("--spec", help="simulation spec JSON path")
-    p.add_argument("--out-dir", dest="out_dir", help="directory for the output files")
-    p.add_argument("--seed", type=int, help="override the spec's seed")
-    p.add_argument("--config", help="JSON config file mirroring these flags")
-    p.set_defaults(func=run_simulate)
-
+    for name, (run, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for option in options:
+            if option.kind is bool:
+                p.add_argument(option.flag, action="store_const", const=True, help=option.help)
+            else:
+                p.add_argument(option.flag, help=option.help,
+                               type=option.kind if option.kind in (int, float) else None,
+                               choices=option.kind if isinstance(option.kind, tuple) else None)
+        p.add_argument("--config", help="JSON config file mirroring these flags")
+        p.set_defaults(func=run)
     return parser
 
 

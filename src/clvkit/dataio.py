@@ -13,22 +13,25 @@ exactly (case-sensitive). LF and CRLF are both accepted; blank lines are
 skipped. Floats are written with six decimal places.
 
 Readers yield validated column batches: up to ``batch_size`` records at a
-time, parsed column by column into numpy arrays, with every rule checked on
-whole columns (duplicate ids also across batches). A batch whose text has
+time, parsed column by column into numpy arrays. A batch whose text has
 no quote, carriage return, NUL or blank line is split as text at commas
 and newlines; any other batch is read by ``csv.reader``, which reads a
 quoted field on past the batch's last line if it must. Either way the
 cells are those ``csv.reader`` gives. The record readers
 (``read_calibration``, ``read_scoring``) are views over the same batches.
-Only when a batch breaks a rule (a line with another number of fields
-than the schema's is one) do the per-row checks run over it, to report the
-first failing row as a row-by-row reader would: its row number (header =
-row 1, counting csv records), column and reason. An error therefore
+Each schema is one table of rules in check order: the field count, the id
+(non-empty, and new across batches too), then each column's parse and
+range rules, with a rule over two columns (``churned`` with ``cause``,
+``score_v + score_inv <= 1``) after the columns it reads. Every rule gives
+a boolean mask over the batch's rows; a column is parsed cell by cell only
+if it fails to parse as a whole. The error reported is that of the
+smallest failing row, and within that row of the first rule it breaks, so
+it names the row number (header = row 1, counting csv records), column
+and reason a row-by-row reader would, at any batch size. An error
 surfaces when its batch is read, before any record of that batch is
-consumed, and its message does not depend on the batch size. Text that is
-not UTF-8, or a record csv refuses (a field past its size limit), is
-``InvalidDocument`` naming the file, raised after the records before it
-have been checked.
+consumed. Text that is not UTF-8, or a record csv refuses (a field past
+its size limit), is ``InvalidDocument`` naming the file, raised after the
+records before it have been checked.
 
 Every writer (projections, and the simulator's calibration, scoring and
 truth files) formats each batch through one line template and quotes ids
@@ -47,11 +50,11 @@ import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DuplicateCustomerId, InvalidDocument, InvalidValue, MissingColumn
+from .errors import ClvkitError, DuplicateCustomerId, InvalidDocument, InvalidValue, MissingColumn
 
 CAUSE_VOLUNTARY = "V"
 CAUSE_INVOLUNTARY = "I"
@@ -75,8 +78,6 @@ _PROJECTION_LINE = f"%s,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d\n"
 # with a lone "\r" unquoted, so a hand-written rule could drift from it.
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# (churned, cause) cells a competing-risks calibration row may hold.
-_CAUSE_CELLS = {("1", CAUSE_VOLUNTARY), ("1", CAUSE_INVOLUNTARY), ("0", "")}
 
 
 @dataclass(frozen=True)
@@ -229,6 +230,27 @@ def chunks(items: Iterable, size: int) -> Iterator[list]:
         yield chunk
 
 
+def json_number(value, name: str, kind: type = float):
+    """``value``, from a JSON document or a command-line flag, as a finite ``kind``.
+
+    ``kind`` is int or float. A bool is not a number, and an int loses no
+    fraction: 1000.0 is 1000, 2.5 is an error. Errors are ValueErrors whose
+    message starts with ``name``.
+    """
+    noun = "an integer" if kind is int else "a number"
+    try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise TypeError
+        number = kind(value)
+        finite = math.isfinite(number)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be {noun}, got {value!r}") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return number
+
+
 def _calibration_header(mode: str, covariate_count: int) -> list[str]:
     cols = ["customer_id", "tenure", "churned"]
     if mode == "competing":
@@ -263,171 +285,186 @@ def _validate_header(header: list[str] | None, required: list[str]) -> int:
     return len(extra)
 
 
-# Row checks: the wording of every rule, applied to one row at a time. They
-# run only over a batch whose column checks failed, to name its first error.
+# Schemas. Each calibration and scoring schema is one table of rules in check
+# order; a row breaks the first rule it fails, and a batch reports its
+# smallest failing row. A rule with a parser parses its column, for the rules
+# after it, and is broken where a cell does not parse. Any other rule's test
+# gives the mask of rows that break it from ``c``: each column's cells or
+# parsed values by name, "fields" the rows' field counts and "seen" the ids
+# of earlier batches. ``reason`` is formatted with the row's cell in
+# ``column``, or is a function that builds the whole error from the row
+# number and cells (the field count rule names no one column).
 
-def _parse_tenure(value: str, row: int) -> int:
-    try:
-        tenure = int(value)
-    except ValueError:
-        raise InvalidValue(row, "tenure", f"{value!r} is not an integer") from None
-    if tenure < 0:
-        raise InvalidValue(row, "tenure", "must be >= 0")
-    if tenure > _INT64_MAX:
-        raise InvalidValue(row, "tenure", f"must be <= {_INT64_MAX}")
-    return tenure
-
-
-def _parse_probability(value: str, row: int, column: str) -> float:
-    try:
-        p = float(value)
-    except ValueError:
-        raise InvalidValue(row, column, f"{value!r} is not a number") from None
-    if not math.isfinite(p) or p < 0.0 or p > 1.0:
-        raise InvalidValue(row, column, "must be in [0, 1]")
-    return p
+class _Rule(NamedTuple):
+    column: str
+    parser: tuple[Callable[[str], object], type] | None
+    test: Callable[[dict], np.ndarray] | None
+    reason: str | Callable[[int, list[str]], ClvkitError]
 
 
-def _parse_float(value: str, row: int, column: str) -> float:
-    try:
-        x = float(value)
-    except ValueError:
-        raise InvalidValue(row, column, f"{value!r} is not a number") from None
-    if not math.isfinite(x):
-        raise InvalidValue(row, column, "must be finite")
-    return x
+# Parsers: cell text to value, and the dtype of the parsed column.
+_INTEGER = (int, np.int64)
+_NUMBER = (float, np.float64)
+_FLAG = ({"0": 0, "1": 1}.__getitem__, np.int64)
 
 
-def _check_fields(cells: list[str], columns: list[str], row: int) -> None:
-    if len(cells) < len(columns):
-        raise InvalidValue(row, columns[len(cells)], "missing field")
-    if len(cells) > len(columns):
-        raise InvalidValue(row, f"field {len(columns) + 1}", "unexpected extra field")
+def _isin(cells: tuple[str, ...], allowed: set[str]) -> np.ndarray:
+    return np.fromiter(map(allowed.__contains__, cells), bool, len(cells))
 
 
-def _check_id(cells: list[str], columns: list[str], row: int, seen: set[str]) -> None:
-    _check_fields(cells, columns, row)
-    cid = cells[0]
-    if not cid:
-        raise InvalidValue(row, "customer_id", "must be non-empty")
-    if cid in seen:
-        raise DuplicateCustomerId(cid, row)
-    seen.add(cid)
-
-
-def _check_calibration_row(cells: list[str], row: int, columns: list[str],
-                           seen: set[str]) -> None:
-    _check_id(cells, columns, row, seen)
-    if _parse_tenure(cells[1], row) > MAX_CALIBRATION_TENURE:
-        raise InvalidValue(row, "tenure", f"must be <= {MAX_CALIBRATION_TENURE}")
-    if cells[2] not in ("0", "1"):
-        raise InvalidValue(row, "churned", "must be 0 or 1")
-    offset = 3
-    if "cause" in columns:
-        offset = 4
-        if cells[2] == "1":
-            if cells[3] not in (CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY):
-                raise InvalidValue(row, "cause", "must be V or I for churners")
-        elif cells[3] != "":
-            raise InvalidValue(row, "cause", "must be empty unless churned")
-    for column, value in zip(columns[offset:], cells[offset:]):
-        _parse_float(value, row, column)
-
-
-def _check_scoring_row(cells: list[str], row: int, columns: list[str],
-                       seen: set[str]) -> None:
-    _check_id(cells, columns, row, seen)
-    _parse_tenure(cells[1], row)
-    if "score_v" in columns:
-        score_v = _parse_probability(cells[2], row, "score_v")
-        score_inv = _parse_probability(cells[3], row, "score_inv")
-        if score_v + score_inv > 1.0:
-            raise InvalidValue(row, "score_v/score_inv",
-                               f"sum {score_v + score_inv:g} exceeds 1")
-    else:
-        _parse_probability(cells[2], row, "churn_score")
-    _parse_float(cells[-1], row, "margin")
-
-
-# Column checks: each returns the parsed column, or None if any cell breaks
-# its rule.
-
-def _numbers(cells: tuple[str, ...], kind: type, dtype) -> np.ndarray | None:
-    try:
-        return np.fromiter(map(kind, cells), dtype, len(cells))
-    except (ValueError, OverflowError):  # not a number, or an int past int64
-        return None
-
-
-def _tenures(cells: tuple[str, ...]) -> np.ndarray | None:
-    tenure = _numbers(cells, int, np.int64)
-    return None if tenure is None or (tenure < 0).any() else tenure
-
-
-def _probabilities(cells: tuple[str, ...]) -> np.ndarray | None:
-    p = _numbers(cells, float, np.float64)
-    return None if p is None or not ((p >= 0.0) & (p <= 1.0)).all() else p
-
-
-def _finite(cells: tuple[str, ...]) -> np.ndarray | None:
-    x = _numbers(cells, float, np.float64)
-    return None if x is None or not np.isfinite(x).all() else x
-
-
-def _columns(rows: list[list[str]], width: int) -> list | None:
-    """The rows transposed, if each has ``width`` fields."""
-    return list(zip(*rows)) if set(map(len, rows)) == {width} else None
-
-
-def _add_ids(ids: tuple[str, ...], seen: set[str]) -> bool:
-    """Add ``ids`` to ``seen`` if all are non-empty, distinct and new; else leave it."""
-    if "" in ids or not seen.isdisjoint(ids):
-        return False
+def _repeated(ids: tuple[str, ...], seen: set[str]) -> np.ndarray:
+    """Rows whose id is in ``seen`` or on an earlier row; ``ids`` join ``seen``."""
+    n = len(ids)
+    repeated = np.zeros(n, dtype=bool)
+    if not seen.isdisjoint(ids):
+        repeated = np.fromiter(map(seen.__contains__, ids), bool, n)
     count = len(seen)
     seen.update(ids)
-    if len(seen) - count == len(ids):
-        return True
-    seen.difference_update(ids)
-    return False
+    if len(seen) - count < n:
+        later = np.ones(n, dtype=bool)
+        later[np.unique(ids, return_index=True)[1]] = False
+        repeated |= later
+    return repeated
 
 
-def _calibration_batch(columns: list, competing: bool) -> CalibrationBatch | None:
-    n_cov = len(columns) - 3 - competing
-    tenure = _tenures(columns[1])
-    churned = columns[2]
-    if (tenure is None or tenure.max() > MAX_CALIBRATION_TENURE
-            or not set(churned) <= {"0", "1"}):
-        return None
-    cause = None
-    if competing:
-        if not set(zip(churned, columns[3])) <= _CAUSE_CELLS:
-            return None
-        cause = np.array(columns[3], dtype="U1")
-    covariates = None
-    if n_cov:
-        covariates = np.empty((len(tenure), n_cov))
-        for j, cells in enumerate(columns[3 + competing:]):
-            x = _finite(cells)
-            if x is None:
-                return None
-            covariates[:, j] = x
-    return CalibrationBatch(columns[0], tenure, _numbers(churned, int, np.int64), cause,
-                            covariates)
+def _field_count_error(names: list[str]) -> Callable[[int, list[str]], InvalidValue]:
+    def error(row: int, cells: list[str]) -> InvalidValue:
+        if len(cells) < len(names):
+            return InvalidValue(row, names[len(cells)], "missing field")
+        return InvalidValue(row, f"field {len(names) + 1}", "unexpected extra field")
+    return error
 
 
-def _scoring_batch(columns: list) -> ScoringBatch | None:
-    tenure = _tenures(columns[1])
-    margin = _finite(columns[-1])
-    if tenure is None or margin is None:
-        return None
-    if len(columns) == 4:
-        score = _probabilities(columns[2])
-        return None if score is None else ScoringBatch(columns[0], tenure, margin, score)
-    score_v = _probabilities(columns[2])
-    score_inv = _probabilities(columns[3])
-    if score_v is None or score_inv is None or (score_v + score_inv > 1.0).any():
-        return None
-    return ScoringBatch(columns[0], tenure, margin, score_v=score_v, score_inv=score_inv)
+def _at_most(bound: int) -> _Rule:
+    return _Rule("tenure", None, lambda c: c["tenure"] > bound, f"must be <= {bound}")
+
+
+def _float_rules(column: str, test: Callable[[np.ndarray], np.ndarray],
+                 reason: str) -> list[_Rule]:
+    return [_Rule(column, _NUMBER, None, "{!r} is not a number"),
+            _Rule(column, None, lambda c: test(c[column]), reason)]
+
+
+def _finite(column: str) -> list[_Rule]:
+    return _float_rules(column, lambda x: ~np.isfinite(x), "must be finite")
+
+
+def _probability(column: str) -> list[_Rule]:
+    return _float_rules(column, lambda p: ~((p >= 0.0) & (p <= 1.0)), "must be in [0, 1]")
+
+
+def _leading_rules(names: list[str]) -> list[_Rule]:
+    """The field count, id and tenure rules every schema starts with."""
+    return [
+        _Rule("", None, lambda c: c["fields"] != len(names), _field_count_error(names)),
+        _Rule("customer_id", None, lambda c: _isin(c["customer_id"], {""}), "must be non-empty"),
+        _Rule("customer_id", None, lambda c: _repeated(c["customer_id"], c["seen"]),
+              lambda row, cells: DuplicateCustomerId(cells[0], row)),
+        _Rule("tenure", _INTEGER, None, "{!r} is not an integer"),
+        _Rule("tenure", None, lambda c: c["tenure"] < 0, "must be >= 0"),
+        _at_most(_INT64_MAX),
+    ]
+
+
+def _sum_error(row: int, cells: list[str]) -> InvalidValue:
+    total = float(cells[2]) + float(cells[3])
+    return InvalidValue(row, "score_v/score_inv", f"sum {total:g} exceeds 1")
+
+
+def _covariates(names: list[str]) -> list[str]:
+    """The x1..xm columns of a calibration schema."""
+    return names[4 if "cause" in names else 3:]
+
+
+def _calibration_rules(names: list[str]) -> list[_Rule]:
+    rules = [*_leading_rules(names), _at_most(MAX_CALIBRATION_TENURE),
+             _Rule("churned", _FLAG, None, "must be 0 or 1")]
+    if "cause" in names:
+        causes = {CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY}
+        rules += [_Rule("cause", None, lambda c: (c["churned"] == 1) & ~_isin(c["cause"], causes),
+                        "must be V or I for churners"),
+                  _Rule("cause", None, lambda c: (c["churned"] == 0) & ~_isin(c["cause"], {""}),
+                        "must be empty unless churned")]
+    for name in _covariates(names):
+        rules += _finite(name)
+    return rules
+
+
+def _scoring_rules(names: list[str]) -> list[_Rule]:
+    rules = _leading_rules(names)
+    for name in names[2:-1]:
+        rules += _probability(name)
+    if "score_v" in names:
+        rules.append(_Rule("score_v/score_inv", None,
+                           lambda c: c["score_v"] + c["score_inv"] > 1.0, _sum_error))
+    return rules + _finite("margin")
+
+
+def _parsed(cells: tuple[str, ...], parse: Callable[[str], object], dtype: type,
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """``cells`` parsed into a ``dtype`` column, and the mask of cells that do not parse.
+
+    Only a column that fails as a whole is parsed cell by cell: its failed
+    cells then hold 0, and an integer column holds Python ints, so that a
+    tenure past int64 keeps its value for the range rules.
+    """
+    n = len(cells)
+    try:
+        return np.fromiter(map(parse, cells), dtype, n), np.zeros(n, dtype=bool)
+    except (ValueError, KeyError, OverflowError):  # OverflowError: an int past int64
+        pass
+    values, failed = [], np.zeros(n, dtype=bool)
+    for i, cell in enumerate(cells):
+        try:
+            values.append(parse(cell))
+        except (ValueError, KeyError):
+            values.append(0)
+            failed[i] = True
+    return np.array(values, dtype=object if dtype is np.int64 else dtype), failed
+
+
+def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: list,
+                     rows: list[list[str]] | None, seen: set[str]) -> dict:
+    """One batch's columns by name, parsed; raises the error of its first failing row.
+
+    ``numbers`` are the rows' numbers in the file, ``columns`` their cells
+    transposed and ``rows`` their cells if some row has another number of
+    fields than ``names``.
+    """
+    n = len(numbers)
+    c = dict(zip(names, columns))
+    c["fields"] = (np.full(n, len(names)) if rows is None
+                   else np.fromiter(map(len, rows), np.int64, n))
+    c["seen"] = seen
+    masks = []
+    for rule in rules:
+        if rule.parser is None:
+            masks.append(rule.test(c))
+        else:
+            c[rule.column], failed = _parsed(c[rule.column], *rule.parser)
+            masks.append(failed)
+    broken = np.logical_or.reduce(masks)
+    if broken.any():
+        i = int(broken.argmax())
+        rule = next(rule for rule, mask in zip(rules, masks) if mask[i])
+        cells = rows[i] if rows else [column[i] for column in columns]
+        if callable(rule.reason):
+            raise rule.reason(numbers[i], cells)
+        raise InvalidValue(numbers[i], rule.column,
+                           rule.reason.format(cells[names.index(rule.column)]))
+    return c
+
+
+def _calibration_batch(c: dict, names: list[str]) -> CalibrationBatch:
+    covariates = [c[name] for name in _covariates(names)]
+    return CalibrationBatch(c["customer_id"], c["tenure"], c["churned"],
+                            np.array(c["cause"], dtype="U1") if "cause" in c else None,
+                            np.stack(covariates, axis=1) if covariates else None)
+
+
+def _scoring_batch(c: dict, names: list[str]) -> ScoringBatch:
+    return ScoringBatch(c["customer_id"], c["tenure"], c["margin"],
+                        **{name: c[name] for name in names[2:-1]})
 
 
 def _until_error(lines: Iterator[str], failed: list[UnicodeDecodeError]) -> Iterator[str]:
@@ -454,12 +491,21 @@ def _plain(text: str, lines: list[str]) -> bool:
     return len(text) <= limit or max(map(len, lines)) <= limit
 
 
+def _columns(rows: list[list[str]], width: int) -> tuple[list, list[list[str]] | None]:
+    """The rows transposed, and the rows themselves if one has another number
+    of fields than ``width`` (its cells then cut or padded with "")."""
+    if set(map(len, rows)) == {width}:
+        return list(zip(*rows)), None
+    return list(zip(*((cells + [""] * width)[:width] for cells in rows))), rows
+
+
 def _text_batches(source: Iterator[str], path: str | Path, width: int, size: int):
     """Records after the header in batches of at most ``size``.
 
     Yields (row numbers, columns, rows) for each batch's non-blank records:
-    ``columns`` holds the cells transposed when every record has ``width``
-    fields, else it is None and ``rows`` holds each record's cells. A batch
+    ``columns`` holds the cells transposed, and ``rows`` is None when every
+    record has ``width`` fields, else it holds each record's cells (the
+    columns then hold them cut or padded with "" to ``width``). A batch
     of plain lines (``_plain``) is split as text; any other batch is read by
     ``csv.reader`` from the same lines, and from the file beyond them where a
     quoted field runs on. A record csv cannot read ends the batch before it,
@@ -472,7 +518,7 @@ def _text_batches(source: Iterator[str], path: str | Path, width: int, size: int
             numbers = range(first, first + len(lines))
             first += len(lines)
             if set(map(str.count, lines, repeat(","))) != {width - 1}:
-                yield numbers, None, [line.rstrip("\n").split(",") for line in lines]
+                yield numbers, *_columns([line.rstrip("\n").split(",") for line in lines], width)
                 continue
             del lines  # free each copy of the text before the cells exist
             text = text.replace("\n", ",")
@@ -494,23 +540,19 @@ def _text_batches(source: Iterator[str], path: str | Path, width: int, size: int
             numbers = [n for n, cells in zip(numbers, rows) if cells]
             rows = [cells for cells in rows if cells]
         if rows:
-            columns = _columns(rows, width)
-            yield numbers, columns, None if columns else rows
-            del columns
+            yield numbers, *_columns(rows, width)
         del rows
         if error is not None:
             raise error
 
 
-def _read_batches(path: str | Path, header_columns, batch_of, row_check, size: int):
+def _read_batches(path: str | Path, schema, batch_of, size: int):
     """Shared reader loop: header, then one validated batch per ``size`` records.
 
-    ``header_columns(header)`` checks the file's header and returns the
-    column names of its rows; ``batch_of(columns)`` parses the transposed
-    cells into a batch, or returns None when a cell breaks a rule, and
-    ``row_check(cells, row, names, seen)`` then names the first failing row.
-    Text that is not UTF-8, or a record csv cannot read, is InvalidDocument
-    naming the file.
+    ``schema(header)`` checks the file's header and returns the column names
+    of its rows and their rules; ``batch_of(c, names)`` builds a batch from
+    the checked columns. Text that is not UTF-8, or a record csv cannot
+    read, is InvalidDocument naming the file.
     """
     if size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -522,19 +564,13 @@ def _read_batches(path: str | Path, header_columns, batch_of, row_check, size: i
         except csv.Error as exc:
             raise InvalidDocument(path, f"row 1: {exc}") from None
         if not failed:
-            columns = header_columns(header)
+            names, rules = schema(header)
             seen: set[str] = set()
-            for numbers, transposed, rows in _text_batches(source, path, len(columns), size):
-                batch = None
-                if transposed is not None and _add_ids(transposed[0], seen):
-                    batch = batch_of(transposed)
-                    if batch is None:
-                        seen.difference_update(transposed[0])
-                if batch is None:
-                    for cells, row in zip(rows or zip(*transposed), numbers):
-                        row_check(cells, row, columns, seen)
-                    raise AssertionError("a row check must fail where a column check did")
-                del transposed, rows  # free the cells before the next batch is read
+            for numbers, columns, rows in _text_batches(source, path, len(names), size):
+                c = _checked_columns(rules, names, numbers, columns, rows, seen)
+                del columns, rows  # free the cells before the next batch is read
+                batch = batch_of(c, names)
+                del c
                 yield batch
     if failed:
         exc = failed[0]
@@ -551,14 +587,12 @@ def read_calibration_batches(path: str | Path, mode: str = "single",
     of scope.
     """
     _check_mode(mode)
-    competing = mode == "competing"
 
-    def header_columns(header):
-        n_cov = _validate_header(header, _calibration_header(mode, 0))
-        return _calibration_header(mode, n_cov)
+    def schema(header):
+        names = _calibration_header(mode, _validate_header(header, _calibration_header(mode, 0)))
+        return names, _calibration_rules(names)
 
-    return _read_batches(path, header_columns, lambda cells: _calibration_batch(cells, competing),
-                         _check_calibration_row, batch_size)
+    return _read_batches(path, schema, _calibration_batch, batch_size)
 
 
 def read_scoring_batches(path: str | Path, mode: str = "single",
@@ -570,13 +604,13 @@ def read_scoring_batches(path: str | Path, mode: str = "single",
     """
     _check_mode(mode)
 
-    def header_columns(header):
-        columns = _scoring_header(mode)
-        if _validate_header(header, columns):
-            raise InvalidValue(1, header[len(columns)], "unexpected column")
-        return columns
+    def schema(header):
+        names = _scoring_header(mode)
+        if _validate_header(header, names):
+            raise InvalidValue(1, header[len(names)], "unexpected column")
+        return names, _scoring_rules(names)
 
-    return _read_batches(path, header_columns, _scoring_batch, _check_scoring_row, batch_size)
+    return _read_batches(path, schema, _scoring_batch, batch_size)
 
 
 def read_calibration(path: str | Path, mode: str = "single") -> Iterator[CalibrationRecord]:
@@ -662,30 +696,6 @@ def write_projections(path: str | Path, rows: Iterable[ProjectionRow]) -> int:
     """Write projection rows; returns the number of rows written."""
     return write_projection_batches(
         path, map(ProjectionBatch.from_rows, chunks(rows, SCORING_BATCH_SIZE)))
-
-
-def read_projections(path: str | Path) -> Iterator[ProjectionRow]:
-    """Read back a projections file (used for round-trip checks and tooling)."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if _validate_header(header, PROJECTION_COLUMNS):
-            raise InvalidValue(1, header[len(PROJECTION_COLUMNS)], "unexpected column")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            _check_fields(row, PROJECTION_COLUMNS, lineno)
-            try:
-                truncated = int(row[4])
-            except ValueError:
-                raise InvalidValue(lineno, "truncated_at", "not an integer") from None
-            yield ProjectionRow(
-                customer_id=row[0],
-                alpha=_parse_float(row[1], lineno, "alpha"),
-                ert_months=_parse_float(row[2], lineno, "ert_months"),
-                clv=_parse_float(row[3], lineno, "clv"),
-                truncated_at=truncated,
-            )
 
 
 def write_calibration(path: str | Path, records: CalibrationBatch | Iterable[CalibrationRecord],

@@ -49,6 +49,7 @@ from .dataio import (
     ScoringBatch,
     ScoringRecord,
     as_batches,
+    json_number,
     write_csv,
 )
 from .projection import ProjectionConfig, project_batch, truncated_survival_sum
@@ -190,6 +191,9 @@ class SimSpec:
         if self.competing is not None:
             _check("competing", self.competing, 0.0 <= self.competing <= 1.0,
                    "lie in [0, 1]")
+        _check("alpha_dist_inv", self.alpha_dist_inv,
+               self.alpha_dist_inv is None or self.competing is not None,
+               "be unset without competing")
         _check("score_noise_sigma", self.score_noise_sigma,
                math.isfinite(self.score_noise_sigma) and self.score_noise_sigma >= 0.0,
                "be finite and >= 0")
@@ -495,17 +499,6 @@ def write_truth(path: str | Path, truths: TruthBatch | Iterable[TruthRecord]) ->
                      ((b.ids, b[1:]) for b in as_batches(truths, TruthBatch)))
 
 
-def _number(doc: dict, key: str, kind: type = float):
-    """``doc[key]`` as a ``kind``; ValueError naming ``key`` if it is not one."""
-    value = doc[key]
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
-
-
 # Kinds of the nested spec documents: the class built and its numeric keys.
 _SHAPES = {"flat": (FlatShape, {"h": float}),
            "step": (StepShape, {"h1": float, "h2": float, "change_t": int}),
@@ -527,7 +520,7 @@ def _nested(doc: dict, key: str, kinds: dict):
         if name not in sub:
             raise ValueError(f"{key} missing key: {name}")
     try:
-        return cls(**{name: _number(sub, name, conv) for name, conv in fields.items()})
+        return cls(**{name: json_number(sub[name], name, conv) for name, conv in fields.items()})
     except ValueError as exc:  # its message starts with the field's name
         raise ValueError(f"{key}.{exc}") from None
 
@@ -553,19 +546,22 @@ def simspec_from_dict(doc: dict) -> SimSpec:
         if key not in doc:
             raise ValueError(f"simulation spec missing key: {key}")
     doc = _SPEC_DEFAULTS | doc
-    projection = ProjectionConfig(eps=_number(doc, "eps"),
-                                  max_horizon=_number(doc, "max_horizon", int))
+
+    def number(key: str, kind: type = float):
+        return json_number(doc[key], key, kind)
+
+    projection = ProjectionConfig(eps=number("eps"), max_horizon=number("max_horizon", int))
     return SimSpec(
         baseline_shape=_nested(doc, "baseline_shape", _SHAPES),
         alpha_dist=_nested(doc, "alpha_dist", _ALPHA_DISTS),
-        n_customers=_number(doc, "n_customers", int),
-        max_tenure=_number(doc, "max_tenure", int),
-        seed=_number(doc, "seed", int),
-        competing=None if doc.get("competing") is None else _number(doc, "competing"),
+        n_customers=number("n_customers", int),
+        max_tenure=number("max_tenure", int),
+        seed=number("seed", int),
+        competing=None if doc.get("competing") is None else number("competing"),
         alpha_dist_inv=(None if doc.get("alpha_dist_inv") is None
                         else _nested(doc, "alpha_dist_inv", _ALPHA_DISTS)),
-        score_noise_sigma=_number(doc, "score_noise_sigma"),
-        margin=_number(doc, "margin"),
-        discount_monthly=_number(doc, "discount_monthly"),
+        score_noise_sigma=number("score_noise_sigma"),
+        margin=number("margin"),
+        discount_monthly=number("discount_monthly"),
         projection=projection,
     )

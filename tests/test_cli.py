@@ -101,6 +101,10 @@ class TestSimulateCommand:
         ({"margin": "nan"}, "margin"),
         ({"discount_monthly": -0.01}, "discount_monthly"),
         ({"max_tenure": 100_001}, "max_tenure"),
+        ({"alpha_dist_inv": {"kind": "fixed", "a": 9.0}}, "alpha_dist_inv"),
+        ({"n_customers": 2.5}, "n_customers"),
+        ({"baseline_shape": {"kind": "step", "h1": 0.1, "h2": 0.05, "change_t": 3.7}},
+         "baseline_shape.change_t"),
     ])
     def test_out_of_range_spec_value_names_the_key(self, tmp_path, capsys, change, key):
         spec = write_json(tmp_path / "spec.json", SIM_SPEC | change)

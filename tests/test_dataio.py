@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -157,13 +159,16 @@ class TestProjectionsRoundTrip:
                 for i in range(50)]
         path = tmp_path / "p.csv"
         assert dataio.write_projections(path, rows) == 50
-        back = list(dataio.read_projections(path))
-        assert [r.customer_id for r in back] == [r.customer_id for r in rows]
-        for a, b in zip(rows, back):
-            assert b.alpha == pytest.approx(a.alpha, abs=5e-7)
-            assert b.ert_months == pytest.approx(a.ert_months, abs=5e-7)
-            assert b.clv == pytest.approx(a.clv, abs=5e-7)
-            assert b.truncated_at == a.truncated_at
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == dataio.PROJECTION_COLUMNS
+            back = list(reader)
+        assert [r[0] for r in back] == [r.customer_id for r in rows]
+        for a, (_, alpha, ert, clv, truncated_at) in zip(rows, back):
+            assert float(alpha) == pytest.approx(a.alpha, abs=5e-7)
+            assert float(ert) == pytest.approx(a.ert_months, abs=5e-7)
+            assert float(clv) == pytest.approx(a.clv, abs=5e-7)
+            assert int(truncated_at) == a.truncated_at
 
     def test_fixed_column_order(self, tmp_path):
         path = tmp_path / "p.csv"
