@@ -22,14 +22,20 @@ import sys
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-import numpy as np
+# Before numpy loads: OpenBLAS otherwise starts a second thread at import,
+# which cost about 65 ms of every command's start on a 2-core host (import
+# numpy 165 ms against 100 ms), and the odds fit on a 100k x 8 design took
+# about 0.2 s on two threads against 0.07 s on one. Every command is one
+# Python thread on narrow arrays, so one BLAS thread loses nothing; a value
+# the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import dataio, simulate
-from .errors import ClvkitError, MissingColumn
-from .odds import fit_odds_columns, save_model
-from .pipeline import DEFAULT_CHUNK_SIZE, score_batches, score_batches_competing
-from .projection import ProjectionConfig
-from .survival import (
+import numpy as np  # noqa: E402
+
+# Only what every command uses loads here; each runner imports the rest.
+from . import dataio  # noqa: E402
+from .errors import ClvkitError, MissingColumn  # noqa: E402
+from .survival import (  # noqa: E402
     BaselineHazard,
     PoolingConfig,
     detect_tail_start,
@@ -42,7 +48,6 @@ from .survival import (
     resolve,
     save_baseline,
 )
-from .valuation import DiscountSpec, annual_to_monthly_rate
 
 log = logging.getLogger("clvkit")
 
@@ -190,7 +195,9 @@ def run_baseline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_discount(args: argparse.Namespace) -> DiscountSpec:
+def _resolve_discount(args: argparse.Namespace):
+    from .valuation import DiscountSpec, annual_to_monthly_rate
+
     if args.discount_annual is not None and args.discount_monthly is not None:
         raise UsageError("--discount-annual and --discount-monthly are mutually exclusive")
     if args.discount_annual is not None:
@@ -201,6 +208,9 @@ def _resolve_discount(args: argparse.Namespace) -> DiscountSpec:
 
 
 def run_score(args: argparse.Namespace) -> int:
+    from .pipeline import score_batches, score_batches_competing
+    from .projection import ProjectionConfig
+
     discount = _resolve_discount(args)
     try:
         config = ProjectionConfig(eps=args.eps, max_horizon=args.max_horizon)
@@ -250,6 +260,8 @@ def _stack(parts: list[np.ndarray], empty_shape: tuple[int, ...]) -> np.ndarray:
 
 
 def run_fit_odds(args: argparse.Namespace) -> int:
+    from .odds import fit_odds_columns, save_model
+
     loaded = load_baseline(args.baseline)
     tenure, churned, covariates = [], [], []
     for batch in dataio.read_calibration_batches(args.calibration, "single"):
@@ -271,6 +283,8 @@ def run_fit_odds(args: argparse.Namespace) -> int:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
+    from . import simulate
+
     doc = _read_json(args.spec, "simulation spec")
     if args.seed is not None:
         if not isinstance(doc, dict):
@@ -314,11 +328,11 @@ COMMANDS: dict[str, tuple] = {
         Option("--out", required=True, help="output projections CSV path"),
         Option("--eps", float, 1e-6, help="survival truncation threshold"),
         Option("--max-horizon", int, 1200, help="hard cap on projected months"),
-        Option("--discount-annual", float),
-        Option("--discount-monthly", float),
+        Option("--discount-annual", float, minimum=0),
+        Option("--discount-monthly", float, minimum=0),
         Option("--competing", bool, False),
         Option("--baseline-inv", help="involuntary baseline JSON (competing mode)"),
-        Option("--chunk-size", int, DEFAULT_CHUNK_SIZE, minimum=1,
+        Option("--chunk-size", int, dataio.SCORING_BATCH_SIZE, minimum=1,
                help="customers scored per batch (1 = sequential)"),
     ]),
     "curve": (run_curve, "emit one scaled hazard curve as plot data", [

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -38,6 +39,8 @@ from .errors import (
     InvalidRecord,
     NotMonotone,
 )
+
+log = logging.getLogger(__name__)
 
 SMOOTHING_NONE = "none"
 SMOOTHING_JEFFREYS = "jeffreys"
@@ -385,7 +388,8 @@ def detect_tail_start(baseline: BaselineHazard, window: int = 6,
     windows of length ``window`` has exposure-weighted mean hazards within
     ``rel_tol`` of each other (relative to the larger mean). If even the
     last testable pair disagrees, falls back to the 90th percentile of
-    observed tenures. Deterministic; automates eyeballing the hazard plot.
+    observed tenures and logs a warning naming it. Deterministic; automates
+    eyeballing the hazard plot.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -412,7 +416,11 @@ def detect_tail_start(baseline: BaselineHazard, window: int = 6,
         return abs(m1 - m2) <= rel_tol * max(m1, m2)
 
     if not stable(last):
-        return int(np.percentile(observed, 90, method="lower"))
+        fallback = int(np.percentile(observed, 90, method="lower"))
+        log.warning("no stable tail: the last two %d-month windows from tenure %d differ "
+                    "by more than %g%% in mean hazard; the tail starts at the "
+                    "90th-percentile observed tenure %d", window, last, 100 * rel_tol, fallback)
+        return fallback
     start = last
     while start > 0 and stable(start - 1):
         start -= 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -160,6 +161,28 @@ class TestBaselineCommand:
         assert main(["baseline", "--calibration", str(bad),
                      "--out", str(tmp_path / "b.json")]) == 1
 
+    @pytest.mark.parametrize("customers, warned", [
+        # 10 (t + 1) customers and 5 churns at tenure t: the hazard keeps
+        # falling, so the last two windows (12-17, 18-23) differ by 28 %.
+        pytest.param(lambda t: 10 * (t + 1), True, id="falling"),
+        pytest.param(lambda t: 100, False, id="flat"),
+    ])
+    def test_tail_fallback_warns(self, tmp_path, caplog, customers, warned):
+        calibration = tmp_path / "calibration.csv"
+        dataio.write_calibration(calibration, [
+            dataio.CalibrationRecord(f"c{t}-{i}", t, int(i < 5))
+            for t in range(24) for i in range(customers(t))])
+        out = tmp_path / "b.json"
+        assert main(["baseline", "--calibration", str(calibration), "--out", str(out)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        if warned:
+            assert len(warnings) == 1, warnings
+            assert "90th-percentile observed tenure 20" in warnings[0]
+            assert load_baseline(out).baseline.tail_start == 20
+        else:
+            assert warnings == []
+            assert load_baseline(out).baseline.tail_start == 0
+
     def test_competing_writes_two_files(self, tmp_path):
         spec = dict(SIM_SPEC)
         spec.update({"competing": 0.6, "n_customers": 3_000})
@@ -214,6 +237,19 @@ class TestScoreCommand:
                      "--out", str(tmp_path / "p.csv"),
                      "--discount-annual", "0.1", "--discount-monthly", "0.01"])
         assert code == 2
+
+    @pytest.mark.parametrize("option", ["--discount-annual", "--discount-monthly"])
+    @pytest.mark.parametrize("by_config", [False, True])
+    def test_negative_discount_is_usage_error(self, score_inputs, tmp_path, capsys,
+                                              option, by_config):
+        if by_config:
+            cfg = write_json(tmp_path / "c.json", {option[2:].replace("-", "_"): -0.1})
+            extra = ["--config", str(cfg)]
+        else:
+            extra = [f"{option}=-0.5"]
+        code = main(["score", *score_inputs, *extra])
+        assert_one_line_error(capsys, code, 2, f"{option} must be >= 0")
+        assert not (tmp_path / "p.csv").exists()
 
     def test_discount_lowers_clv(self, cohort_dir, tmp_path):
         baseline = tmp_path / "baseline.json"
@@ -457,6 +493,69 @@ class TestUsage:
         baseline = tmp_path / "baseline.json"
         assert main(["baseline", "--calibration", str(cohort_dir / "calibration.csv"),
                      "--out", str(baseline), "--tail-start", "0"]) == 0
+
+
+def python(code, blas_threads=None):
+    """Run ``code`` in a fresh interpreter, with OPENBLAS_NUM_THREADS set to
+    ``blas_threads`` or unset; its stdout, stripped."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestLazyImports:
+    def test_package_import_loads_no_numpy_and_sets_nothing(self):
+        code = ("import os, sys, clvkit; "
+                "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)")
+        assert python(code) == "False False"
+
+    @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")])
+    def test_cli_import_defaults_blas_to_one_thread(self, given, expected):
+        code = "import os, clvkit.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert python(code, blas_threads=given) == expected
+
+    def test_cli_import_loads_only_what_every_command_uses(self):
+        code = ("import sys, clvkit.cli; "
+                "print(*sorted(m for m in sys.modules if m.startswith('clvkit')))")
+        assert python(code) == "clvkit clvkit.cli clvkit.dataio clvkit.errors clvkit.survival"
+
+    def test_every_export_is_its_submodules_object(self):
+        code = """
+import importlib, clvkit
+for name in clvkit.__all__:
+    value = getattr(clvkit, name)
+    home = importlib.import_module(value.__module__)
+    assert home.__name__.startswith("clvkit."), name
+    assert getattr(home, name) is value, name
+    assert name in dir(clvkit), name
+print("ok")
+"""
+        assert python(code) == "ok"
+
+    def test_star_import_binds_every_name(self):
+        code = """
+import clvkit
+names = {}
+exec("from clvkit import *", names)
+print(sorted(set(clvkit.__all__) - set(names)))
+"""
+        assert python(code) == "[]"
+
+    def test_unknown_attribute_raises_attribute_error(self):
+        code = """
+import clvkit
+try:
+    clvkit.no_such_name
+except AttributeError as exc:
+    print(exc)
+print(hasattr(clvkit, "cli"), clvkit.survival.__name__)
+"""
+        assert python(code).splitlines() == [
+            "module 'clvkit' has no attribute 'no_such_name'", "False clvkit.survival"]
 
 
 class TestDataErrors:
