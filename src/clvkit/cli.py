@@ -39,8 +39,7 @@ from .survival import (  # noqa: E402
     BaselineHazard,
     PoolingConfig,
     detect_tail_start,
-    estimate_cause_specific_from_batches,
-    estimate_hazard_from_batches,
+    estimate_causes,
     extrapolate_tail,
     hazard_to_survival,
     load_baseline,
@@ -178,15 +177,13 @@ def _warn_sparse(baseline: BaselineHazard, min_events: int) -> None:
 
 def run_baseline(args: argparse.Namespace) -> int:
     min_events = PoolingConfig().min_events if args.min_events is None else args.min_events
-    mode = "competing" if args.competing else "single"
-    batches = dataio.read_calibration_batches(args.calibration, mode)
     if args.competing:
-        baseline_v, baseline_inv = estimate_cause_specific_from_batches(batches, args.smoothing)
-        outputs = [(_suffixed(args.out, "v"), baseline_v),
-                   (_suffixed(args.out, "inv"), baseline_inv)]
+        mode, causes = "competing", dataio.CAUSES
+        paths = [_suffixed(args.out, "v"), _suffixed(args.out, "inv")]
     else:
-        outputs = [(Path(args.out), estimate_hazard_from_batches(batches, args.smoothing))]
-    for path, baseline in outputs:
+        mode, causes, paths = "single", (), [Path(args.out)]
+    batches = dataio.read_calibration_batches(args.calibration, mode)
+    for path, baseline in zip(paths, estimate_causes(batches, causes, args.smoothing)):
         baseline = _with_tail(baseline, args.tail_start, args.auto_tail)
         _warn_sparse(baseline, min_events)
         save_baseline(path, baseline, min_events=args.min_events)
@@ -208,7 +205,7 @@ def _resolve_discount(args: argparse.Namespace):
 
 
 def run_score(args: argparse.Namespace) -> int:
-    from .pipeline import score_batches, score_batches_competing
+    from .pipeline import score_causes
     from .projection import ProjectionConfig
 
     discount = _resolve_discount(args)
@@ -219,19 +216,14 @@ def run_score(args: argparse.Namespace) -> int:
     if args.competing:
         if args.baseline_inv is None:
             raise UsageError("--competing requires --baseline-inv")
-        loaded_v = load_baseline(args.baseline)
-        loaded_i = load_baseline(args.baseline_inv)
-        batches = dataio.read_scoring_batches(args.scoring, "competing", args.chunk_size)
-        projections = score_batches_competing(
-            batches, loaded_v.baseline, loaded_i.baseline,
-            config=config, discount=discount,
-            pooling_v=loaded_v.pooling, pooling_inv=loaded_i.pooling)
+        mode, paths = "competing", [args.baseline, args.baseline_inv]
     else:
-        loaded = load_baseline(args.baseline)
-        batches = dataio.read_scoring_batches(args.scoring, "single", args.chunk_size)
-        projections = score_batches(batches, loaded.baseline, config=config,
-                                    discount=discount, pooling=loaded.pooling)
-    count = dataio.write_projection_batches(args.out, projections)
+        mode, paths = "single", [args.baseline]
+    causes = [(column, loaded.baseline, loaded.pooling) for column, loaded
+              in zip(dataio.score_columns(mode), map(load_baseline, paths))]
+    batches = dataio.read_scoring_batches(args.scoring, mode, args.chunk_size)
+    count = dataio.write_projection_batches(
+        args.out, score_causes(batches, causes, config=config, discount=discount))
     log.info("scored %d customers: %s", count, args.out)
     return 0
 

@@ -3,8 +3,9 @@
 Three row formats move through the pipeline:
 
 * calibration: one customer observed at a snapshot, with the churn outcome
-  over the following month (``customer_id,tenure,churned``, plus ``cause``
-  in competing-risks mode and optional covariate columns ``x1..xm``),
+  over the following month (``customer_id,tenure,churned``, plus ``cause``,
+  required in competing-risks mode and optional otherwise, and optional
+  covariate columns ``x1..xm``),
 * scoring: one live customer with churn-model score(s) and a monthly margin,
 * projections: the per-customer output written by the scorer.
 
@@ -58,6 +59,8 @@ from .errors import ClvkitError, DuplicateCustomerId, InvalidDocument, InvalidVa
 
 CAUSE_VOLUNTARY = "V"
 CAUSE_INVOLUNTARY = "I"
+# The competing-risks causes, in the order of their score columns and baselines.
+CAUSES = (CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY)
 
 PROJECTION_COLUMNS = ["customer_id", "alpha", "ert_months", "clv", "truncated_at"]
 
@@ -123,9 +126,9 @@ class CalibrationBatch(NamedTuple):
     """Consecutive calibration rows as columns.
 
     From a file, ``tenure`` and ``churned`` are int64; ``cause`` holds "V",
-    "I" or "" (survivors) per row in competing-risks mode and is None
-    otherwise; ``covariates`` is a C-contiguous (rows, m) float64 array, or
-    None when the file has no ``x`` columns. The record-level estimators
+    "I" or "" (survivors) per row if the file has a cause column, else None;
+    ``covariates`` is a C-contiguous (rows, m) float64 array, or None when
+    the file has no ``x`` columns. The record-level estimators
     build batches whose columns hold the records' own objects instead.
     """
 
@@ -190,14 +193,11 @@ class ScoringBatch(NamedTuple):
                    column("churn_score"), column("score_v"), column("score_inv"))
 
     def records(self) -> Iterator[ScoringRecord]:
-        columns = [self.ids, self.tenure.tolist(), self.margin.tolist()]
-        if self.churn_score is not None:
-            for cid, tenure, margin, score in zip(*columns, self.churn_score.tolist()):
-                yield ScoringRecord(cid, tenure, margin, churn_score=score)
-        else:
-            for cid, tenure, margin, score_v, score_inv in zip(
-                    *columns, self.score_v.tolist(), self.score_inv.tolist()):
-                yield ScoringRecord(cid, tenure, margin, score_v=score_v, score_inv=score_inv)
+        names = score_columns("single" if self.churn_score is not None else "competing")
+        for cid, tenure, margin, *scores in zip(
+                self.ids, self.tenure.tolist(), self.margin.tolist(),
+                *(getattr(self, name).tolist() for name in names)):
+            yield ScoringRecord(cid, tenure, margin, **dict(zip(names, scores)))
 
 
 class ProjectionBatch(NamedTuple):
@@ -259,10 +259,13 @@ def _calibration_header(mode: str, covariate_count: int) -> list[str]:
     return cols
 
 
+def score_columns(mode: str) -> list[str]:
+    """The score columns of a scoring file in ``mode``, one per cause."""
+    return ["score_v", "score_inv"] if mode == "competing" else ["churn_score"]
+
+
 def _scoring_header(mode: str) -> list[str]:
-    if mode == "competing":
-        return ["customer_id", "tenure", "score_v", "score_inv", "margin"]
-    return ["customer_id", "tenure", "churn_score", "margin"]
+    return ["customer_id", "tenure", *score_columns(mode), "margin"]
 
 
 def _check_mode(mode: str) -> None:
@@ -380,7 +383,7 @@ def _calibration_rules(names: list[str]) -> list[_Rule]:
     rules = [*_leading_rules(names), _at_most(MAX_CALIBRATION_TENURE),
              _Rule("churned", _FLAG, None, "must be 0 or 1")]
     if "cause" in names:
-        causes = {CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY}
+        causes = set(CAUSES)
         rules += [_Rule("cause", None, lambda c: (c["churned"] == 1) & ~_isin(c["cause"], causes),
                         "must be V or I for churners"),
                   _Rule("cause", None, lambda c: (c["churned"] == 0) & ~_isin(c["cause"], {""}),
@@ -589,7 +592,10 @@ def read_calibration_batches(path: str | Path, mode: str = "single",
     _check_mode(mode)
 
     def schema(header):
-        names = _calibration_header(mode, _validate_header(header, _calibration_header(mode, 0)))
+        # A single-risk file may label its churners' causes: the column is
+        # checked as in a competing-risks file, and counting ignores it.
+        kind = "competing" if [h.strip() for h in (header or [])[3:4]] == ["cause"] else mode
+        names = _calibration_header(kind, _validate_header(header, _calibration_header(kind, 0)))
         return names, _calibration_rules(names)
 
     return _read_batches(path, schema, _calibration_batch, batch_size)
@@ -731,7 +737,7 @@ def write_scoring(path: str | Path, records: ScoringBatch | Iterable[ScoringReco
     A score column the batch lacks is written as zeros.
     """
     _check_mode(mode)
-    names = ["score_v", "score_inv"] if mode == "competing" else ["churn_score"]
+    names = score_columns(mode)
     template = "%s,%d" + f",{_FLOAT_FMT}" * (len(names) + 1) + "\n"
 
     def rows():

@@ -11,7 +11,9 @@ that path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,31 +80,54 @@ class CustomerProjection:
         object.__setattr__(self, "survival_path", survival_path)
 
 
-def _alpha(score: float, table: np.ndarray, t0: int) -> float:
-    if not (0.0 <= score <= 1.0):
-        raise ValueError(f"churn score must lie in [0, 1], got {score!r}")
+def coefficients(scores: Sequence[np.ndarray], h0: Sequence[np.ndarray], tenure: np.ndarray,
+                 ids: Sequence[str] | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each cause's coefficient ``score / h0`` and the combined ``sum(scores) / sum(h0)``.
+
+    ``scores`` and ``h0`` (the baseline hazards at ``tenure``) hold one array
+    per cause. A zero score gives 0 even over a zero hazard; a positive one
+    over a hazard of 0, or so small that the ratio overflows, raises
+    DegenerateBaseline naming the tenure and, given ``ids``, the customer.
+    The combined coefficient is 0 where the hazards sum to 0.
+    """
+    alphas = []
+    for score, h in zip(scores, h0):
+        zero = h == 0.0
+        with np.errstate(over="ignore"):
+            alpha = np.where(zero, 0.0, score / np.where(zero, 1.0, h))
+        bad = (zero & (score > 0.0)) | np.isinf(alpha)
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            who = "" if ids is None else f"customer {ids[i]!r}: "
+            raise DegenerateBaseline(
+                f"{who}baseline hazard at tenure {int(tenure[i])} is {float(h[i])!r} even "
+                f"after pooling, too small to scale a score of {float(score[i])!r}")
+        alphas.append(alpha)
+    total = reduce(operator.add, h0)  # no start value: a lone score of -0.0 stays -0.0
+    positive = total > 0.0
+    combined = np.where(positive, reduce(operator.add, scores) / np.where(positive, total, 1.0),
+                        0.0)
+    return alphas, combined
+
+
+def _customer_coefficients(scores: Sequence[float], tables: Sequence[np.ndarray],
+                           t0: int) -> tuple[list[float], float]:
+    """``coefficients`` of one customer at tenure ``t0``, as floats."""
+    for score in scores:
+        if not (0.0 <= score <= 1.0):
+            raise ValueError(f"churn score must lie in [0, 1], got {score!r}")
     if t0 < 0:
         raise ValueError("tenure must be >= 0")
-    h0 = float(lookup(table, t0))
-    if h0 == 0.0 and score == 0.0:
-        return 0.0
-    alpha = score / h0 if h0 > 0.0 else math.inf
-    if math.isinf(alpha):
-        raise DegenerateBaseline(f"baseline hazard at tenure {t0} is {h0!r} even after "
-                                 f"pooling, too small to scale a score of {score!r}")
-    return alpha
+    t = np.array([t0])
+    alphas, combined = coefficients(np.array(scores, dtype=np.float64)[:, None],
+                                    [lookup(table, t) for table in tables], t)
+    return [alpha.item() for alpha in alphas], combined.item()
 
 
 def compute_alpha(score: float, baseline: BaselineHazard, t0: int,
                   pooling: PoolingConfig | None = None) -> float:
-    """Proportionality coefficient: churn score over baseline hazard at t0.
-
-    A zero score yields alpha 0 even if the baseline hazard at t0 is zero
-    (the customer can never churn); a positive score against a zero (or so
-    small that the ratio overflows) baseline hazard has no finite
-    coefficient and raises DegenerateBaseline.
-    """
-    return _alpha(score, resolve(baseline, pooling), t0)
+    """Proportionality coefficient: churn score over baseline hazard at t0 (``coefficients``)."""
+    return _customer_coefficients((score,), (resolve(baseline, pooling),), t0)[0][0]
 
 
 def _hazard(tables: Sequence[np.ndarray], alphas: Sequence, t) -> np.ndarray:
@@ -199,13 +224,22 @@ def expected_remaining_tenure(alpha: float, baseline: BaselineHazard, t0: int,
     return p.ert_months, p.survival_path, p.truncated_at
 
 
+def _project(scores: Sequence[float], baselines: Sequence[BaselineHazard], t0: int,
+             config: ProjectionConfig | None, pooling: PoolingConfig | None,
+             cause_fields: Sequence[str] = ()) -> CustomerProjection:
+    """One customer's projection from one score and baseline per cause; ``alpha`` is
+    the combined coefficient, and ``cause_fields`` name the causes' own."""
+    tables = [resolve(baseline, pooling) for baseline in baselines]
+    alphas, alpha = _customer_coefficients(scores, tables, t0)
+    return fold_path(tables, alphas, t0, config or ProjectionConfig(), alpha=alpha,
+                     **dict(zip(cause_fields, alphas)))
+
+
 def project_customer(score: float, baseline: BaselineHazard, t0: int,
                      config: ProjectionConfig | None = None,
                      pooling: PoolingConfig | None = None) -> CustomerProjection:
     """Full single-risk projection: alpha, paths, and expected remaining tenure."""
-    table = resolve(baseline, pooling)
-    alpha = _alpha(score, table, t0)
-    return fold_path((table,), (alpha,), t0, config or ProjectionConfig(), alpha=alpha)
+    return _project((score,), (baseline,), t0, config, pooling)
 
 
 def project_competing(score_v: float, score_inv: float,
@@ -221,13 +255,8 @@ def project_competing(score_v: float, score_inv: float,
     hide a combined rate above 1). Both sub-baselines must come from the
     same snapshot so their sub-hazards share exposure denominators.
     """
-    tables = (resolve(baseline_v, pooling), resolve(baseline_inv, pooling))
-    alpha_v = _alpha(score_v, tables[0], t0)
-    alpha_inv = _alpha(score_inv, tables[1], t0)
-    h_total = float(lookup(tables[0], t0) + lookup(tables[1], t0))
-    alpha = (score_v + score_inv) / h_total if h_total > 0.0 else 0.0
-    return fold_path(tables, (alpha_v, alpha_inv), t0, config or ProjectionConfig(),
-                     alpha=alpha, alpha_v=alpha_v, alpha_inv=alpha_inv)
+    return _project((score_v, score_inv), (baseline_v, baseline_inv), t0, config, pooling,
+                    ("alpha_v", "alpha_inv"))
 
 
 def _months_to_eps(s: np.ndarray, q: np.ndarray, eps: float,

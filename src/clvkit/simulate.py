@@ -33,7 +33,7 @@ and the constant-hazard rest of the sum is added in closed form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -515,21 +515,23 @@ def _nested(doc: dict, key: str, kinds: dict):
     kind = sub.get("kind")
     if kind not in kinds:
         raise ValueError(f"unknown {key} kind {kind!r}")
-    cls, fields = kinds[kind]
-    for name in fields:
+    cls, numbers = kinds[kind]
+    for name in numbers:
         if name not in sub:
             raise ValueError(f"{key} missing key: {name}")
     try:
-        return cls(**{name: json_number(sub[name], name, conv) for name, conv in fields.items()})
+        return cls(**{name: json_number(sub[name], name, conv) for name, conv in numbers.items()})
     except ValueError as exc:  # its message starts with the field's name
         raise ValueError(f"{key}.{exc}") from None
 
 
-_SPEC_KEYS = {"baseline_shape", "alpha_dist", "n_customers", "max_tenure", "seed",
-              "competing", "alpha_dist_inv", "score_noise_sigma", "margin",
-              "discount_monthly", "eps", "max_horizon"}
-_SPEC_DEFAULTS = {"score_noise_sigma": 0.0, "margin": 1.0, "discount_monthly": 0.0,
-                  "eps": 1e-6, "max_horizon": 1200}
+# The simulation spec's keys in parse order, each with its number type or its
+# nested kinds: SimSpec's fields, with ``projection`` as ProjectionConfig's.
+# An omitted key takes the dataclass default; null is allowed where that is None.
+_SPEC = {"baseline_shape": _SHAPES, "alpha_dist": _ALPHA_DISTS, "n_customers": int,
+         "max_tenure": int, "seed": int, "competing": float, "alpha_dist_inv": _ALPHA_DISTS,
+         "score_noise_sigma": float, "margin": float, "discount_monthly": float,
+         "eps": float, "max_horizon": int}
 
 
 def simspec_from_dict(doc: dict) -> SimSpec:
@@ -539,29 +541,17 @@ def simspec_from_dict(doc: dict) -> SimSpec:
     """
     if not isinstance(doc, dict):
         raise ValueError("simulation spec must be a JSON object")
-    unknown = set(doc) - _SPEC_KEYS
+    unknown = set(doc) - set(_SPEC)
     if unknown:
         raise ValueError(f"unknown simulation spec keys: {sorted(unknown)}")
-    for key in ("baseline_shape", "alpha_dist", "n_customers", "max_tenure", "seed"):
-        if key not in doc:
-            raise ValueError(f"simulation spec missing key: {key}")
-    doc = _SPEC_DEFAULTS | doc
-
-    def number(key: str, kind: type = float):
-        return json_number(doc[key], key, kind)
-
-    projection = ProjectionConfig(eps=number("eps"), max_horizon=number("max_horizon", int))
-    return SimSpec(
-        baseline_shape=_nested(doc, "baseline_shape", _SHAPES),
-        alpha_dist=_nested(doc, "alpha_dist", _ALPHA_DISTS),
-        n_customers=number("n_customers", int),
-        max_tenure=number("max_tenure", int),
-        seed=number("seed", int),
-        competing=None if doc.get("competing") is None else number("competing"),
-        alpha_dist_inv=(None if doc.get("alpha_dist_inv") is None
-                        else _nested(doc, "alpha_dist_inv", _ALPHA_DISTS)),
-        score_noise_sigma=number("score_noise_sigma"),
-        margin=number("margin"),
-        discount_monthly=number("discount_monthly"),
-        projection=projection,
-    )
+    for f in fields(SimSpec):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in doc:
+            raise ValueError(f"simulation spec missing key: {f.name}")
+    nullable = {f.name for f in fields(SimSpec) if f.default is None}
+    values = {key: None if doc[key] is None and key in nullable
+              else _nested(doc, key, kind) if isinstance(kind, dict)
+              else json_number(doc[key], key, kind)
+              for key, kind in _SPEC.items() if key in doc}
+    projection = {f.name: values.pop(f.name) for f in fields(ProjectionConfig)
+                  if f.name in values}
+    return SimSpec(**values, projection=ProjectionConfig(**projection))

@@ -17,14 +17,13 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .dataio import (
     CALIBRATION_BATCH_SIZE,
-    CAUSE_INVOLUNTARY,
-    CAUSE_VOLUNTARY,
+    CAUSES,
     MAX_CALIBRATION_TENURE,
     CalibrationBatch,
     CalibrationRecord,
@@ -121,8 +120,7 @@ class BaselineHazard:
             raise ValueError("tail_start must lie in [0, T_max + 1]")
         if not (math.isfinite(self.tail_rate) and 0.0 <= self.tail_rate <= 1.0):
             raise ValueError("tail_rate must be a rate in [0, 1]")
-        if self.smoothing not in (SMOOTHING_NONE, SMOOTHING_JEFFREYS):
-            raise ValueError(f"unknown smoothing {self.smoothing!r}")
+        _check_smoothing(self.smoothing)
         for arr in (hazards, exposures, events):
             arr.setflags(write=False)
         object.__setattr__(self, "hazards", hazards)
@@ -193,14 +191,14 @@ def _item(column: np.ndarray, i: int):
 
 
 def _first_invalid(tenure: np.ndarray, churned: np.ndarray, cause: np.ndarray | None,
-                   start: int) -> None:
+                   causes: Sequence[str], start: int) -> None:
     """Raise InvalidRecord for the first row that cannot be counted.
 
     Columns may hold objects (``_record_batches``), so the tenure check
     covers type as well as sign. A tenure past ``MAX_CALIBRATION_TENURE`` is
-    invalid too: counting sizes its arrays by the largest tenure. ``cause``
-    is checked for churners only, and only when counting by cause. ``start``
-    is the index of the batch's first row.
+    invalid too: counting sizes its arrays by the largest tenure. A
+    churner's ``cause`` must be one of ``causes`` when counting by cause.
+    ``start`` is the index of the batch's first row.
     """
     if tenure.dtype == object:
         bad_tenure = np.fromiter(
@@ -211,9 +209,8 @@ def _first_invalid(tenure: np.ndarray, churned: np.ndarray, cause: np.ndarray | 
         bad_tenure = (tenure < 0) | (tenure > MAX_CALIBRATION_TENURE)
     bad_churn = ~((churned == 0) | (churned == 1))
     bad = bad_tenure | bad_churn
-    if cause is not None:
-        bad_cause = (churned == 1) & ~((cause == CAUSE_VOLUNTARY) | (cause == CAUSE_INVOLUNTARY))
-        bad |= bad_cause
+    if causes:
+        bad |= (churned == 1) & ~np.logical_or.reduce([cause == c for c in causes])
     if not bad.any():
         return
     i = int(np.argmax(bad))
@@ -222,7 +219,8 @@ def _first_invalid(tenure: np.ndarray, churned: np.ndarray, cause: np.ndarray | 
                                        f"[0, {MAX_CALIBRATION_TENURE}], got {_item(tenure, i)!r}")
     if bad_churn[i]:
         raise InvalidRecord(start + i, f"churn flag must be 0 or 1, got {_item(churned, i)!r}")
-    raise InvalidRecord(start + i, f"churner needs cause V or I, got {_item(cause, i)!r}")
+    got = None if cause is None else _item(cause, i)
+    raise InvalidRecord(start + i, f"churner needs cause {' or '.join(causes)}, got {got!r}")
 
 
 def _plus(total: np.ndarray, tenures: np.ndarray, size: int) -> np.ndarray:
@@ -232,31 +230,29 @@ def _plus(total: np.ndarray, tenures: np.ndarray, size: int) -> np.ndarray:
     return counts
 
 
-def _count(batches: Iterable[CalibrationBatch], by_cause: bool) -> tuple[np.ndarray, ...]:
-    """Exposures, events and (by cause) voluntary/involuntary events per tenure.
+def _count(batches: Iterable[CalibrationBatch],
+           causes: Sequence[str]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Exposures per tenure, and the events per tenure of each of ``causes``.
 
-    Rows are numbered from 0 across batches in InvalidRecord. All arrays
-    have length ``t_max + 1``; without ``by_cause`` the two cause arrays are
-    None.
+    With no causes, the one event vector counts every churner and the cause
+    column is not read. Rows are numbered from 0 across batches in
+    InvalidRecord. All arrays have length ``t_max + 1``.
     """
-    exposures = events = np.zeros(0, dtype=np.int64)
-    events_v = events_inv = exposures if by_cause else None
+    exposures = np.zeros(0, dtype=np.int64)
+    events = [exposures] * max(len(causes), 1)
     start = 0
     for batch in batches:
-        cause = batch.cause if by_cause else None
-        _first_invalid(batch.tenure, batch.churned, cause, start)
+        _first_invalid(batch.tenure, batch.churned, batch.cause, causes, start)
         tenure = batch.tenure.astype(np.int64, copy=False)
         churned = batch.churned == 1
         exposures = _plus(exposures, tenure, len(exposures))
         size = len(exposures)
-        events = _plus(events, tenure[churned], size)
-        if by_cause:
-            events_v = _plus(events_v, tenure[churned & (cause == CAUSE_VOLUNTARY)], size)
-            events_inv = _plus(events_inv, tenure[churned & (cause == CAUSE_INVOLUNTARY)], size)
+        masks = [churned & (batch.cause == c) for c in causes] or [churned]
+        events = [_plus(e, tenure[mask], size) for e, mask in zip(events, masks)]
         start += len(tenure)
     if start == 0:
         raise EmptyCalibration("no calibration records")
-    return exposures, events, events_v, events_inv
+    return exposures, events
 
 
 def _record_batches(records: Iterable[CalibrationRecord]) -> Iterator[CalibrationBatch]:
@@ -278,22 +274,25 @@ def _check_smoothing(smoothing: str) -> None:
         raise ValueError(f"unknown smoothing {smoothing!r}")
 
 
+def estimate_causes(batches: Iterable[CalibrationBatch], causes: Sequence[str],
+                    smoothing: str = SMOOTHING_NONE) -> list[BaselineHazard]:
+    """One baseline per cause over the shared exposures; no causes gives the whole base."""
+    _check_smoothing(smoothing)
+    exposures, events = _count(batches, causes)
+    return [_from_counts(e, exposures, smoothing) for e in events]
+
+
 def estimate_hazard_from_batches(batches: Iterable[CalibrationBatch],
                                  smoothing: str = SMOOTHING_NONE) -> BaselineHazard:
     """``estimate_hazard_by_tenure`` over column batches (``dataio.read_calibration_batches``)."""
-    _check_smoothing(smoothing)
-    exposures, events, _, _ = _count(batches, by_cause=False)
-    return _from_counts(events, exposures, smoothing)
+    return estimate_causes(batches, (), smoothing)[0]
 
 
 def estimate_cause_specific_from_batches(batches: Iterable[CalibrationBatch],
                                          smoothing: str = SMOOTHING_NONE,
                                          ) -> tuple[BaselineHazard, BaselineHazard]:
     """``estimate_cause_specific`` over column batches (``dataio.read_calibration_batches``)."""
-    _check_smoothing(smoothing)
-    exposures, _, events_v, events_inv = _count(batches, by_cause=True)
-    return (_from_counts(events_v, exposures, smoothing),
-            _from_counts(events_inv, exposures, smoothing))
+    return tuple(estimate_causes(batches, CAUSES, smoothing))
 
 
 def estimate_hazard_by_tenure(records: Iterable[CalibrationRecord],

@@ -201,6 +201,41 @@ class TestBaselineCommand:
         assert np.array_equal(bv.events + bi.events <= bv.exposures,
                               np.ones(len(bv.events), dtype=bool))
 
+    @pytest.mark.parametrize("flags", [
+        ["--auto-tail"],
+        ["--tail-start", "10", "--smoothing", "jeffreys", "--min-events", "0"],
+    ])
+    def test_single_risk_reads_a_cause_labelled_file(self, tmp_path, flags):
+        # The whole-base curve of a competing cohort: counting ignores causes.
+        spec = write_json(tmp_path / "spec.json",
+                          SIM_SPEC | {"competing": 0.6, "n_customers": 3_000})
+        assert main(["simulate", "--spec", str(spec), "--out-dir", str(tmp_path)]) == 0
+        labelled = tmp_path / "calibration.csv"
+        with open(labelled, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["customer_id", "tenure", "churned", "cause"]
+        assert {row[3] for row in rows[1:]} == {"", "V", "I"}
+        stripped = tmp_path / "stripped.csv"
+        stripped.write_text("".join(",".join(row[:3]) + "\n" for row in rows), encoding="utf-8")
+        for path in (labelled, stripped):
+            assert main(["baseline", "--calibration", str(path),
+                         "--out", str(tmp_path / f"{path.stem}.json"), *flags]) == 0
+        written = (tmp_path / "calibration.json").read_bytes()
+        assert written == (tmp_path / "stripped.json").read_bytes()
+        assert load_baseline(tmp_path / "calibration.json").baseline.events.sum() > 0
+
+    @pytest.mark.parametrize("row, reason", [
+        ("c2,4,1,X", "must be V or I for churners"),
+        ("c2,4,1,", "must be V or I for churners"),
+        ("c2,4,0,V", "must be empty unless churned"),
+    ])
+    def test_single_risk_checks_a_cause_column(self, tmp_path, capsys, row, reason):
+        path = tmp_path / "c.csv"
+        path.write_text(f"customer_id,tenure,churned,cause\nc1,3,1,I\n{row}\n",
+                        encoding="utf-8")
+        code = main(["baseline", "--calibration", str(path), "--out", str(tmp_path / "b.json")])
+        assert_one_line_error(capsys, code, 1, "row 3", "'cause'", reason)
+
 
 class TestScoreCommand:
     def test_end_to_end_and_clv_identity(self, cohort_dir, tmp_path):

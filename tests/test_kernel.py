@@ -9,9 +9,14 @@ CLV to 1e-12 relative (the gap left by summing in a different order).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 
+import contextlib
 import csv
+import io
+import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -407,3 +412,46 @@ def test_curve_baseline_column_matches_hazard_at_on_pooled_bins(tmp_path):
     pooled = [t for t in range(9) if np.isnan(hazards[t])
               or hazard_at(baseline, t, pooling) != hazards[t]]
     assert len(pooled) >= 5
+
+
+# Single risk is one cause of the same scoring path: a second cause with a
+# zero hazard and zero scores adds nothing, through the CLI and byte for byte.
+
+_NULL_CAUSE = {"version": 1, "hazards": [0.0], "exposures": [10], "events": [0],
+               "tail_start": 0, "tail_rate": 0.0, "smoothing": "none"}
+
+
+def _score_cli(argv: list[str]) -> tuple[int, str, bytes | None]:
+    """Exit code, standard error and output of ``score`` with ``argv``."""
+    out = Path(argv[argv.index("--out") + 1])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["score", *argv])
+    return code, err.getvalue(), out.read_bytes() if out.exists() else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(baseline=baselines(), pooling=poolings,
+       customers=st.lists(st.tuples(tenures, st.floats(0.0, 1.0),
+                                    st.floats(-100.0, 100.0)), min_size=1, max_size=12),
+       discount=st.sampled_from([[], ["--discount-annual", "0.1"]]),
+       chunk_size=st.sampled_from(["1", str(dataio.SCORING_BATCH_SIZE)]))
+def test_null_second_cause_is_single_risk_through_cli(baseline, pooling, customers,
+                                                      discount, chunk_size):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_baseline(tmp / "v.json", baseline, min_events=pooling.min_events)
+        (tmp / "null.json").write_text(json.dumps(_NULL_CAUSE), encoding="utf-8")
+        ids = [f"c{i}" for i in range(len(customers))]
+        dataio.write_scoring(tmp / "single.csv", [
+            ScoringRecord(cid, t, m, churn_score=s) for cid, (t, s, m) in zip(ids, customers)])
+        dataio.write_scoring(tmp / "competing.csv", [
+            ScoringRecord(cid, t, m, score_v=s, score_inv=0.0)
+            for cid, (t, s, m) in zip(ids, customers)], mode="competing")
+        options = ["--baseline", str(tmp / "v.json"), "--chunk-size", chunk_size, *discount]
+        single = _score_cli([*options, "--scoring", str(tmp / "single.csv"),
+                             "--out", str(tmp / "single_out.csv")])
+        competing = _score_cli([*options, "--competing", "--baseline-inv",
+                                str(tmp / "null.json"), "--scoring", str(tmp / "competing.csv"),
+                                "--out", str(tmp / "competing_out.csv")])
+    assert competing == single

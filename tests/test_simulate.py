@@ -210,6 +210,29 @@ class TestSpecParsing:
                                "n_customers": 10, "max_tenure": 2, "seed": 1})
 
 
+    REQUIRED = {"baseline_shape": {"kind": "flat", "h": 0.1},
+                "alpha_dist": {"kind": "fixed", "a": 1.0},
+                "n_customers": 10, "max_tenure": 2, "seed": 1}
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        default = SimSpec(FlatShape(0.1), FixedAlpha(1.0), n_customers=10, max_tenure=2, seed=1)
+        assert simspec_from_dict(self.REQUIRED) == default
+        nulls = {"competing": None, "alpha_dist_inv": None}
+        assert simspec_from_dict(self.REQUIRED | nulls) == default
+
+    @pytest.mark.parametrize("key", ["margin", "eps", "max_horizon", "score_noise_sigma"])
+    def test_null_is_no_default_where_the_default_is_a_value(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            simspec_from_dict(self.REQUIRED | {key: None})
+
+    def test_first_missing_key_in_field_order(self):
+        doc = {key: self.REQUIRED[key] for key in ("alpha_dist", "seed")}
+        with pytest.raises(ValueError, match="^simulation spec missing key: baseline_shape$"):
+            simspec_from_dict(doc)
+        with pytest.raises(ValueError, match="^simulation spec missing key: n_customers$"):
+            simspec_from_dict(doc | {"baseline_shape": self.REQUIRED["baseline_shape"]})
+
+
 class TestGoldenFiles:
     """Pin the seed-to-output mapping; a change here breaks replayability of
     archived cohorts and must be deliberate."""

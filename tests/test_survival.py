@@ -20,6 +20,7 @@ from clvkit.survival import (
     baseline_from_dict,
     detect_tail_start,
     estimate_cause_specific,
+    estimate_cause_specific_from_batches,
     estimate_hazard_by_tenure,
     estimate_hazard_from_batches,
     extrapolate_tail,
@@ -154,6 +155,12 @@ class TestCauseSpecific:
     def test_missing_cause_rejected(self):
         with pytest.raises(InvalidRecord):
             estimate_cause_specific([CalibrationRecord("a", 0, 1, None)])
+
+    def test_batches_without_a_cause_column_rejected(self):
+        # A churner must name its cause; a batch with no cause column names none.
+        batch = CalibrationBatch(("a", "b"), np.array([0, 1]), np.array([0, 1]), None, None)
+        with pytest.raises(InvalidRecord, match="record 1: churner needs cause V or I, got None"):
+            estimate_cause_specific_from_batches([batch])
 
 
 class TestKaplanMeier:
