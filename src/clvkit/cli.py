@@ -43,8 +43,7 @@ from .survival import (  # noqa: E402
     extrapolate_tail,
     hazard_to_survival,
     load_baseline,
-    lookup,
-    resolve,
+    pooling_windows,
     save_baseline,
 )
 
@@ -169,10 +168,10 @@ def _with_tail(baseline: BaselineHazard, tail_start, auto_tail: bool) -> Baselin
 
 
 def _warn_sparse(baseline: BaselineHazard, min_events: int) -> None:
-    below = int(np.sum(baseline.events[:baseline.tail_start] < min_events))
-    if below:
-        log.warning("%d tenure bins hold fewer than %d events; lookups there "
-                    "will pool neighboring bins", below, min_events)
+    _, _, pooled = pooling_windows(baseline, PoolingConfig(min_events))
+    if pooled.any():
+        log.warning("%d tenure bins hold fewer than %d events or no exposure; lookups "
+                    "there will pool neighboring bins", int(pooled.sum()), min_events)
 
 
 def run_baseline(args: argparse.Namespace) -> int:
@@ -229,17 +228,18 @@ def run_score(args: argparse.Namespace) -> int:
 
 
 def run_curve(args: argparse.Namespace) -> int:
+    from .projection import project_hazard
+
     loaded = load_baseline(args.baseline)
-    tenures = args.t0 + np.arange(args.horizon)
-    base = lookup(resolve(loaded.baseline, loaded.pooling), tenures)
-    scaled = np.minimum(1.0, args.alpha * base)
+    base, scaled = (project_hazard(alpha, loaded.baseline, args.t0, args.horizon, loaded.pooling)
+                    for alpha in (1.0, args.alpha))
     survival = hazard_to_survival(scaled)
     # Full-precision floats: this file feeds plots and numeric checks, so it
     # must round-trip the computed values exactly.
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("tenure,baseline_hazard,scaled_hazard,survival\n")
-        for t, b, h, s in zip(tenures.tolist(), base.tolist(), scaled.tolist(),
-                              survival.tolist()):
+        for t, b, h, s in zip(range(args.t0, args.t0 + args.horizon), base.tolist(),
+                              scaled.tolist(), survival.tolist()):
             fh.write(f"{t},{b!r},{h!r},{s!r}\n")
     log.info("wrote curve for alpha %.6f from tenure %d over %d months: %s",
              args.alpha, args.t0, args.horizon, args.out)

@@ -85,23 +85,29 @@ def coefficients(scores: Sequence[np.ndarray], h0: Sequence[np.ndarray], tenure:
     """Each cause's coefficient ``score / h0`` and the combined ``sum(scores) / sum(h0)``.
 
     ``scores`` and ``h0`` (the baseline hazards at ``tenure``) hold one array
-    per cause. A zero score gives 0 even over a zero hazard; a positive one
+    per cause. A score outside [0, 1] (or NaN) or a negative tenure raises
+    ValueError. A zero score gives 0 even over a zero hazard; a positive one
     over a hazard of 0, or so small that the ratio overflows, raises
-    DegenerateBaseline naming the tenure and, given ``ids``, the customer.
+    DegenerateBaseline. Either error names, given ``ids``, the customer.
     The combined coefficient is 0 where the hazards sum to 0.
     """
+    def check(bad: np.ndarray, error: type, message) -> None:
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            raise error(("" if ids is None else f"customer {ids[i]!r}: ") + message(i))
+
+    for score in scores:
+        check(~((score >= 0.0) & (score <= 1.0)), ValueError,
+              lambda i: f"churn score must lie in [0, 1], got {float(score[i])!r}")
+    check(tenure < 0, ValueError, lambda i: "tenure must be >= 0")
     alphas = []
     for score, h in zip(scores, h0):
         zero = h == 0.0
         with np.errstate(over="ignore"):
             alpha = np.where(zero, 0.0, score / np.where(zero, 1.0, h))
-        bad = (zero & (score > 0.0)) | np.isinf(alpha)
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            who = "" if ids is None else f"customer {ids[i]!r}: "
-            raise DegenerateBaseline(
-                f"{who}baseline hazard at tenure {int(tenure[i])} is {float(h[i])!r} even "
-                f"after pooling, too small to scale a score of {float(score[i])!r}")
+        check((zero & (score > 0.0)) | np.isinf(alpha), DegenerateBaseline, lambda i: (
+            f"baseline hazard at tenure {int(tenure[i])} is {float(h[i])!r} even "
+            f"after pooling, too small to scale a score of {float(score[i])!r}"))
         alphas.append(alpha)
     total = reduce(operator.add, h0)  # no start value: a lone score of -0.0 stays -0.0
     positive = total > 0.0
@@ -113,11 +119,6 @@ def coefficients(scores: Sequence[np.ndarray], h0: Sequence[np.ndarray], tenure:
 def _customer_coefficients(scores: Sequence[float], tables: Sequence[np.ndarray],
                            t0: int) -> tuple[list[float], float]:
     """``coefficients`` of one customer at tenure ``t0``, as floats."""
-    for score in scores:
-        if not (0.0 <= score <= 1.0):
-            raise ValueError(f"churn score must lie in [0, 1], got {score!r}")
-    if t0 < 0:
-        raise ValueError("tenure must be >= 0")
     t = np.array([t0])
     alphas, combined = coefficients(np.array(scores, dtype=np.float64)[:, None],
                                     [lookup(table, t) for table in tables], t)
@@ -146,6 +147,8 @@ def _hazard(tables: Sequence[np.ndarray], alphas: Sequence, t) -> np.ndarray:
 def _path(tables: Sequence[np.ndarray], alphas: Sequence[float], t0: int,
           months: int) -> np.ndarray:
     """One customer's clipped hazards at tenures t0 .. t0 + months - 1."""
+    if any(alpha < 0.0 or not math.isfinite(alpha) for alpha in alphas):
+        raise ValueError("alpha must be finite and >= 0")
     if t0 < 0:
         raise ValueError("tenure must be >= 0")
     return _hazard(tables, alphas, t0 + np.arange(months))
@@ -156,8 +159,6 @@ def project_hazard(alpha: float, baseline: BaselineHazard, t0: int,
     """Scaled hazard path from t0: min(1, alpha * baseline hazard), per month."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if alpha < 0.0 or not math.isfinite(alpha):
-        raise ValueError("alpha must be finite and >= 0")
     return _path((resolve(baseline, pooling),), (alpha,), t0, horizon)
 
 
@@ -217,8 +218,6 @@ def expected_remaining_tenure(alpha: float, baseline: BaselineHazard, t0: int,
     Returns ``(ert_months, survival_path, truncated_at)``; the path starts
     one month ahead of t0 and is already truncated per ``config``.
     """
-    if alpha < 0.0 or not math.isfinite(alpha):
-        raise ValueError("alpha must be finite and >= 0")
     p = fold_path((resolve(baseline, pooling),), (alpha,), t0, config or ProjectionConfig(),
                   alpha=alpha)
     return p.ert_months, p.survival_path, p.truncated_at

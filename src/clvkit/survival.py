@@ -5,8 +5,12 @@ has completed ``t`` months churns during the following month. It is
 estimated nonparametrically from a one-month-ahead snapshot (churn rates by
 tenure) or from full histories via the product-limit (Kaplan-Meier)
 estimator. Beyond the point where the curve stabilizes, a single pooled
-tail rate extrapolates it to arbitrary tenures, which makes ``hazard_at`` a
-total function of tenure.
+tail rate extrapolates it to arbitrary tenures.
+
+Below the tail, a bin with too few events or no exposure takes the rate of
+a window of neighbors: ``pooling_windows`` picks the windows from prefix
+sums, ``resolve`` tabulates the hazard at every tenure from the counts'
+``window_sums``, and ``hazard_at`` reads one entry (total for all t >= 0).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import (
     CALIBRATION_BATCH_SIZE,
@@ -57,9 +62,8 @@ _BASELINE_OPTIONAL_KEYS = {"min_events"}
 class PoolingConfig:
     """Sparse-bin handling for hazard lookups.
 
-    A tenure bin with fewer than ``min_events`` churn events is pooled with
-    symmetrically expanding neighbor bins until the pooled events reach the
-    threshold or the observed range is exhausted.
+    A tenure bin with fewer than ``min_events`` churn events, or with no
+    exposure, pools symmetrically expanding neighbor bins (``pooling_windows``).
     """
 
     min_events: int = 5
@@ -337,13 +341,9 @@ def kaplan_meier(histories: Iterable[EventHistory]) -> np.ndarray:
     histories = list(histories)
     if not histories:
         raise EmptyCalibration("no event histories")
-    max_d = max(h.duration for h in histories)
-    total = np.zeros(max_d + 1, dtype=np.int64)
-    deaths = np.zeros(max_d + 1, dtype=np.int64)
-    for h in histories:
-        total[h.duration] += 1
-        if h.churned:
-            deaths[h.duration] += 1
+    durations = np.array([h.duration for h in histories], dtype=np.int64)
+    total = np.bincount(durations)
+    deaths = np.bincount(durations, [bool(h.churned) for h in histories], total.size)
     # n_u = number with duration >= u
     at_risk = total[::-1].cumsum()[::-1]
     return np.cumprod(1.0 - deaths / at_risk)
@@ -397,33 +397,26 @@ def detect_tail_start(baseline: BaselineHazard, window: int = 6,
     if observed.size < 2 * window:
         raise InsufficientData(
             f"need at least {2 * window} observed tenures, have {observed.size}")
+    # Exposure and mean hazard of the window from each start. The float sums
+    # go window by window, as a slice's sum() does: differences of a running
+    # float sum round differently and could move the tail start.
     weighted = np.where(exposures > 0, baseline.hazards, 0.0) * exposures
-
-    def window_mean(a: int, b: int) -> float | None:
-        n = int(exposures[a:b].sum())
-        return float(weighted[a:b].sum() / n) if n > 0 else None
-
-    last = baseline.t_max - 2 * window + 1
-    if last < 0:
-        raise InsufficientData("observed range shorter than two windows")
-
-    def stable(s: int) -> bool:
-        m1 = window_mean(s, s + window)
-        m2 = window_mean(s + window, s + 2 * window)
-        if m1 is None or m2 is None:
-            return False
-        return abs(m1 - m2) <= rel_tol * max(m1, m2)
-
-    if not stable(last):
+    n = window_sums(exposures, np.arange(len(exposures) - window + 1),
+                    np.arange(window - 1, len(exposures)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = sliding_window_view(weighted, window).sum(axis=1) / n
+    m1, m2 = mean[:-window], mean[window:]
+    stable = ((n[:-window] > 0) & (n[window:] > 0)
+              & (np.abs(m1 - m2) <= rel_tol * np.maximum(m1, m2)))
+    last = len(stable) - 1
+    if not stable[last]:
         fallback = int(np.percentile(observed, 90, method="lower"))
         log.warning("no stable tail: the last two %d-month windows from tenure %d differ "
                     "by more than %g%% in mean hazard; the tail starts at the "
                     "90th-percentile observed tenure %d", window, last, 100 * rel_tol, fallback)
         return fallback
-    start = last
-    while start > 0 and stable(start - 1):
-        start -= 1
-    return start
+    unstable = np.flatnonzero(~stable)
+    return int(unstable[-1]) + 1 if unstable.size else 0
 
 
 def extrapolate_tail(baseline: BaselineHazard, tail_start: int) -> BaselineHazard:
@@ -442,54 +435,62 @@ def extrapolate_tail(baseline: BaselineHazard, tail_start: int) -> BaselineHazar
     return replace(baseline, tail_start=int(tail_start), tail_rate=tail_e / tail_n)
 
 
+def window_sums(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sums of integer ``counts`` over the tenures ``lo..hi`` (inclusive), by prefix sums."""
+    prefix = np.concatenate(([0], np.cumsum(counts)))
+    return prefix[hi + 1] - prefix[lo]
+
+
+def pooling_windows(baseline: BaselineHazard, pooling: PoolingConfig | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The window ``lo..hi`` of each tenure below the tail, and which tenures pool.
+
+    A tenure pools when its bin holds fewer than ``pooling.min_events``
+    events or no exposure. Its window is ``[t-k, t+k]``, cut at the observed
+    range, for the smallest ``k`` that holds at least ``min_events`` events
+    and some exposure, or that covers the whole range. An unpooled tenure's
+    window is the tenure itself.
+    """
+    min_events = (pooling or PoolingConfig()).min_events
+    events, exposures, t_max = baseline.events, baseline.exposures, baseline.t_max
+    t = np.arange(baseline.tail_start)
+    pooled = (events[t] < min_events) | (exposures[t] == 0)
+    # Windows only grow with k, so bisect for the smallest enough k; the k
+    # that covers the whole range is the starting answer and is never tested.
+    low, k = np.zeros_like(t), np.where(pooled, np.maximum(t, t_max - t), 0)
+    while np.any(low < k):
+        mid = (low + k) // 2
+        lo, hi = np.maximum(t - mid, 0), np.minimum(t + mid, t_max)
+        ok = (window_sums(events, lo, hi) >= min_events) & (window_sums(exposures, lo, hi) > 0)
+        low, k = np.where(ok, low, mid + 1), np.where(ok, mid, k)
+    return np.maximum(t - k, 0), np.minimum(t + k, t_max), pooled
+
+
 def hazard_at(baseline: BaselineHazard, t: int,
               pooling: PoolingConfig | None = None) -> float:
-    """Baseline hazard at tenure ``t``, total over all t >= 0.
-
-    Tenures at or beyond ``tail_start`` get the tail rate. Observed bins
-    with at least ``pooling.min_events`` events return their own rate;
-    sparser bins are pooled with symmetrically expanding neighbors. The
-    pooled rate uses the baseline's own smoothing rule.
-    """
+    """Hazard at any tenure ``t >= 0``: the tail rate from ``tail_start`` on, else ``resolve``'s."""
     if t < 0:
         raise ValueError("tenure must be >= 0")
-    if pooling is None:
-        pooling = PoolingConfig()
     if t >= baseline.tail_start:
         return baseline.tail_rate
-    events = baseline.events
-    exposures = baseline.exposures
-    if events[t] >= pooling.min_events and exposures[t] > 0:
-        return float(baseline.hazards[t])
-    t_max = baseline.t_max
-    lo = hi = t
-    pooled_e = int(events[t])
-    pooled_n = int(exposures[t])
-    while (pooled_e < pooling.min_events or pooled_n == 0) and (lo > 0 or hi < t_max):
-        if lo > 0:
-            lo -= 1
-            pooled_e += int(events[lo])
-            pooled_n += int(exposures[lo])
-        if hi < t_max:
-            hi += 1
-            pooled_e += int(events[hi])
-            pooled_n += int(exposures[hi])
-    if pooled_n == 0:
-        # Entire dataset is empty of exposure; fall back to the tail rate so
-        # the lookup stays total.
-        return baseline.tail_rate
-    return _smoothed_rate(pooled_e, pooled_n, baseline.smoothing)
+    return float(resolve(baseline, pooling)[t])
 
 
 def resolve(baseline: BaselineHazard, pooling: PoolingConfig | None = None) -> np.ndarray:
     """Dense hazard table ``h[0..tail_start]`` with pooling applied.
 
-    ``h[t] == hazard_at(baseline, t, pooling)`` for ``t < tail_start`` and
-    the last entry is the tail rate, so the hazard at any tenure ``t`` is
-    ``h[min(t, tail_start)]`` (see ``lookup``).
+    A bin with at least ``pooling.min_events`` events and some exposure
+    keeps its own rate; any other takes the rate of its ``pooling_windows``
+    window under the baseline's own smoothing, or the tail rate if the whole
+    range has no exposure. The last entry is the tail rate, so the hazard at
+    any tenure ``t`` is ``h[min(t, tail_start)]`` (see ``lookup``).
     """
-    return np.array([hazard_at(baseline, t, pooling) for t in range(baseline.tail_start)]
-                    + [baseline.tail_rate])
+    lo, hi, pooled = pooling_windows(baseline, pooling)
+    events, exposures = (window_sums(c, lo, hi) for c in (baseline.events, baseline.exposures))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = np.where(exposures > 0, _smoothed_rate(events, exposures, baseline.smoothing),
+                         baseline.tail_rate)
+    return np.append(np.where(pooled, rates, baseline.hazards[lo]), baseline.tail_rate)
 
 
 def lookup(table: np.ndarray, t):
@@ -538,9 +539,7 @@ def baseline_from_dict(doc: dict) -> LoadedBaseline:
     )
     min_events = doc.get("min_events")
     if min_events is not None:
-        min_events = int(min_events)
-        if min_events < 0:
-            raise ValueError("min_events must be >= 0")
+        min_events = PoolingConfig(int(min_events)).min_events
     return LoadedBaseline(baseline, min_events)
 
 

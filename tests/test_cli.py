@@ -183,6 +183,26 @@ class TestBaselineCommand:
             assert warnings == []
             assert load_baseline(out).baseline.tail_start == 0
 
+    @pytest.mark.parametrize("min_events, pooled", [("0", 1), ("25", 3)])
+    def test_sparse_warning_counts_the_bins_that_pool(self, tmp_path, caplog, min_events,
+                                                      pooled):
+        # No customer at tenure 1: at --min-events 0 only that empty bin
+        # pools; at 25 every bin below the tail with fewer events does too.
+        # Either way tenure 1 reads the window over tenures 0-2, 30 / 200.
+        calibration = tmp_path / "calibration.csv"
+        dataio.write_calibration(calibration, [
+            dataio.CalibrationRecord(f"c{t}-{i}", t, int(i < churners))
+            for t, churners in ((0, 10), (2, 20), (3, 5)) for i in range(100)])
+        out = tmp_path / "b.json"
+        assert main(["baseline", "--calibration", str(calibration), "--out", str(out),
+                     "--tail-start", "3", "--min-events", min_events]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1, warnings
+        assert warnings[0].startswith(f"{pooled} tenure bins hold fewer than {min_events} "
+                                      "events or no exposure")
+        loaded = load_baseline(out)
+        assert hazard_at(loaded.baseline, 1, loaded.pooling) == 30 / 200
+
     def test_competing_writes_two_files(self, tmp_path):
         spec = dict(SIM_SPEC)
         spec.update({"competing": 0.6, "n_customers": 3_000})

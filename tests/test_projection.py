@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from clvkit.dataio import ScoringRecord
 from clvkit.errors import DegenerateBaseline
+from clvkit.pipeline import score_stream
 from clvkit.projection import (
     CustomerProjection,
     ProjectionConfig,
@@ -65,6 +69,26 @@ class TestComputeAlpha:
     def test_out_of_range_score(self):
         with pytest.raises(ValueError):
             compute_alpha(1.2, flat_baseline(0.1), 0)
+
+
+class TestBatchScoringChecksInputs:
+    # The scalar projection rejects these; so does every batch scorer,
+    # naming the customer. Unchecked, tenure -1 read the tail rate through
+    # the table's last entry (alpha 2.0) and score 1.5 gave alpha 15.
+    @pytest.mark.parametrize("tenure, score, message", [
+        (-1, 0.1, "tenure must be >= 0"),
+        (2, 1.5, "churn score must lie in [0, 1], got 1.5"),
+        (2, float("nan"), "churn score must lie in [0, 1], got nan"),
+    ])
+    def test_score_stream_rejects_what_project_customer_rejects(self, tenure, score, message):
+        baseline = baseline_from_rates([0.1, 0.1, 0.05], exposure=100, tail_start=2)
+        records = [ScoringRecord("c1", 1, 10.0, churn_score=0.1),
+                   ScoringRecord("c2", tenure, 10.0, churn_score=score)]
+        with pytest.raises(ValueError) as caught:
+            list(score_stream(records, baseline))
+        assert str(caught.value) == f"customer 'c2': {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            project_customer(score, baseline, tenure)
 
 
 class TestProjectHazard:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clvkit.dataio import MAX_CALIBRATION_TENURE, CalibrationBatch, CalibrationRecord
 from clvkit.errors import (
@@ -29,6 +31,8 @@ from clvkit.survival import (
     jeffreys_view,
     kaplan_meier,
     load_baseline,
+    pooling_windows,
+    resolve,
     save_baseline,
     survival_to_hazard,
 )
@@ -462,3 +466,173 @@ class TestSnapshotKaplanMeierEquivalence:
         baseline = estimate_hazard_by_tenure(self.expand_to_snapshot(histories))
         km_hazards = survival_to_hazard(kaplan_meier(histories))
         assert np.array_equal(km_hazards, baseline.hazards)
+
+
+# Reference implementations: the scalar expanding-window pooling loop and the
+# start-by-start tail scan that the array versions replaced. The array
+# versions must agree with them bit for bit.
+def reference_hazard_at(baseline, t, pooling=None):
+    if t < 0:
+        raise ValueError("tenure must be >= 0")
+    if pooling is None:
+        pooling = PoolingConfig()
+    if t >= baseline.tail_start:
+        return baseline.tail_rate
+    events = baseline.events
+    exposures = baseline.exposures
+    if events[t] >= pooling.min_events and exposures[t] > 0:
+        return float(baseline.hazards[t])
+    t_max = baseline.t_max
+    lo = hi = t
+    pooled_e = int(events[t])
+    pooled_n = int(exposures[t])
+    while (pooled_e < pooling.min_events or pooled_n == 0) and (lo > 0 or hi < t_max):
+        if lo > 0:
+            lo -= 1
+            pooled_e += int(events[lo])
+            pooled_n += int(exposures[lo])
+        if hi < t_max:
+            hi += 1
+            pooled_e += int(events[hi])
+            pooled_n += int(exposures[hi])
+    if pooled_n == 0:
+        return baseline.tail_rate
+    if baseline.smoothing == "jeffreys":
+        return (pooled_e + 0.5) / (pooled_n + 1.0)
+    return pooled_e / pooled_n
+
+
+def reference_detect_tail_start(baseline, window=6, rel_tol=0.10):
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    exposures = baseline.exposures
+    observed = np.flatnonzero(exposures > 0)
+    if observed.size < 2 * window:
+        raise InsufficientData(
+            f"need at least {2 * window} observed tenures, have {observed.size}")
+    weighted = np.where(exposures > 0, baseline.hazards, 0.0) * exposures
+
+    def window_mean(a, b):
+        n = int(exposures[a:b].sum())
+        return float(weighted[a:b].sum() / n) if n > 0 else None
+
+    last = baseline.t_max - 2 * window + 1
+
+    def stable(s):
+        m1 = window_mean(s, s + window)
+        m2 = window_mean(s + window, s + 2 * window)
+        if m1 is None or m2 is None:
+            return False
+        return abs(m1 - m2) <= rel_tol * max(m1, m2)
+
+    if not stable(last):
+        return int(np.percentile(observed, 90, method="lower"))
+    start = last
+    while start > 0 and stable(start - 1):
+        start -= 1
+    return start
+
+
+@st.composite
+def count_baselines(draw, max_bins=30):
+    """A baseline from drawn counts: sparse, empty or all-empty bins included."""
+    n = draw(st.integers(1, max_bins))
+    exposure_cap = draw(st.sampled_from([0, 3, 40, 2000]))
+    exposures = np.array(draw(st.lists(st.integers(0, exposure_cap), min_size=n, max_size=n)),
+                         dtype=np.int64)
+    share = draw(st.floats(0.0, 1.0))
+    events = np.floor(exposures * np.array(
+        draw(st.lists(st.floats(0.0, share), min_size=n, max_size=n)))).astype(np.int64)
+    smoothing = draw(st.sampled_from(["none", "jeffreys"]))
+    hazards = np.full(n, np.nan)
+    seen = exposures > 0
+    if draw(st.booleans()):  # as a baseline document may hold them
+        hazards[seen] = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))[:seen.sum()]
+    elif smoothing == "jeffreys":
+        hazards[seen] = (events[seen] + 0.5) / (exposures[seen] + 1.0)
+    else:
+        hazards[seen] = events[seen] / exposures[seen]
+    return BaselineHazard(hazards, exposures, events, tail_start=draw(st.integers(0, n)),
+                          tail_rate=draw(st.floats(0.0, 1.0)), smoothing=smoothing)
+
+
+class TestPoolingAgainstScalarLoop:
+    @settings(max_examples=500, deadline=None)
+    @given(baseline=count_baselines(), min_events=st.sampled_from([0, 1, 5, 50]))
+    def test_resolve_and_hazard_at_match_the_loop_bitwise(self, baseline, min_events):
+        pooling = PoolingConfig(min_events)
+        want = [reference_hazard_at(baseline, t, pooling)
+                for t in range(baseline.t_max + 2)]
+        table = resolve(baseline, pooling)
+        assert len(table) == baseline.tail_start + 1
+        assert [float(h).hex() for h in table[np.minimum(range(len(want)), len(table) - 1)]] \
+            == [h.hex() for h in want]
+        assert [hazard_at(baseline, t, pooling).hex() for t in range(len(want))] \
+            == [h.hex() for h in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(baseline=count_baselines(), min_events=st.sampled_from([0, 1, 5, 50]))
+    def test_all_zero_exposure_takes_the_tail_rate(self, baseline, min_events):
+        empty = BaselineHazard(np.full(baseline.t_max + 1, np.nan),
+                               np.zeros(baseline.t_max + 1, dtype=np.int64),
+                               np.zeros(baseline.t_max + 1, dtype=np.int64),
+                               baseline.tail_start, baseline.tail_rate, baseline.smoothing)
+        table = resolve(empty, PoolingConfig(min_events))
+        assert np.all(table == empty.tail_rate)
+        assert all(reference_hazard_at(empty, t, PoolingConfig(min_events)) == empty.tail_rate
+                   for t in range(empty.t_max + 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(baseline=count_baselines(), min_events=st.sampled_from([0, 1, 5, 50]))
+    def test_windows_are_the_loops_windows(self, baseline, min_events):
+        lo, hi, pooled = pooling_windows(baseline, PoolingConfig(min_events))
+        t = np.arange(baseline.tail_start)
+        assert np.array_equal(pooled, (baseline.events[t] < min_events)
+                              | (baseline.exposures[t] == 0))
+        assert np.array_equal(lo[~pooled], t[~pooled]) and np.array_equal(hi[~pooled], t[~pooled])
+        # Symmetric about the tenure until cut at the observed range.
+        assert np.all((t - lo == hi - t) | (lo == 0) | (hi == baseline.t_max))
+
+    def test_hazard_at_is_total_for_huge_tenures(self, fixture_baseline):
+        assert hazard_at(fixture_baseline, 10**30) == fixture_baseline.tail_rate
+
+    def test_zero_exposure_bin_pools_at_min_events_zero(self):
+        exposures = np.array([100, 0, 100, 100], dtype=np.int64)
+        events = np.array([10, 0, 20, 5], dtype=np.int64)
+        baseline = BaselineHazard(np.array([0.1, np.nan, 0.2, 0.05]), exposures, events, 4, 0.05)
+        _, _, pooled = pooling_windows(baseline, PoolingConfig(min_events=0))
+        assert pooled.tolist() == [False, True, False, False]
+        assert hazard_at(baseline, 1, PoolingConfig(min_events=0)) == 30 / 200
+
+
+class TestTailDetectionAgainstScan:
+    @settings(max_examples=500, deadline=None)
+    @given(baseline=count_baselines(max_bins=40), window=st.integers(1, 12),
+           rel_tol=st.sampled_from([0.0, 0.001, 0.01, 0.05, 0.1, 0.3]))
+    def test_matches_the_start_by_start_scan(self, baseline, window, rel_tol):
+        try:
+            want = reference_detect_tail_start(baseline, window, rel_tol)
+        except InsufficientData:
+            with pytest.raises(InsufficientData):
+                detect_tail_start(baseline, window, rel_tol)
+            return
+        assert detect_tail_start(baseline, window, rel_tol) == want
+
+    def test_window_sums_round_as_slice_sums(self):
+        # A flat curve is stable at rel_tol 0 only if every window's float
+        # sum rounds alike; differences of a running sum would not.
+        exposures = np.full(40, 7, dtype=np.int64)
+        baseline = BaselineHazard(np.full(40, 0.1), exposures, np.ones(40, dtype=np.int64),
+                                  40, 0.1)
+        for window in range(1, 13):
+            assert reference_detect_tail_start(baseline, window, 0.0) == 0
+            assert detect_tail_start(baseline, window, 0.0) == 0
+
+    def test_fallback_matches_the_scan(self):
+        exposures = np.array([100 * (t + 1) for t in range(30)], dtype=np.int64)
+        events = np.full(30, 50, dtype=np.int64)
+        baseline = BaselineHazard(events / exposures, exposures, events, 30, 0.05)
+        for window in range(1, 13):
+            want = reference_detect_tail_start(baseline, window, 0.001)
+            assert want == int(np.percentile(np.arange(30), 90, method="lower"))
+            assert detect_tail_start(baseline, window, 0.001) == want
