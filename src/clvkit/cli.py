@@ -155,11 +155,12 @@ def _suffixed(path: str, suffix: str) -> Path:
     return Path(f"{p}_{suffix}")
 
 
-def _with_tail(baseline: BaselineHazard, tail_start, auto_tail: bool) -> BaselineHazard:
+def _with_tail(baseline: BaselineHazard, tail_start, auto_tail: bool,
+               path: Path) -> BaselineHazard:
     if tail_start is not None and auto_tail:
         raise UsageError("--tail-start and --auto-tail are mutually exclusive")
     if tail_start is None:
-        tail_start = detect_tail_start(baseline)
+        tail_start = detect_tail_start(baseline, name=str(path))
         log.info("detected tail start at tenure %d", tail_start)
     try:
         return extrapolate_tail(baseline, tail_start)
@@ -183,7 +184,7 @@ def run_baseline(args: argparse.Namespace) -> int:
         mode, causes, paths = "single", (), [Path(args.out)]
     batches = dataio.read_calibration_batches(args.calibration, mode)
     for path, baseline in zip(paths, estimate_causes(batches, causes, args.smoothing)):
-        baseline = _with_tail(baseline, args.tail_start, args.auto_tail)
+        baseline = _with_tail(baseline, args.tail_start, args.auto_tail, path)
         _warn_sparse(baseline, min_events)
         save_baseline(path, baseline, min_events=args.min_events)
         log.info("wrote baseline with %d tenure bins, tail rate %.6f from tenure %d: %s",

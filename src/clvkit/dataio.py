@@ -36,7 +36,12 @@ records before it have been checked.
 
 Every writer (projections, and the simulator's calibration, scoring and
 truth files) formats each batch through one line template and quotes ids
-as ``csv.writer`` does. Record inputs are converted to batches first. The
+as ``csv.writer`` does, all in ``_write_rows``. Record inputs are converted
+to batches first. A template of an id and ``%.6f`` and ``%d`` fields over
+array columns is printed by ``fixedpoint.format_lines`` in slices of
+``_FORMAT_ROWS`` rows, byte for byte as the template prints; a batch whose
+ids csv may quote, and a slice that ``format_lines`` does not print (a
+non-finite float, say), go through the template line by line. The
 projection writer writes to a temporary file that replaces the output only
 once every batch is written.
 """
@@ -81,6 +86,9 @@ _PROJECTION_LINE = f"%s,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d\n"
 # with a lone "\r" unquoted, so a hand-written rule could drift from it.
 _CSV_SPECIAL = re.compile('[,"\r\n]')
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Rows that fixedpoint.format_lines prints at a time, so that its byte
+# matrices stay small.
+_FORMAT_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -638,11 +646,8 @@ def _csv_field(value: str) -> str:
     return out.getvalue()[:-2]
 
 
-def _write_rows(fh, template: str, ids: tuple[str, ...], columns: Iterable) -> int:
-    """Write one ``template`` line per id, with ids quoted as ``csv.writer`` quotes them.
-
-    ``columns`` holds the other fields, one array (or sequence) per column.
-    """
+def _write_template(fh, template: str, ids: tuple[str, ...], columns: list) -> None:
+    """Write ``template % (id, *fields)`` line by line, with ids quoted as ``csv.writer`` does."""
     cells = ids
     if _CSV_SPECIAL.search("".join(ids)):
         cells = map(_csv_field, ids)
@@ -650,6 +655,34 @@ def _write_rows(fh, template: str, ids: tuple[str, ...], columns: Iterable) -> i
     # every line and their join at once (0.8 MB more peak on 8192 rows).
     fh.writelines(map(template.__mod__, zip(cells, *(
         c.tolist() if isinstance(c, np.ndarray) else c for c in columns))))
+
+
+def _write_rows(fh, template: str, ids: tuple[str, ...], columns: Iterable) -> int:
+    """Write one ``template`` line per id, with ids quoted as ``csv.writer`` quotes them.
+
+    ``columns`` holds the other fields, one array (or sequence) per column.
+    Array columns under a template of an id and ``%.6f`` and ``%d`` fields
+    are printed by ``fixedpoint.format_lines``, ``_FORMAT_ROWS`` rows at a
+    time. A batch with an id that csv may quote, any other template or
+    column, and a slice that ``format_lines`` does not print go through the
+    template line by line.
+    """
+    from .fixedpoint import field_kinds, format_lines  # compiled only where rows are written
+
+    columns = list(columns)
+    kinds = field_kinds(template)
+    if (kinds is None or len(kinds) != len(columns) or _CSV_SPECIAL.search("".join(ids))
+            or not all(isinstance(c, np.ndarray) and c.ndim == 1 for c in columns)):
+        _write_template(fh, template, ids, columns)
+        return len(ids)
+    for start in range(0, len(ids), _FORMAT_ROWS):
+        rows = slice(start, start + _FORMAT_ROWS)
+        part = [c[rows] for c in columns]
+        lines = format_lines(kinds, ids[rows], part)
+        if lines is None:
+            _write_template(fh, template, ids[rows], part)
+        else:
+            fh.write(lines.decode())
     return len(ids)
 
 

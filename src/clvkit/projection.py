@@ -305,31 +305,38 @@ def project_batch(tables: Sequence[np.ndarray], alphas: Sequence[np.ndarray],
     margin / (1 + rate)**(j + 1) to CLV. The switch month depends only on
     the customer, so results do not depend on how customers are batched.
 
+    The batch is ordered by months stepped, most first (a stable argsort),
+    so the customers stepping month j are a prefix and each month works on
+    slices. A customer whose survival fell below ``eps`` stays in the prefix
+    until its last stepped month, masked out of every update, and the
+    results are put back in input order.
+
     Returns ``(ert, clv, truncated_at)``.
     """
     eps, horizon, rate = config.eps, config.max_horizon, discount.monthly_rate
     t0 = np.asarray(t0, dtype=np.int64)
-    margins = np.asarray(margins, dtype=np.float64)
+    tail_start = max(len(table) - 1 for table in tables)
+    steps = np.clip(tail_start - t0, 0, horizon)
+    order = np.argsort(-steps, kind="stable")
+    steps, t0 = steps[order], t0[order]
+    alphas = [np.asarray(alpha, dtype=np.float64)[order] for alpha in alphas]
+    margins = np.asarray(margins, dtype=np.float64)[order]
     n = t0.size
     survival = np.ones(n)
     ert = np.zeros(n)
     value = np.zeros(n)
     truncated = np.full(n, horizon - 1, dtype=np.int64)
-    tail_start = max(len(table) - 1 for table in tables)
-    steps = np.clip(tail_start - t0, 0, horizon)
     dfs = discount.factors(int(steps.max(initial=0)))  # dfs[j]: after j months
-    alive = np.flatnonzero(steps > 0)
-    j = 0
-    while alive.size:
-        h = _hazard(tables, [alpha[alive] for alpha in alphas], t0[alive] + j)
-        survival[alive] *= 1.0 - h
-        s = survival[alive]
-        ert[alive] += s
-        value[alive] += s * margins[alive] * dfs[j + 1]
-        done = s < eps
-        truncated[alive[done]] = j
-        j += 1
-        alive = alive[~done & (steps[alive] > j)]
+    # stepping[j]: how many customers step month j (steps > j), a prefix.
+    stepping = np.searchsorted(-steps, -np.arange(steps.max(initial=0)), side="left")
+    for j, m in enumerate(stepping.tolist()):
+        s = survival[:m]
+        live = s >= eps  # the others stopped at eps; the masks leave them as they were
+        np.multiply(s, 1.0 - _hazard(tables, [alpha[:m] for alpha in alphas], t0[:m] + j),
+                    out=s, where=live)
+        np.add(ert[:m], s, out=ert[:m], where=live)
+        np.add(value[:m], s * margins[:m] * dfs[j + 1], out=value[:m], where=live)
+        truncated[:m][live & (s < eps)] = j
 
     tail = np.flatnonzero((steps < horizon) & (survival >= eps))
     if tail.size:
@@ -340,4 +347,6 @@ def project_batch(tables: Sequence[np.ndarray], alphas: Sequence[np.ndarray],
         truncated[tail] = first + k - 1
         ert[tail] += s * _geometric(q, k, 0.0)
         value[tail] += margins[tail] * s * dfs[first] * _geometric(q, k, rate)
+    for result in (ert, value, truncated):  # back to input order
+        result[order] = result.copy()
     return ert, value, truncated

@@ -380,15 +380,16 @@ def hazard_to_survival(hazards: np.ndarray) -> np.ndarray:
 
 
 def detect_tail_start(baseline: BaselineHazard, window: int = 6,
-                      rel_tol: float = 0.10) -> int:
+                      rel_tol: float = 0.10, name: str | None = None) -> int:
     """Find the tenure beyond which the hazard curve has stabilized.
 
     Returns the smallest t* such that from t* onward every pair of adjacent
     windows of length ``window`` has exposure-weighted mean hazards within
     ``rel_tol`` of each other (relative to the larger mean). If even the
     last testable pair disagrees, falls back to the 90th percentile of
-    observed tenures and logs a warning naming it. Deterministic; automates
-    eyeballing the hazard plot.
+    observed tenures and logs a warning naming it, and ``name`` (the curve's
+    output, say) if given. Deterministic; automates eyeballing the hazard
+    plot.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -411,9 +412,10 @@ def detect_tail_start(baseline: BaselineHazard, window: int = 6,
     last = len(stable) - 1
     if not stable[last]:
         fallback = int(np.percentile(observed, 90, method="lower"))
-        log.warning("no stable tail: the last two %d-month windows from tenure %d differ "
+        log.warning("no stable tail%s: the last two %d-month windows from tenure %d differ "
                     "by more than %g%% in mean hazard; the tail starts at the "
-                    "90th-percentile observed tenure %d", window, last, 100 * rel_tol, fallback)
+                    "90th-percentile observed tenure %d", "" if name is None else f" for {name}",
+                    window, last, 100 * rel_tol, fallback)
         return fallback
     unstable = np.flatnonzero(~stable)
     return int(unstable[-1]) + 1 if unstable.size else 0

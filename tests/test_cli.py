@@ -183,6 +183,22 @@ class TestBaselineCommand:
             assert warnings == []
             assert load_baseline(out).baseline.tail_start == 0
 
+    def test_competing_tail_fallbacks_name_their_output(self, tmp_path, caplog):
+        # Both causes' hazards keep falling (5 V and 5 I churns of 10 (t + 1)
+        # customers at tenure t), so each curve falls back on its own.
+        calibration = tmp_path / "calibration.csv"
+        dataio.write_calibration(calibration, [
+            dataio.CalibrationRecord(f"c{t}-{i}", t, int(i < 10), "VI"[i % 2] if i < 10 else "")
+            for t in range(24) for i in range(10 * (t + 1))], "competing")
+        out = tmp_path / "b.json"
+        assert main(["baseline", "--calibration", str(calibration), "--out", str(out),
+                     "--competing"]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 2, warnings
+        for warning, name in zip(warnings, ["b_v.json", "b_inv.json"]):
+            assert warning.startswith(f"no stable tail for {tmp_path / name}: ")
+            assert "90th-percentile observed tenure 20" in warning
+
     @pytest.mark.parametrize("min_events, pooled", [("0", 1), ("25", 3)])
     def test_sparse_warning_counts_the_bins_that_pool(self, tmp_path, caplog, min_events,
                                                       pooled):

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import csv
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from clvkit import dataio
+from clvkit import dataio, fixedpoint, simulate
 from clvkit.dataio import CalibrationRecord, ProjectionRow, ScoringRecord
 from clvkit.errors import DuplicateCustomerId, InvalidValue, MissingColumn
 
@@ -218,3 +223,78 @@ class TestTenureRange:
         path = write(tmp_path / "s.csv",
                      "customer_id,tenure,churn_score,margin\nc1,9223372036854775807,0.1,1\n")
         assert list(dataio.read_scoring(path))[0].tenure == 2**63 - 1
+
+
+# The line template of every CSV writer: projections, truth, calibration
+# (single risk with 0 to 2 covariates, and competing) and scoring (single
+# risk and competing).
+WRITER_TEMPLATES = [
+    dataio._PROJECTION_LINE, simulate._TRUTH_LINE,
+    "%s,%d,%d\n", "%s,%d,%d,%.6f\n", "%s,%d,%d,%.6f,%.6f\n", "%s,%d,%d,%s,%.6f\n",
+    "%s,%d,%.6f,%.6f\n", "%s,%d,%.6f,%.6f,%.6f\n",
+]
+FLOAT_LIMIT = 2.0**52 / 1e6  # the largest size printed without a template
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 4.9e-7, 5e-7, 1.5e-6,
+               2.5e-6, -2.5e-6, 0.1, 2.675, 4503.599627370495, 11111111111.111113, 1e15, 1e300,
+               float(np.nextafter(FLOAT_LIMIT, 0)), FLOAT_LIMIT, float(np.nextafter(FLOAT_LIMIT, 1e300)),
+               -float(np.nextafter(FLOAT_LIMIT, 0)), float("nan"), float("inf"), float("-inf")]
+PRINTED_FLOATS = [x for x in EDGE_FLOATS if abs(x) < FLOAT_LIMIT]
+floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e4, 1e4),
+    st.integers(-2**40, 2**40).map(lambda k: k / 128),  # exact ties at the sixth decimal
+    st.integers(-10**12, 10**12).map(lambda k: (k + 0.5) / 1e6),  # near ties
+    st.floats(FLOAT_LIMIT * 0.999, FLOAT_LIMIT * 1.001), st.floats(FLOAT_LIMIT, 8 * FLOAT_LIMIT))
+ints = st.one_of(st.sampled_from([0, -1, 1, 2**63 - 1, -2**63, -2**63 + 1]),
+                 st.integers(-2**63, 2**63 - 1), st.integers(-10**6, 10**6))
+ids = st.one_of(st.text(max_size=10), st.text(alphabet='ab,"\r\n', max_size=4),
+                st.sampled_from(["c0000001", "é", "日本語", "", "\x00", "a\rb"]))
+
+
+def csv_id(value: str) -> str:
+    """``value`` as ``csv.writer`` writes it as the first field of a row."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([value, ""])
+    return out.getvalue()[:-2]
+
+
+class TestWriterOracle:
+    """Every writer template prints what ``template % row`` prints, with the
+    id quoted by csv.writer, whether numpy or the template formats it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), template=st.sampled_from(WRITER_TEMPLATES),
+           rows=st.sampled_from([1, 7, 8192]))
+    @example(data=None, template=dataio._PROJECTION_LINE, rows=8192)
+    def test_lines_equal_the_template(self, data, template, rows):
+        fields = template.rstrip("\n").split(",")[1:]
+        if data is None:  # every edge value in one batch, with plain ids
+            pools = {"%.6f": PRINTED_FLOATS, "%d": [0, -1, 2**63 - 1, -2**63 + 1]}
+            id_pool, seed = ["c1", "é"], 0
+        else:
+            pools = {"%.6f": data.draw(st.lists(floats, min_size=1, max_size=12)),
+                     "%d": data.draw(st.lists(ints, min_size=1, max_size=6)),
+                     "%s": data.draw(st.lists(st.sampled_from(["V", "I", ""]), min_size=1))}
+            id_pool = data.draw(st.lists(ids, min_size=1, max_size=6))
+            seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+
+        def column(pool, dtype=None):
+            return np.array(pool, dtype=dtype)[rng.integers(0, len(pool), rows)]
+
+        batch_ids = tuple(column(id_pool, object).tolist())
+        columns = [column(pools[f], {"%.6f": np.float64, "%d": np.int64, "%s": None}[f])
+                   for f in fields]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            assert dataio.write_csv(path, ["h"], template, [(batch_ids, columns)]) == rows
+            written = path.read_bytes()
+        expected = "".join(template % (csv_id(i), *row) for i, *row in zip(
+            batch_ids, *(c.tolist() for c in columns)))
+        assert written == ("h\n" + expected).encode("utf-8")
+
+    def test_numpy_prints_every_float_below_the_limit(self):
+        values = np.array(PRINTED_FLOATS * 2 + [k / 128 for k in range(-300, 300)])
+        lines = fixedpoint.format_lines("f", ("c",) * len(values), [values])
+        assert lines == "".join("c,%.6f\n" % x for x in values.tolist()).encode()

@@ -206,6 +206,40 @@ def test_batch_equals_rows_one_at_a_time(data):
             assert got[i] == want[0]
 
 
+# One table per cause; both tails start late enough that customers stop in
+# every way before them. Per cause: an alpha that clips the summed hazard at
+# 1 (alpha * h0 > 1), one that falls below eps before the tail start, one
+# that reaches the closed-form tail and 0, which runs to max_horizon.
+ORDER_TABLES = ((0.3,) * 10 + (0.1,) * 20 + (0.02,), (0.05,) * 25 + (0.0,))
+ORDER_ALPHAS = ((4.0, 0.0), (2.5, 1.0), (0.3, 0.5), (0.0, 0.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(causes=st.integers(1, 2), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+       config=st.sampled_from([ProjectionConfig(1e-3, 1200), ProjectionConfig(1e-6, 20),
+                               ProjectionConfig(1e-9, 45)]))
+# Either holds customers that clip, stop below the tail start, stop in the
+# closed-form tail and run to max_horizon.
+@example(causes=1, seed=0, n=60, config=ProjectionConfig(1e-3, 1200))
+@example(causes=2, seed=0, n=60, config=ProjectionConfig(1e-3, 1200))
+def test_shuffled_batch_equals_one_customer_calls_bitwise(causes, seed, n, config):
+    # The kernel orders customers by how many months they step; the result
+    # must not show that order, down to the sign of a zero.
+    rng = np.random.default_rng(seed)
+    tables = [np.array(table) for table in ORDER_TABLES[:causes]]
+    picked = np.array(ORDER_ALPHAS)[rng.integers(0, len(ORDER_ALPHAS), n), :causes]
+    alphas = [picked[:, c] * rng.choice([1.0, 1.0001], n) for c in range(causes)]
+    t0 = rng.integers(0, 40, n)
+    margins = rng.choice([-0.0, 0.0, -7.5, 12.0, 1e-300], n)
+    discount = DiscountSpec(float(rng.choice([0.0, 0.01])))
+    batch = project_batch(tables, alphas, t0, margins, discount, config)
+    for i in range(n):
+        alone = project_batch(tables, [alpha[i:i + 1] for alpha in alphas], t0[i:i + 1],
+                              margins[i:i + 1], discount, config)
+        for got, want in zip(batch, alone):
+            assert got[i:i + 1].tobytes() == want.tobytes()
+
+
 def test_resolve_matches_hazard_at():
     rates = [0.2, 0.1, 0.05, 0.02, 0.0, 0.0, 0.01, 0.03]
     baseline = baseline_from_rates(rates, exposure=100, tail_start=6)
