@@ -233,11 +233,12 @@ WRITER_TEMPLATES = [
     "%s,%d,%d\n", "%s,%d,%d,%.6f\n", "%s,%d,%d,%.6f,%.6f\n", "%s,%d,%d,%s,%.6f\n",
     "%s,%d,%.6f,%.6f\n", "%s,%d,%.6f,%.6f,%.6f\n",
 ]
-FLOAT_LIMIT = 2.0**52 / 1e6  # the largest size printed without a template
+FLOAT_LIMIT = 2.0**52 / 1e6  # floats this size or larger go through the template
+BELOW_LIMIT = float(np.nextafter(FLOAT_LIMIT, 0))
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 4.9e-7, 5e-7, 1.5e-6,
                2.5e-6, -2.5e-6, 0.1, 2.675, 4503.599627370495, 11111111111.111113, 1e15, 1e300,
-               float(np.nextafter(FLOAT_LIMIT, 0)), FLOAT_LIMIT, float(np.nextafter(FLOAT_LIMIT, 1e300)),
-               -float(np.nextafter(FLOAT_LIMIT, 0)), float("nan"), float("inf"), float("-inf")]
+               BELOW_LIMIT, -BELOW_LIMIT, FLOAT_LIMIT, float(np.nextafter(FLOAT_LIMIT, 1e300)),
+               float("nan"), float("inf"), float("-inf")]
 PRINTED_FLOATS = [x for x in EDGE_FLOATS if abs(x) < FLOAT_LIMIT]
 floats = st.one_of(
     st.sampled_from(EDGE_FLOATS),
