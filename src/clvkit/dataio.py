@@ -14,11 +14,16 @@ exactly (case-sensitive). LF and CRLF are both accepted; blank lines are
 skipped. Floats are written with six decimal places.
 
 Readers yield validated column batches: up to ``batch_size`` records at a
-time, parsed column by column into numpy arrays. A batch whose text has
-no quote, carriage return, NUL or blank line is split as text at commas
-and newlines; any other batch is read by ``csv.reader``, which reads a
-quoted field on past the batch's last line if it must. Either way the
-cells are those ``csv.reader`` gives. The record readers
+time, parsed column by column into numpy arrays. Lines are read in blocks
+of whole batches (about ``_PARSE_ROWS`` lines, or one longer batch). A
+block of plain lines (no quote, carriage return, NUL or blank line) whose
+number cells are all plain fixed-point decimals is parsed from its UTF-8
+bytes by ``fixedpoint.parse_lines``, to the values ``int`` and ``float``
+give. From the first other block on, the file is read batch by batch as
+text: a plain batch is split at commas and newlines and parsed cell by
+cell, and any other batch is read by ``csv.reader``, which reads a quoted
+field on past the batch's last line if it must. Every way, the cells are
+those ``csv.reader`` gives. The record readers
 (``read_calibration``, ``read_scoring``) are views over the same batches.
 Each schema is one table of rules in check order: the field count, the id
 (non-empty, and new across batches too), then each column's parse and
@@ -39,7 +44,8 @@ truth files) formats each batch through one line template and quotes ids
 as ``csv.writer`` does, all in ``_write_rows``. Record inputs are converted
 to batches first. A template of an id and ``%.6f`` and ``%d`` fields over
 array columns is printed by ``fixedpoint.format_lines`` in slices of
-``_FORMAT_ROWS`` rows, byte for byte as the template prints; a batch whose
+``_FORMAT_ROWS`` rows from the batch's ids joined once, byte for byte as
+the template prints; a batch whose
 ids csv may quote, and a slice that ``format_lines`` does not print (a
 non-finite float, say), go through the template line by line. The
 projection writer writes to a temporary file that replaces the output only
@@ -70,10 +76,15 @@ CAUSES = (CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY)
 PROJECTION_COLUMNS = ["customer_id", "alpha", "ert_months", "clv", "truncated_at"]
 
 # Rows per batch. Calibration batches stay small: a file is counted batch by
-# batch, and on the benchmark's inputs batches past 512 rows only added peak
-# memory (about 1.5 MB at 4096 rows) without reading faster.
+# batch. Since lines are parsed 2048 at a time at any batch size, 2048-row
+# batches run `baseline` and `fit-odds` on the benchmark's inputs only 0-7%
+# faster than 512-row ones (about the run-to-run spread), at the same peak
+# memory; at 4096 rows the peak grows by up to 0.9 MB.
 CALIBRATION_BATCH_SIZE = 512
 SCORING_BATCH_SIZE = 8192
+# Lines that fixedpoint.parse_lines reads at a time, so that its arrays stay
+# small (about 1.7 MB at most for 2048 lines of 11 cells).
+_PARSE_ROWS = 2048
 
 # Largest tenure (months) a calibration row may hold. Counting sizes its
 # arrays by the largest tenure, so this bounds them at about 0.8 MB each.
@@ -81,10 +92,11 @@ MAX_CALIBRATION_TENURE = 100_000
 
 _FLOAT_FMT = "%.6f"
 _PROJECTION_LINE = f"%s,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d\n"
-# Characters that may make csv.writer quote an id. A batch holding one has
-# its ids quoted by csv.writer itself, which (on Python 3.11) leaves an id
-# with a lone "\r" unquoted, so a hand-written rule could drift from it.
-_CSV_SPECIAL = re.compile('[,"\r\n]')
+# Characters besides a comma that may make csv.writer quote an id. A batch
+# holding one (or a comma) has its ids quoted by csv.writer itself, which
+# (on Python 3.11) leaves an id with a lone "\r" unquoted, so a hand-written
+# rule could drift from it.
+_CSV_SPECIAL = re.compile('["\r\n]')
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Rows that fixedpoint.format_lines prints at a time, so that its byte
 # matrices stay small.
@@ -304,19 +316,30 @@ def _validate_header(header: list[str] | None, required: list[str]) -> int:
 # parsed values by name, "fields" the rows' field counts and "seen" the ids
 # of earlier batches. ``reason`` is formatted with the row's cell in
 # ``column``, or is a function that builds the whole error from the row
-# number and cells (the field count rule names no one column).
+# number and cells (the field count rule names no one column). A column
+# whose first rule has a parser may come parsed from the line bytes, and
+# then gives that parser no cell to refuse and later rules its values as
+# cells.
+
+class _Parser(NamedTuple):
+    """Cell text to value, the dtype of the parsed column, and the kind of
+    cell ``fixedpoint.parse_lines`` reads from bytes to the same values."""
+
+    parse: Callable[[str], object]
+    dtype: type
+    kind: str
+
 
 class _Rule(NamedTuple):
     column: str
-    parser: tuple[Callable[[str], object], type] | None
+    parser: _Parser | None
     test: Callable[[dict], np.ndarray] | None
     reason: str | Callable[[int, list[str]], ClvkitError]
 
 
-# Parsers: cell text to value, and the dtype of the parsed column.
-_INTEGER = (int, np.int64)
-_NUMBER = (float, np.float64)
-_FLAG = ({"0": 0, "1": 1}.__getitem__, np.int64)
+_INTEGER = _Parser(int, np.int64, "d")
+_NUMBER = _Parser(float, np.float64, "f")
+_FLAG = _Parser({"0": 0, "1": 1}.__getitem__, np.int64, "b")
 
 
 def _isin(cells: tuple[str, ...], allowed: set[str]) -> np.ndarray:
@@ -411,14 +434,14 @@ def _scoring_rules(names: list[str]) -> list[_Rule]:
     return rules + _finite("margin")
 
 
-def _parsed(cells: tuple[str, ...], parse: Callable[[str], object], dtype: type,
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """``cells`` parsed into a ``dtype`` column, and the mask of cells that do not parse.
+def _parsed(cells: tuple[str, ...], parser: _Parser) -> tuple[np.ndarray, np.ndarray]:
+    """``cells`` parsed into a ``parser.dtype`` column, and the mask of cells that do not parse.
 
     Only a column that fails as a whole is parsed cell by cell: its failed
     cells then hold 0, and an integer column holds Python ints, so that a
     tenure past int64 keeps its value for the range rules.
     """
+    parse, dtype, _ = parser
     n = len(cells)
     try:
         return np.fromiter(map(parse, cells), dtype, n), np.zeros(n, dtype=bool)
@@ -451,8 +474,10 @@ def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: lis
     for rule in rules:
         if rule.parser is None:
             masks.append(rule.test(c))
+        elif isinstance(c[rule.column], np.ndarray):  # parsed from the line bytes
+            masks.append(np.zeros(n, dtype=bool))
         else:
-            c[rule.column], failed = _parsed(c[rule.column], *rule.parser)
+            c[rule.column], failed = _parsed(c[rule.column], rule.parser)
             masks.append(failed)
     broken = np.logical_or.reduce(masks)
     if broken.any():
@@ -478,16 +503,32 @@ def _scoring_batch(c: dict, names: list[str]) -> ScoringBatch:
                         **{name: c[name] for name in names[2:-1]})
 
 
-def _until_error(lines: Iterator[str], failed: list[UnicodeDecodeError]) -> Iterator[str]:
-    """``lines`` up to the first one that cannot be decoded; that error goes to ``failed``.
+def _read_lines(fh, n: int, failed: list[UnicodeDecodeError]) -> list[str]:
+    """Up to ``n`` more lines of ``fh``, ending before the first line that
+    cannot be decoded; that error goes to ``failed``, and no line is read
+    after it.
 
     The text then simply ends, so the records before it are read and checked
     the same way at every batch size before the error is raised.
     """
-    try:
-        yield from lines
-    except UnicodeDecodeError as exc:
-        failed.append(exc)
+    lines: list[str] = []
+    if not failed:
+        try:
+            lines.extend(islice(fh, n))
+        except UnicodeDecodeError as exc:
+            failed.append(exc)
+    return lines
+
+
+def _until_error(fh, failed: list[UnicodeDecodeError]) -> Iterator[str]:
+    """The lines of ``fh`` that ``_read_lines`` would read, one at a time,
+    for ``csv.reader``. Closing the generator leaves ``fh`` open."""
+    if not failed:
+        try:
+            for line in fh:
+                yield line
+        except UnicodeDecodeError as exc:
+            failed.append(exc)
 
 
 def _plain(text: str, lines: list[str]) -> bool:
@@ -510,51 +551,114 @@ def _columns(rows: list[list[str]], width: int) -> tuple[list, list[list[str]] |
     return list(zip(*((cells + [""] * width)[:width] for cells in rows))), rows
 
 
-def _text_batches(source: Iterator[str], path: str | Path, width: int, size: int):
+def _byte_columns(lines: list[str], kinds: str) -> list | None:
+    """The columns of plain ``lines`` parsed from their bytes by
+    ``fixedpoint.parse_lines``, ``_PARSE_ROWS`` lines at a time: a tuple of
+    cells for a text column, an array of values for a number column. None if
+    a line is not plain (``_plain``) or ``parse_lines`` does not read one.
+    """
+    from .fixedpoint import parse_lines  # loaded on the first read
+
+    parts = []
+    for start in range(0, len(lines), _PARSE_ROWS):
+        part = lines[start:start + _PARSE_ROWS]
+        text = "".join(part)
+        if not _plain(text, part):
+            return None
+        if text[-1] != "\n":  # the file's last line
+            text += "\n"
+        columns = parse_lines(text.encode(), len(part), kinds)
+        if columns is None:
+            return None
+        parts.append(columns)
+    return [np.concatenate(cs) if kind != "s" else tuple(chain.from_iterable(cs))
+            for cs, kind in zip(zip(*parts), kinds)]
+
+
+def _text_batches(fh, failed: list[UnicodeDecodeError], path: str | Path, width: int,
+                  size: int, kinds: str):
     """Records after the header in batches of at most ``size``.
 
     Yields (row numbers, columns, rows) for each batch's non-blank records:
     ``columns`` holds the cells transposed, and ``rows`` is None when every
     record has ``width`` fields, else it holds each record's cells (the
-    columns then hold them cut or padded with "" to ``width``). A batch
-    of plain lines (``_plain``) is split as text; any other batch is read by
+    columns then hold them cut or padded with "" to ``width``). Lines are
+    read a block of whole batches at a time (or one batch, if it is longer
+    than ``_PARSE_ROWS``). A block of plain lines (``_plain``) is parsed
+    from its bytes by ``fixedpoint.parse_lines``, each column as its
+    ``kinds`` letter says, and its number columns are arrays of values. From
+    the first block that is not read so, the rest of the file is read batch
+    by batch as text (so no file reads much slower than that): a batch of
+    plain lines is split at commas and newlines; any other batch is read by
     ``csv.reader`` from the same lines, and from the file beyond them where a
-    quoted field runs on. A record csv cannot read ends the batch before it,
-    and its error is raised after that batch.
+    quoted field runs on. A record csv cannot read ends the batch
+    before it, and its error is raised after that batch. Lines that cannot
+    be decoded end the text (``_read_lines``).
     """
     first = 2
-    while lines := list(islice(source, size)):
-        text = "".join(lines)
-        if _plain(text, lines):
-            numbers = range(first, first + len(lines))
-            first += len(lines)
-            if set(map(str.count, lines, repeat(","))) != {width - 1}:
-                yield numbers, *_columns([line.rstrip("\n").split(",") for line in lines], width)
-                continue
-            del lines  # free each copy of the text before the cells exist
-            text = text.replace("\n", ",")
-            cells = text.split(",")
-            del text, cells[len(numbers) * width:]  # the cell after a final newline
-            yield numbers, [tuple(cells[j::width]) for j in range(width)], None
+    block = size * max(1, _PARSE_ROWS // size)
+    while lines := _read_lines(fh, block, failed):
+        columns = _byte_columns(lines, kinds) if kinds else None
+        if columns is not None:
+            del lines
+            n = len(columns[0])
+            for start in range(0, n, size):
+                rows = slice(start, start + size)
+                yield (range(first + start, first + min(start + size, n)),
+                       [c[rows] for c in columns], None)
+            first += n
             continue
-        del text
-        rows: list[list[str]] = []
-        error = None
-        try:
-            rows.extend(islice(csv.reader(chain(lines, source)), size))
-        except csv.Error as exc:
-            error = InvalidDocument(path, f"row {first + len(rows)}: {exc}")
+        kinds = ""  # read the rest of the file as text
+        rest = iter(lines)
         del lines
-        numbers = range(first, first + len(rows))
-        first += len(rows)
-        if not all(rows):
-            numbers = [n for n, cells in zip(numbers, rows) if cells]
-            rows = [cells for cells in rows if cells]
-        if rows:
-            yield numbers, *_columns(rows, width)
-        del rows
-        if error is not None:
-            raise error
+        for _ in range(block // size):
+            lines = list(islice(rest, size))
+            if len(lines) < size:
+                lines += _read_lines(fh, size - len(lines), failed)
+            if not lines:
+                break
+            text = "".join(lines)
+            if _plain(text, lines):
+                numbers = range(first, first + len(lines))
+                first += len(lines)
+                if set(map(str.count, lines, repeat(","))) != {width - 1}:
+                    yield numbers, *_columns([line.rstrip("\n").split(",") for line in lines],
+                                             width)
+                    continue
+                del lines  # free each copy of the text before the cells exist
+                text = text.replace("\n", ",")
+                cells = text.split(",")
+                del text, cells[len(numbers) * width:]  # the cell after a final newline
+                yield numbers, [tuple(cells[j::width]) for j in range(width)], None
+                continue
+            del text
+            rows: list[list[str]] = []
+            error = None
+            try:
+                rows.extend(islice(csv.reader(chain(lines, rest, _until_error(fh, failed))),
+                                   size))
+            except csv.Error as exc:
+                error = InvalidDocument(path, f"row {first + len(rows)}: {exc}")
+            del lines
+            numbers = range(first, first + len(rows))
+            first += len(rows)
+            if not all(rows):
+                numbers = [n for n, cells in zip(numbers, rows) if cells]
+                rows = [cells for cells in rows if cells]
+            if rows:
+                yield numbers, *_columns(rows, width)
+            del rows
+            if error is not None:
+                raise error
+
+
+def _byte_kinds(names: list[str], rules: list[_Rule]) -> str:
+    """Each column's ``fixedpoint.parse_lines`` kind: that of the parser of
+    the column's first rule, or ``s`` (text) if that rule has none."""
+    first: dict[str, _Parser | None] = {}
+    for rule in rules:
+        first.setdefault(rule.column, rule.parser)
+    return "".join(first[name].kind if first.get(name) else "s" for name in names)
 
 
 def _read_batches(path: str | Path, schema, batch_of, size: int):
@@ -569,15 +673,15 @@ def _read_batches(path: str | Path, schema, batch_of, size: int):
         raise ValueError("batch_size must be >= 1")
     failed: list[UnicodeDecodeError] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        source = _until_error(fh, failed)
         try:
-            header = next(csv.reader(source), None)
+            header = next(csv.reader(_until_error(fh, failed)), None)
         except csv.Error as exc:
             raise InvalidDocument(path, f"row 1: {exc}") from None
         if not failed:
             names, rules = schema(header)
             seen: set[str] = set()
-            for numbers, columns, rows in _text_batches(source, path, len(names), size):
+            for numbers, columns, rows in _text_batches(fh, failed, path, len(names), size,
+                                                        _byte_kinds(names, rules)):
                 c = _checked_columns(rules, names, numbers, columns, rows, seen)
                 del columns, rows  # free the cells before the next batch is read
                 batch = batch_of(c, names)
@@ -646,11 +750,11 @@ def _csv_field(value: str) -> str:
     return out.getvalue()[:-2]
 
 
-def _write_template(fh, template: str, ids: tuple[str, ...], columns: list) -> None:
-    """Write ``template % (id, *fields)`` line by line, with ids quoted as ``csv.writer`` does."""
-    cells = ids
-    if _CSV_SPECIAL.search("".join(ids)):
-        cells = map(_csv_field, ids)
+def _write_template(fh, template: str, ids: tuple[str, ...], columns: list,
+                    quote: bool) -> None:
+    """Write ``template % (id, *fields)`` line by line, with ids quoted as
+    ``csv.writer`` does if ``quote``."""
+    cells = map(_csv_field, ids) if quote else ids
     # Line by line: joining the batch first is about 20% faster but holds
     # every line and their join at once (0.8 MB more peak on 8192 rows).
     fh.writelines(map(template.__mod__, zip(cells, *(
@@ -661,26 +765,37 @@ def _write_rows(fh, template: str, ids: tuple[str, ...], columns: Iterable) -> i
     """Write one ``template`` line per id, with ids quoted as ``csv.writer`` quotes them.
 
     ``columns`` holds the other fields, one array (or sequence) per column.
-    Array columns under a template of an id and ``%.6f`` and ``%d`` fields
-    are printed by ``fixedpoint.format_lines``, ``_FORMAT_ROWS`` rows at a
-    time. A batch with an id that csv may quote, any other template or
-    column, and a slice that ``format_lines`` does not print go through the
-    template line by line.
+    The ids are joined and searched once. Array columns under a template of
+    an id and ``%.6f`` and ``%d`` fields are printed by
+    ``fixedpoint.format_lines`` from the joined ids' bytes, ``_FORMAT_ROWS``
+    rows at a time. A batch with an id that csv may quote, any other
+    template or column, and a slice that ``format_lines`` does not print go
+    through the template line by line.
     """
     from .fixedpoint import field_kinds, format_lines  # compiled only where rows are written
 
     columns = list(columns)
     kinds = field_kinds(template)
-    if (kinds is None or len(kinds) != len(columns) or _CSV_SPECIAL.search("".join(ids))
+    joined = ",".join(ids) + ","  # each id and a comma after it
+    quote = joined.count(",") != len(ids) or _CSV_SPECIAL.search(joined) is not None
+    text = None
+    if not (quote or kinds is None or len(kinds) != len(columns)
             or not all(isinstance(c, np.ndarray) and c.ndim == 1 for c in columns)):
-        _write_template(fh, template, ids, columns)
+        try:
+            text = np.frombuffer(joined.encode(), np.uint8)
+        except UnicodeEncodeError:  # the template raises the file's error
+            pass
+    del joined
+    if text is None:
+        _write_template(fh, template, ids, columns, quote)
         return len(ids)
+    ends = np.flatnonzero(text == 44) + 1  # where each id's bytes and comma end
     for start in range(0, len(ids), _FORMAT_ROWS):
         rows = slice(start, start + _FORMAT_ROWS)
         part = [c[rows] for c in columns]
-        lines = format_lines(kinds, ids[rows], part)
+        lines = format_lines(kinds, text[ends[start - 1] if start else 0:ends[rows][-1]], part)
         if lines is None:
-            _write_template(fh, template, ids[rows], part)
+            _write_template(fh, template, ids[rows], part, False)
         else:
             fh.write(lines.decode())
     return len(ids)

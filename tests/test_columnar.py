@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clvkit import dataio
+from clvkit import dataio, fixedpoint
 from clvkit.cli import main
 from clvkit.dataio import CalibrationRecord, ScoringRecord
 from clvkit.errors import DuplicateCustomerId, InvalidDocument, InvalidValue, MissingColumn
@@ -501,3 +501,220 @@ def test_calibration_tenure_ceiling(tmp_path):
     path.write_text(f"customer_id,tenure,churned\na,{top},0\n", encoding="utf-8")
     (batch,) = dataio.read_calibration_batches(path)
     assert batch.tenure.tolist() == [top]
+
+
+# The byte parser (fixedpoint.parse_lines) against the text split and csv:
+# files whose number cells sit on the edges of the grammar it reads, and
+# just outside it.
+
+PARSER_BATCH_SIZES = (1, 7, 512, 8192)
+# Cells the byte parser reads, on the grammar's edges: zeros and negative
+# zeros, leading zeros, 15 digits.
+EDGE_NUMBERS = ["0", "-0", "-0.000000", "0.000000", "000", "007", "-007.50", "0.5",
+                "123456789012345", "-12345678901234.5", "0.00000000000001",
+                "999999999999999", "-0.999999999999999"]
+# Cells float (and some int) reads that the byte parser does not: 16 or 17
+# digits (the first is not N / 10**k with N rounded to a double first),
+# signs, points and spaces out of place, exponents, words, a non-ASCII digit.
+OUTSIDE_NUMBERS = ["96.48064786969077", "1234567890123456", "9007199254740993",
+                   "0.30000000000000004", "+1", ".5", "5.", "-.5", "1e3", " 1", "1 ", "1_0",
+                   "nan", "inf", "\u0663", "--1", "1-", "1.2.3", ""]
+# Cells of an integer column that are fine in a float column.
+OUTSIDE_INTEGERS = ["1.0", "-0.0", "12.5"]
+EDGE_FLAGS = ["00", "-0", "2", "1.0", "01"]
+
+
+@st.composite
+def decimals(draw, fractions):
+    """A fixed-point decimal with a fraction of one of the lengths ``fractions``."""
+    whole = draw(st.text("0123456789", min_size=1, max_size=7))
+    size = draw(st.sampled_from(fractions))
+    fraction = draw(st.text("0123456789", min_size=size, max_size=size))
+    return draw(st.sampled_from(["", "-"])) + whole + ("." + fraction) * (size > 0)
+
+
+@st.composite
+def edge_files(draw):
+    """(text, reader, mode): a calibration or scoring file of a few or a few
+    thousand rows, each number cell drawn from a small pool per column."""
+    kind = draw(st.sampled_from(["calibration", "scoring"]))
+    mode = draw(st.sampled_from(["single", "competing"]))
+    n = draw(st.one_of(st.integers(1, 30), st.integers(1_000, 4_500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fractions = draw(st.lists(st.integers(0, 8), min_size=1, max_size=3))
+    numbers = st.one_of(decimals(fractions), decimals(fractions), st.sampled_from(EDGE_NUMBERS))
+    small = st.one_of(st.integers(0, 40).map(str), st.sampled_from(["0", "-0", "007", "00"]))
+    unit = st.one_of(st.just("0."), st.just("0.0"), st.just("00.")).flatmap(
+        lambda head: st.text("0123456789", min_size=1, max_size=7).map(head.__add__))
+    unit = st.one_of(unit, unit, st.sampled_from(["0", "-0", "-0.000", "1", "1.000000"]))
+
+    def column(cells):
+        pool = draw(st.lists(cells, min_size=1, max_size=4))
+        return [pool[i] for i in rng.integers(0, len(pool), n)]
+
+    prefixes = draw(st.lists(st.sampled_from(["c", "é", "中", "\U0001f600", "id "]),
+                             min_size=1, max_size=3))
+    ids = [f"{prefixes[i % len(prefixes)]}{i}" for i in range(n)]
+    if n > 1 and draw(st.integers(0, 4)) == 0:
+        ids[int(rng.integers(1, n))] = ids[0]
+    if kind == "calibration":
+        n_cov = draw(st.integers(0, 3))
+        header = ["customer_id", "tenure", "churned"]
+        churned = column(st.sampled_from(["0", "1"]))
+        columns = [ids, column(small), churned]
+        if mode == "competing":
+            header.append("cause")
+            columns.append([("V" if i % 3 else "I") if flag == "1" else ""
+                            for i, flag in enumerate(churned)])
+        header += [f"x{i}" for i in range(1, n_cov + 1)]
+        columns += [column(numbers) for _ in range(n_cov)]
+    else:
+        header = ["customer_id", "tenure", *dataio.score_columns(mode), "margin"]
+        columns = [ids, column(small), *(column(unit) for _ in dataio.score_columns(mode)),
+                   column(numbers)]
+    for _ in range(draw(st.integers(0, 2))):  # a cell the byte parser does not read
+        j = draw(st.integers(1, len(columns) - 1))
+        odd = {"churned": EDGE_FLAGS, "tenure": OUTSIDE_NUMBERS + OUTSIDE_INTEGERS}.get(
+            header[j], OUTSIDE_NUMBERS)
+        if header[j] != "cause":
+            columns[j][int(rng.integers(0, n))] = draw(st.sampled_from(odd))
+    text = ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*columns))
+    if draw(st.booleans()):
+        text = text[:-1]  # no newline after the last line
+    reader = (dataio.read_calibration_batches if kind == "calibration"
+              else dataio.read_scoring_batches)
+    return text, reader, mode
+
+
+def _exact(field):
+    """A batch field as plain values, floats by their bits, so that -0.0 counts."""
+    if not isinstance(field, np.ndarray):
+        return field
+    values = field.view(np.int64) if field.dtype == np.float64 else field
+    return field.dtype.str, field.shape, field.flags.c_contiguous, values.tolist()
+
+
+def _exact_batches(path, reader, mode, size):
+    """Every batch's fields exactly, then the error that ended the file, if any."""
+    batches = []
+    try:
+        for batch in reader(path, mode, size):
+            batches.append([_exact(field) for field in batch])
+    except (InvalidValue, DuplicateCustomerId, MissingColumn, InvalidDocument) as exc:
+        batches.append((type(exc), str(exc)))
+    return batches
+
+
+def _assert_bytes_read_as_text(path, reader, mode, sizes=PARSER_BATCH_SIZES):
+    """The batches at each of ``sizes`` are those of the csv path, bit for
+    bit; returns the outcomes of the byte parser's calls."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(parse_lines(*args))
+        return calls[-1]
+
+    parse_lines = fixedpoint.parse_lines
+    for size in sizes:
+        with mock.patch.object(fixedpoint, "parse_lines", recorded):
+            found = _exact_batches(path, reader, mode, size)
+        with mock.patch.object(dataio, "_plain", lambda text, lines: False):
+            assert found == _exact_batches(path, reader, mode, size), size
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=edge_files())
+def test_byte_parser_batches_equal_csv_batches(drawn):
+    text, reader, mode = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        _assert_bytes_read_as_text(path, reader, mode)
+
+
+@pytest.mark.parametrize("mode", ["single", "competing"])
+def test_byte_parser_reads_the_writers_files(tmp_path, mode):
+    rng = np.random.default_rng(3)
+    n = 3_000
+    tenure = rng.integers(0, 100, n)
+    churned = (rng.random(n) < 0.3).astype(np.int64)
+    cause = np.where(churned == 1, np.where(rng.random(n) < 0.5, "V", "I"), "")
+    covariates = np.round(rng.normal(0.0, 1e3, (n, 3)), int(rng.integers(0, 9)))
+    covariates[:5] = [[0.0, -0.0, -1e-7], [5e-7, 1e7, -1e7], [1e-6, -1e-6, 0.5],
+                      [2.5e-7, 3.5e-7, -4.5e-7], [99999999.999999, 0.0, 1.0]]
+    ids = tuple(f"c{i}é" for i in range(n))
+    cal = tmp_path / "cal.csv"
+    dataio.write_calibration(cal, dataio.CalibrationBatch(ids, tenure, churned, cause,
+                                                          covariates), mode)
+    scores = rng.random((2, n)) / 2
+    scoring = tmp_path / "scoring.csv"
+    dataio.write_scoring(scoring, dataio.ScoringBatch(
+        ids, tenure, rng.normal(0.0, 50.0, n), scores[0], scores[0], scores[1]), mode)
+    for path, reader in [(cal, dataio.read_calibration_batches),
+                         (scoring, dataio.read_scoring_batches)]:
+        calls = _assert_bytes_read_as_text(path, reader, mode)
+        assert calls and all(columns is not None for columns in calls), path.name
+
+
+@pytest.mark.parametrize("column,cell", [
+    *(("churned", cell) for cell in EDGE_FLAGS),
+    *(("tenure", cell) for cell in OUTSIDE_NUMBERS + OUTSIDE_INTEGERS),
+    *((("margin", "churn_score")[i % 2], cell) for i, cell in enumerate(OUTSIDE_NUMBERS))])
+def test_byte_parser_leaves_other_cells_to_the_text_split(tmp_path, column, cell):
+    # The cell sits in the second block of lines, after one the byte parser
+    # reads (at batch sizes below 8192, which read the file as one block).
+    n, row = 2_200, 2_150
+    cells = {"customer_id": [f"c{i}" for i in range(n)],
+             "tenure": [str(i % 40) for i in range(n)],
+             "churned": [str(i % 2) for i in range(n)],
+             "churn_score": [str(i % 7 / 8) for i in range(n)],
+             "margin": [str(i / 64) for i in range(n)]}
+    cells[column][row] = cell
+    if column in ("churned", "tenure"):
+        header, reader = ["customer_id", "tenure", "churned"], dataio.read_calibration_batches
+    else:
+        header = ["customer_id", "tenure", "churn_score", "margin"]
+        reader = dataio.read_scoring_batches
+    path = tmp_path / "in.csv"
+    path.write_text(",".join(header) + "\n"
+                    + "\n".join(map(",".join, zip(*(cells[name] for name in header)))),
+                    encoding="utf-8")
+    calls = _assert_bytes_read_as_text(path, reader, "single", sizes=(7, 512, 8192))
+    assert calls[0] is not None
+
+
+def test_byte_parser_counts_each_lines_fields(tmp_path):
+    # One line has a field too many and a later one a field too few, so the
+    # block holds as many commas as if every line had four fields, and every
+    # cell, read four to a line, is a number.
+    lines = [f"{i},{i % 40},0.5,1" for i in range(1_100)]
+    lines[600] += ",7"
+    lines[700] = lines[700].rsplit(",", 1)[0]
+    path = tmp_path / "in.csv"
+    path.write_text("customer_id,tenure,churn_score,margin\n" + "\n".join(lines),
+                    encoding="utf-8")
+    _assert_bytes_read_as_text(path, dataio.read_scoring_batches, "single",
+                               sizes=(7, 512, 8192))
+    with pytest.raises(InvalidValue, match="row 602.*unexpected extra field"):
+        list(dataio.read_scoring_batches(path))
+
+
+def test_parse_lines_reads_columns_of_each_kind():
+    data = ("5,-0.000000,a\u00e9,0,-0\n"
+            "-12345678901234.5,007.250,,1,123456789012345\n").encode()
+    tenure, score, ids, flag, count = fixedpoint.parse_lines(data, 2, "ffsbd")
+    assert tenure.tolist() == [5.0, -12345678901234.5]
+    assert score.view(np.int64).tolist() == np.array([-0.0, 7.25]).view(np.int64).tolist()
+    assert ids == ["a\u00e9", ""]
+    assert flag.dtype == count.dtype == np.int64
+    assert flag.tolist() == [0, 1] and count.tolist() == [0, 123456789012345]
+
+
+@pytest.mark.parametrize("data,rows", [
+    (b"1,2\n3\n", 2),  # a line with a field too few
+    (b"1,2,3\n4,5\n", 2),  # one too many, then one too few
+    (b"1,1e3\n", 1),
+    (b"1,1234567890123456\n", 1)])
+def test_parse_lines_refuses_what_it_does_not_read(data, rows):
+    assert fixedpoint.parse_lines(data, rows, "df") is None
