@@ -14,30 +14,37 @@ exactly (case-sensitive). LF and CRLF are both accepted; blank lines are
 skipped. Floats are written with six decimal places.
 
 Readers yield validated column batches: up to ``batch_size`` records at a
-time, parsed column by column into numpy arrays. Lines are read in blocks
-of whole batches (about ``_PARSE_ROWS`` lines, or one longer batch). A
-block of plain lines (no quote, carriage return, NUL or blank line) whose
-number cells are all plain fixed-point decimals is parsed from its UTF-8
-bytes by ``fixedpoint.parse_lines``, to the values ``int`` and ``float``
-give. From the first other block on, the file is read batch by batch as
-text: a plain batch is split at commas and newlines and parsed cell by
-cell, and any other batch is read by ``csv.reader``, which reads a quoted
-field on past the batch's last line if it must. Every way, the cells are
-those ``csv.reader`` gives. The record readers
-(``read_calibration``, ``read_scoring``) are views over the same batches.
+time, parsed column by column into numpy arrays. A file is read from its
+raw bytes, a block of whole batches at a time (about ``_PARSE_ROWS`` lines,
+or one longer batch), cut at newlines found in numpy. A block of plain
+lines (no quote, carriage return, NUL or blank line) that decodes as UTF-8
+and whose number cells are plain fixed-point decimals and code cells
+(``cause``) single ASCII bytes is parsed from those bytes by
+``fixedpoint.parse_lines``, to the values ``int`` and ``float`` give. From
+the first other block on (or from the header, if the header line is not
+plain), the file is reopened as text, the lines already read are skipped,
+and the rest is read as before: a block by ``parse_lines`` again if it is
+plain, and from the first block that is not, batch by batch as text, a
+plain batch split at commas and newlines and parsed cell by cell and any
+other batch read by ``csv.reader``, which reads a quoted field on past the
+batch's last line if it must. Every way, the cells are those ``csv.reader``
+gives. The record readers (``read_calibration``, ``read_scoring``) are
+views over the same batches.
 Each schema is one table of rules in check order: the field count, the id
 (non-empty, and new across batches too), then each column's parse and
 range rules, with a rule over two columns (``churned`` with ``cause``,
 ``score_v + score_inv <= 1``) after the columns it reads. Every rule gives
-a boolean mask over the batch's rows; a column is parsed cell by cell only
-if it fails to parse as a whole. The error reported is that of the
+a boolean mask over the batch's rows; a number column is parsed cell by
+cell only if it fails to parse as a whole. The error reported is that of the
 smallest failing row, and within that row of the first rule it breaks, so
 it names the row number (header = row 1, counting csv records), column
 and reason a row-by-row reader would, at any batch size. An error
 surfaces when its batch is read, before any record of that batch is
 consumed. Text that is not UTF-8, or a record csv refuses (a field past
 its size limit), is ``InvalidDocument`` naming the file, raised after the
-records before it have been checked.
+records before it have been checked: those that ``io.TextIOWrapper``
+returns before it fails to decode, which the byte path leaves to the text
+path by checking each block's bytes as that wrapper decodes them.
 
 Every writer (projections, and the simulator's calibration, scoring and
 truth files) formats each batch through one line template and quotes ids
@@ -54,6 +61,7 @@ once every batch is written.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -75,16 +83,24 @@ CAUSES = (CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY)
 
 PROJECTION_COLUMNS = ["customer_id", "alpha", "ert_months", "clv", "truncated_at"]
 
-# Rows per batch. Calibration batches stay small: a file is counted batch by
-# batch. Since lines are parsed 2048 at a time at any batch size, 2048-row
-# batches run `baseline` and `fit-odds` on the benchmark's inputs only 0-7%
-# faster than 512-row ones (about the run-to-run spread), at the same peak
-# memory; at 4096 rows the peak grows by up to 0.9 MB.
-CALIBRATION_BATCH_SIZE = 512
-SCORING_BATCH_SIZE = 8192
 # Lines that fixedpoint.parse_lines reads at a time, so that its arrays stay
 # small (about 1.7 MB at most for 2048 lines of 11 cells).
 _PARSE_ROWS = 2048
+# Rows per batch. A calibration batch is one parse block, so that its rules,
+# its batch and its counting step run once per block: against 512-row
+# batches this saves 9-21 ms of reading and counting the benchmark's panel
+# file (100k rows), 36-46 ms on its competing file (200k rows, two causes)
+# and 2-11 ms on its longtail file (100k rows), for at most 0.2 MB more
+# peak memory.
+CALIBRATION_BATCH_SIZE = _PARSE_ROWS
+SCORING_BATCH_SIZE = 8192
+# io.TextIOWrapper decodes a file in chunks of this many bytes from its
+# start; a smaller power-of-two buffer gives smaller chunks, which end on
+# these boundaries too.
+_DECODE_CHUNK = 8192
+# Bytes the byte path reads from a file at a time (at least). Reads of
+# 256 KiB raised `baseline`'s peak memory by up to 0.5 MB.
+_READ_BYTES = 8 * _DECODE_CHUNK
 
 # Largest tenure (months) a calibration row may hold. Counting sizes its
 # arrays by the largest tenure, so this bounds them at about 0.8 MB each.
@@ -310,11 +326,11 @@ def _validate_header(header: list[str] | None, required: list[str]) -> int:
 
 # Schemas. Each calibration and scoring schema is one table of rules in check
 # order; a row breaks the first rule it fails, and a batch reports its
-# smallest failing row. A rule with a parser parses its column, for the rules
-# after it, and is broken where a cell does not parse. Any other rule's test
-# gives the mask of rows that break it from ``c``: each column's cells or
-# parsed values by name, "fields" the rows' field counts and "seen" the ids
-# of earlier batches. ``reason`` is formatted with the row's cell in
+# smallest failing row. A rule with a parser parses its column, for itself
+# and the rules after it, and is broken where a cell does not parse. A
+# rule's test gives the mask of rows that break it from ``c``: each column's
+# cells or parsed values by name, "fields" the rows' field counts and "seen"
+# the ids of earlier batches. ``reason`` is formatted with the row's cell in
 # ``column``, or is a function that builds the whole error from the row
 # number and cells (the field count rule names no one column). A column
 # whose first rule has a parser may come parsed from the line bytes, and
@@ -322,10 +338,11 @@ def _validate_header(header: list[str] | None, required: list[str]) -> int:
 # cells.
 
 class _Parser(NamedTuple):
-    """Cell text to value, the dtype of the parsed column, and the kind of
-    cell ``fixedpoint.parse_lines`` reads from bytes to the same values."""
+    """Cell text to value (None: the cells as they are, which all parse),
+    the dtype of the parsed column, and the kind of cell
+    ``fixedpoint.parse_lines`` reads from bytes to the same values."""
 
-    parse: Callable[[str], object]
+    parse: Callable[[str], object] | None
     dtype: type
     kind: str
 
@@ -340,10 +357,17 @@ class _Rule(NamedTuple):
 _INTEGER = _Parser(int, np.int64, "d")
 _NUMBER = _Parser(float, np.float64, "f")
 _FLAG = _Parser({"0": 0, "1": 1}.__getitem__, np.int64, "b")
+# A code column (``cause``): numpy str, one character wide when every cell
+# holds at most one, which a file from the byte path's blocks always does.
+_CODE = _Parser(None, np.str_, "c")
 
 
-def _isin(cells: tuple[str, ...], allowed: set[str]) -> np.ndarray:
-    return np.fromiter(map(allowed.__contains__, cells), bool, len(cells))
+def _empty(cells: tuple[str, ...]) -> np.ndarray:
+    """Rows whose cell is empty, with a Python call per cell only if one is."""
+    n = len(cells)
+    if "" not in cells:
+        return np.zeros(n, dtype=bool)
+    return np.fromiter(map("".__eq__, cells), bool, n)
 
 
 def _repeated(ids: tuple[str, ...], seen: set[str]) -> np.ndarray:
@@ -391,7 +415,7 @@ def _leading_rules(names: list[str]) -> list[_Rule]:
     """The field count, id and tenure rules every schema starts with."""
     return [
         _Rule("", None, lambda c: c["fields"] != len(names), _field_count_error(names)),
-        _Rule("customer_id", None, lambda c: _isin(c["customer_id"], {""}), "must be non-empty"),
+        _Rule("customer_id", None, lambda c: _empty(c["customer_id"]), "must be non-empty"),
         _Rule("customer_id", None, lambda c: _repeated(c["customer_id"], c["seen"]),
               lambda row, cells: DuplicateCustomerId(cells[0], row)),
         _Rule("tenure", _INTEGER, None, "{!r} is not an integer"),
@@ -414,10 +438,11 @@ def _calibration_rules(names: list[str]) -> list[_Rule]:
     rules = [*_leading_rules(names), _at_most(MAX_CALIBRATION_TENURE),
              _Rule("churned", _FLAG, None, "must be 0 or 1")]
     if "cause" in names:
-        causes = set(CAUSES)
-        rules += [_Rule("cause", None, lambda c: (c["churned"] == 1) & ~_isin(c["cause"], causes),
+        causes = np.array(CAUSES)
+        rules += [_Rule("cause", _CODE,
+                        lambda c: (c["churned"] == 1) & ~np.isin(c["cause"], causes),
                         "must be V or I for churners"),
-                  _Rule("cause", None, lambda c: (c["churned"] == 0) & ~_isin(c["cause"], {""}),
+                  _Rule("cause", None, lambda c: (c["churned"] == 0) & (c["cause"] != ""),
                         "must be empty unless churned")]
     for name in _covariates(names):
         rules += _finite(name)
@@ -443,6 +468,8 @@ def _parsed(cells: tuple[str, ...], parser: _Parser) -> tuple[np.ndarray, np.nda
     """
     parse, dtype, _ = parser
     n = len(cells)
+    if parse is None:
+        return np.array(cells, dtype), np.zeros(n, dtype=bool)
     try:
         return np.fromiter(map(parse, cells), dtype, n), np.zeros(n, dtype=bool)
     except (ValueError, KeyError, OverflowError):  # OverflowError: an int past int64
@@ -472,18 +499,18 @@ def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: lis
     c["seen"] = seen
     masks = []
     for rule in rules:
-        if rule.parser is None:
-            masks.append(rule.test(c))
-        elif isinstance(c[rule.column], np.ndarray):  # parsed from the line bytes
-            masks.append(np.zeros(n, dtype=bool))
-        else:
-            c[rule.column], failed = _parsed(c[rule.column], rule.parser)
-            masks.append(failed)
+        mask = np.zeros(n, dtype=bool)
+        if rule.parser is not None and not isinstance(c[rule.column], np.ndarray):
+            c[rule.column], mask = _parsed(c[rule.column], rule.parser)
+        if rule.test is not None:
+            mask |= rule.test(c)
+        masks.append(mask)
     broken = np.logical_or.reduce(masks)
     if broken.any():
         i = int(broken.argmax())
         rule = next(rule for rule, mask in zip(rules, masks) if mask[i])
-        cells = rows[i] if rows else [column[i] for column in columns]
+        cells = rows[i] if rows else [column[i].item() if isinstance(column, np.ndarray)
+                                      else column[i] for column in columns]
         if callable(rule.reason):
             raise rule.reason(numbers[i], cells)
         raise InvalidValue(numbers[i], rule.column,
@@ -493,8 +520,7 @@ def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: lis
 
 def _calibration_batch(c: dict, names: list[str]) -> CalibrationBatch:
     covariates = [c[name] for name in _covariates(names)]
-    return CalibrationBatch(c["customer_id"], c["tenure"], c["churned"],
-                            np.array(c["cause"], dtype="U1") if "cause" in c else None,
+    return CalibrationBatch(c["customer_id"], c["tenure"], c["churned"], c.get("cause"),
                             np.stack(covariates, axis=1) if covariates else None)
 
 
@@ -531,16 +557,26 @@ def _until_error(fh, failed: list[UnicodeDecodeError]) -> Iterator[str]:
             failed.append(exc)
 
 
-def _plain(text: str, lines: list[str]) -> bool:
-    """Whether ``csv.reader`` reads each of ``lines`` as ``line.split(",")``.
+# Characters that make text not plain, as str and as bytes.
+_NOT_PLAIN = {str: ('"', "\r", "\0"), bytes: (b'"', b"\r", b"\0")}
+
+
+def _plain(text: str | bytes, line_lengths: Callable[[], np.ndarray]) -> bool:
+    """Whether ``csv.reader`` reads each line of ``text`` (str, or UTF-8
+    bytes) as ``line.split(",")``.
 
     That holds when the text has no quote, carriage return, NUL or blank
     line and no line long enough to hold a field past csv's size limit.
+    ``line_lengths()`` gives each line's length with its newline (in bytes,
+    for bytes: never fewer than its characters), so a blank line is 1 long;
+    so is a last line of one character without a newline, which is then
+    taken for a blank line.
     """
-    if '"' in text or "\r" in text or "\0" in text or "\n\n" in text or text[0] == "\n":
+    if any(b in text for b in _NOT_PLAIN[type(text)]):
         return False
+    lengths = line_lengths()
     limit = csv.field_size_limit()
-    return len(text) <= limit or max(map(len, lines)) <= limit
+    return lengths.min() > 1 and (len(text) <= limit or lengths.max() <= limit)
 
 
 def _columns(rows: list[list[str]], width: int) -> tuple[list, list[list[str]] | None]:
@@ -551,33 +587,121 @@ def _columns(rows: list[list[str]], width: int) -> tuple[list, list[list[str]] |
     return list(zip(*((cells + [""] * width)[:width] for cells in rows))), rows
 
 
-def _byte_columns(lines: list[str], kinds: str) -> list | None:
-    """The columns of plain ``lines`` parsed from their bytes by
+def _newlines(data: bytes) -> np.ndarray:
+    """The offsets of the newline bytes in ``data``."""
+    return np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
+
+
+def _byte_columns(data: bytes, ends: np.ndarray, kinds: str) -> list | None:
+    """The columns of the lines ``data``, each ending in a newline at an
+    offset in ``ends``, parsed from their bytes by
     ``fixedpoint.parse_lines``, ``_PARSE_ROWS`` lines at a time: a tuple of
-    cells for a text column, an array of values for a number column. None if
-    a line is not plain (``_plain``) or ``parse_lines`` does not read one.
+    cells for a text column, an array for any other. None if the lines are
+    not plain (``_plain``) or ``parse_lines`` does not read one.
     """
     from .fixedpoint import parse_lines  # loaded on the first read
 
+    if not _plain(data, lambda: np.diff(ends, prepend=-1)):
+        return None
     parts = []
-    for start in range(0, len(lines), _PARSE_ROWS):
-        part = lines[start:start + _PARSE_ROWS]
-        text = "".join(part)
-        if not _plain(text, part):
-            return None
-        if text[-1] != "\n":  # the file's last line
-            text += "\n"
-        columns = parse_lines(text.encode(), len(part), kinds)
+    start = 0
+    for first in range(0, len(ends), _PARSE_ROWS):
+        stop = int(ends[min(first + _PARSE_ROWS, len(ends)) - 1]) + 1
+        columns = parse_lines(data[start:stop], min(_PARSE_ROWS, len(ends) - first), kinds)
         if columns is None:
             return None
         parts.append(columns)
-    return [np.concatenate(cs) if kind != "s" else tuple(chain.from_iterable(cs))
+        start = stop
+    return [tuple(chain.from_iterable(cs)) if kind == "s" else np.concatenate(cs)
             for cs, kind in zip(zip(*parts), kinds)]
 
 
+def _sliced(columns: list, n: int, size: int, first: int):
+    """The batches (row numbers, columns, None) of at most ``size`` rows of
+    the ``n`` rows of a block's ``columns``, whose first is row ``first``."""
+    for start in range(0, n, size):
+        rows = slice(start, start + size)
+        yield range(first + start, first + min(start + size, n)), [c[rows] for c in columns], None
+
+
+def _line_bytes(lines: list[str]) -> tuple[bytes, np.ndarray]:
+    """The UTF-8 bytes of ``lines``, a newline added after a last line
+    without one, and the offsets of their newlines."""
+    data = "".join(lines).encode()
+    if not data.endswith(b"\n"):  # the file's last line
+        data += b"\n"
+    return data, _newlines(data)
+
+
+class _LineBlocks:
+    """The lines of a binary file, taken a block at a time from its start.
+
+    The bytes are read ``_READ_BYTES`` or more at a time and cut at newlines
+    found in numpy. Each block is checked to decode as ``io.TextIOWrapper``
+    decodes the file while it returns the block's lines: in chunks of
+    ``_DECODE_CHUNK`` bytes from the file's start, so up to the end of the
+    chunk the block's last line ends in, and to the end of the file if that
+    chunk reaches it.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.data = b""  # bytes read and not yet taken
+        self.ends = np.zeros(0, dtype=np.intp)  # the offsets of their newlines
+        self.offset = 0  # the file offset of data[0]
+        self.checked = 0  # the file offset up to which the bytes decode
+        self.eof = False
+        self.decoder = codecs.getincrementaldecoder("utf-8")()
+
+    def _read(self, size: int) -> None:
+        chunk = self.fh.read(size)
+        self.eof = not chunk
+        self.ends = np.concatenate([self.ends, _newlines(chunk) + len(self.data)])
+        self.data += chunk
+
+    def take(self, lines: int) -> tuple[bytes, np.ndarray] | None:
+        """The next ``lines`` lines (fewer at the end of the file, and b""
+        past it), a newline added after a last line without one, and the
+        offsets of their newlines; None if their bytes do not decode."""
+        while len(self.ends) < lines and not self.eof:
+            self._read(max(_READ_BYTES, len(self.data)))  # doubling, for long blocks
+        cut = int(self.ends[lines - 1]) + 1 if len(self.ends) >= lines else len(self.data)
+        stop = -(-(self.offset + cut) // _DECODE_CHUNK) * _DECODE_CHUNK
+        while self.offset + len(self.data) < stop and not self.eof:
+            self._read(stop - self.offset - len(self.data))
+        stop = min(stop, self.offset + len(self.data))
+        final = self.eof and stop == self.offset + len(self.data)
+        new = self.data[self.checked - self.offset:stop - self.offset]
+        if final or self.decoder.getstate()[0] or not new.isascii():
+            try:
+                self.decoder.decode(new, final)
+            except UnicodeDecodeError:
+                return None
+        self.checked = max(self.checked, stop)
+        data, ends = self.data[:cut], self.ends[:lines]
+        self.data, self.ends = self.data[cut:], self.ends[lines:] - cut
+        self.offset += cut
+        if data and not data.endswith(b"\n"):  # the file's last line
+            data += b"\n"
+            ends = np.append(ends, cut)
+        return data, ends
+
+
+def _plain_header(block: tuple[bytes, np.ndarray] | None) -> list[str] | None:
+    """The cells of the header line ``block`` (see ``_LineBlocks.take``),
+    after a UTF-8 byte order mark, if it decodes and is plain; else None."""
+    if block is None:
+        return None
+    line = block[0].removeprefix(codecs.BOM_UTF8)
+    if not line or not _plain(line, lambda: np.array([len(line)])):
+        return None
+    return next(csv.reader([line.decode()]))
+
+
 def _text_batches(fh, failed: list[UnicodeDecodeError], path: str | Path, width: int,
-                  size: int, kinds: str):
-    """Records after the header in batches of at most ``size``.
+                  size: int, kinds: str, first: int):
+    """The records of text file ``fh`` from row ``first`` on, in batches of
+    at most ``size``.
 
     Yields (row numbers, columns, rows) for each batch's non-blank records:
     ``columns`` holds the cells transposed, and ``rows`` is None when every
@@ -585,27 +709,22 @@ def _text_batches(fh, failed: list[UnicodeDecodeError], path: str | Path, width:
     columns then hold them cut or padded with "" to ``width``). Lines are
     read a block of whole batches at a time (or one batch, if it is longer
     than ``_PARSE_ROWS``). A block of plain lines (``_plain``) is parsed
-    from its bytes by ``fixedpoint.parse_lines``, each column as its
-    ``kinds`` letter says, and its number columns are arrays of values. From
-    the first block that is not read so, the rest of the file is read batch
-    by batch as text (so no file reads much slower than that): a batch of
-    plain lines is split at commas and newlines; any other batch is read by
-    ``csv.reader`` from the same lines, and from the file beyond them where a
-    quoted field runs on. A record csv cannot read ends the batch
+    from its bytes by ``_byte_columns``, each column as its ``kinds`` letter
+    says. From the first block that is not read so, the rest of the file is
+    read batch by batch as text (so no file reads much slower than that): a
+    batch of plain lines is split at commas and newlines; any other batch is
+    read by ``csv.reader`` from the same lines, and from the file beyond
+    them where a quoted field runs on. A record csv cannot read ends the batch
     before it, and its error is raised after that batch. Lines that cannot
     be decoded end the text (``_read_lines``).
     """
-    first = 2
     block = size * max(1, _PARSE_ROWS // size)
     while lines := _read_lines(fh, block, failed):
-        columns = _byte_columns(lines, kinds) if kinds else None
+        columns = _byte_columns(*_line_bytes(lines), kinds) if kinds else None
         if columns is not None:
+            n = len(lines)
             del lines
-            n = len(columns[0])
-            for start in range(0, n, size):
-                rows = slice(start, start + size)
-                yield (range(first + start, first + min(start + size, n)),
-                       [c[rows] for c in columns], None)
+            yield from _sliced(columns, n, size, first)
             first += n
             continue
         kinds = ""  # read the rest of the file as text
@@ -618,7 +737,7 @@ def _text_batches(fh, failed: list[UnicodeDecodeError], path: str | Path, width:
             if not lines:
                 break
             text = "".join(lines)
-            if _plain(text, lines):
+            if _plain(text, lambda: np.fromiter(map(len, lines), np.int64, len(lines))):
                 numbers = range(first, first + len(lines))
                 first += len(lines)
                 if set(map(str.count, lines, repeat(","))) != {width - 1}:
@@ -661,6 +780,55 @@ def _byte_kinds(names: list[str], rules: list[_Rule]) -> str:
     return "".join(first[name].kind if first.get(name) else "s" for name in names)
 
 
+def _cells(path: str | Path, schema, size: int, failed: list[UnicodeDecodeError]):
+    """The file's column names and rules, row numbers, columns and rows
+    (see ``_text_batches``), one tuple per batch of at most ``size`` records.
+
+    The header and each block of lines are read from the file's bytes
+    (``_LineBlocks``) while the header is plain and each block is read by
+    ``_byte_columns``. From the first that is not, the file is reopened as
+    text, the lines already read are skipped and ``_text_batches`` reads
+    the rest: the text wrapper's decode chunks stay where they were, and
+    plain lines hold no carriage return, so it reads each line as before.
+    """
+    block = size * max(1, _PARSE_ROWS // size)
+    first = 2  # the row of the first line after those read
+    with open(path, "rb") as fh:
+        blocks = _LineBlocks(fh)
+        header = _plain_header(blocks.take(1))
+        if header is not None:
+            names, rules = schema(header)
+            kinds = _byte_kinds(names, rules)
+            while (taken := blocks.take(block)) is not None:
+                if not taken[0]:
+                    return  # the end of the file
+                columns = _byte_columns(*taken, kinds)
+                n = len(taken[1])
+                del taken
+                if columns is None:
+                    break
+                for batch in _sliced(columns, n, size, first):
+                    yield names, rules, *batch
+                del columns
+                first += n
+        del blocks
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        if header is None:
+            try:
+                header = next(csv.reader(_until_error(fh, failed)), None)
+            except csv.Error as exc:
+                raise InvalidDocument(path, f"row 1: {exc}") from None
+            if failed:
+                return
+            names, rules = schema(header)
+            kinds = _byte_kinds(names, rules)
+        else:
+            for _ in islice(_until_error(fh, failed), first - 1):  # the lines read as bytes
+                pass
+        for batch in _text_batches(fh, failed, path, len(names), size, kinds, first):
+            yield names, rules, *batch
+
+
 def _read_batches(path: str | Path, schema, batch_of, size: int):
     """Shared reader loop: header, then one validated batch per ``size`` records.
 
@@ -672,21 +840,13 @@ def _read_batches(path: str | Path, schema, batch_of, size: int):
     if size < 1:
         raise ValueError("batch_size must be >= 1")
     failed: list[UnicodeDecodeError] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:
-            header = next(csv.reader(_until_error(fh, failed)), None)
-        except csv.Error as exc:
-            raise InvalidDocument(path, f"row 1: {exc}") from None
-        if not failed:
-            names, rules = schema(header)
-            seen: set[str] = set()
-            for numbers, columns, rows in _text_batches(fh, failed, path, len(names), size,
-                                                        _byte_kinds(names, rules)):
-                c = _checked_columns(rules, names, numbers, columns, rows, seen)
-                del columns, rows  # free the cells before the next batch is read
-                batch = batch_of(c, names)
-                del c
-                yield batch
+    seen: set[str] = set()
+    for names, rules, numbers, columns, rows in _cells(path, schema, size, failed):
+        c = _checked_columns(rules, names, numbers, columns, rows, seen)
+        del columns, rows  # free the cells before the next batch is read
+        batch = batch_of(c, names)
+        del c
+        yield batch
     if failed:
         exc = failed[0]
         raise InvalidDocument(path, f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "

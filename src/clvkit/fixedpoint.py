@@ -30,6 +30,8 @@ after dividing, so ``-0.000000`` reads -0.0 as ``float`` reads it. An
 integer cell is ``±N``, and a flag cell the one byte ``0`` or ``1``. Any
 other number cell (``+1``, ``.5``, ``1e3``, ``nan``, `` 1``, a non-ASCII
 digit, 16 digits or more) is not read, and nor is a block holding one.
+A code cell is empty or one ASCII byte, and a code column comes as a
+one-character numpy str column (``U1``); a longer code cell is not read.
 """
 
 from __future__ import annotations
@@ -198,6 +200,19 @@ def _text_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[
     return picked.tobytes().decode().split("\n")[:-1]
 
 
+def _code_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The cells from ``starts`` to ``ends`` of ``text`` as a ``U1`` column
+    (an empty cell is ""); None if a cell is longer than one ASCII byte."""
+    lengths = ends - starts
+    if lengths.max(initial=0) > 1:
+        return None
+    codes = text[starts].astype(np.uint32)  # an empty cell starts at its separator
+    codes *= lengths == 1
+    if codes.max(initial=0) >= 128:
+        return None
+    return codes.view("U1")
+
+
 def _number_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                   kinds: list[str]) -> list[np.ndarray] | None:
     """The number cells from ``starts`` to ``ends`` of ``text``, (columns,
@@ -267,10 +282,11 @@ def parse_lines(data: bytes, rows: int, kinds: str) -> list | None:
     """The cells of ``rows`` comma-separated lines, each ending in a newline,
     from their UTF-8 bytes ``data``, column by column.
 
-    ``kinds`` holds each column's kind: ``s`` text (a list of str), ``d`` an
-    integer or ``b`` a 0 or 1 flag (int64 arrays), ``f`` a float (a float64
-    array). Returns None if a line has another number of cells, or a number
-    cell is not read (see the module docstring).
+    ``kinds`` holds each column's kind: ``s`` text (a list of str), ``c`` a
+    code (a ``U1`` array), ``d`` an integer or ``b`` a 0 or 1 flag (int64
+    arrays), ``f`` a float (a float64 array). Returns None if a line has
+    another number of cells, or a number or code cell is not read (see the
+    module docstring).
     """
     width = len(kinds)
     if len(data) >= 2**31 - len(_PAD):  # positions are int32
@@ -286,10 +302,14 @@ def parse_lines(data: bytes, rows: int, kinds: str) -> list | None:
     starts[0] = len(_PAD)
     starts[1:] = ends[:-1] + 1
     starts, ends = starts.reshape(rows, width).T, ends.reshape(rows, width).T
-    numeric = [j for j, kind in enumerate(kinds) if kind != "s"]
+    numeric = [j for j, kind in enumerate(kinds) if kind in "dbf"]
     numbers = _number_cells(text, starts[numeric], ends[numeric], [kinds[j] for j in numeric])
     if numbers is None:
         return None
     columns = dict(zip(numeric, numbers))
+    for j in (j for j, kind in enumerate(kinds) if kind == "c"):
+        columns[j] = _code_cells(text, starts[j], ends[j])
+        if columns[j] is None:
+            return None
     return [columns[j] if j in columns else _text_cells(text, starts[j], ends[j])
             for j in range(width)]

@@ -155,11 +155,16 @@ def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray,
     """Bernoulli log-likelihood of the offset-logistic model, ridge-penalized.
 
     Computed via log-sigmoid so it stays finite for any finite linear
-    predictor.
+    predictor: each row adds log sigma(eta) = -log(1 + exp(-eta)) if it
+    churned, else log sigma(-eta). Unless eta is finite and y all 0 or 1,
+    the two terms are weighted by y and 1 - y instead, so that inf * 0
+    gives NaN there as it always has (the fit halves such a step).
     """
     eta = offsets + X @ beta
-    # log sigma(eta) = -log(1 + exp(-eta)), stable in both directions
-    ll = -(np.logaddexp(0.0, -eta) * y + np.logaddexp(0.0, eta) * (1.0 - y)).sum()
+    if np.isfinite(eta).all() and ((y == 0) | (y == 1)).all():
+        ll = -np.logaddexp(0.0, np.where(y == 1, -eta, eta)).sum()
+    else:
+        ll = -(np.logaddexp(0.0, -eta) * y + np.logaddexp(0.0, eta) * (1.0 - y)).sum()
     return float(ll - 0.5 * ridge * float(beta @ beta))
 
 
@@ -216,9 +221,9 @@ def _fit(tenure, outcome, X, widths, baseline: BaselineHazard, ridge: float, tol
     path = [objective]
     converged = False
     iterations = 0
+    h = expit(offsets + X @ beta)
     for it in range(1, max_iter + 1):
         iterations = it
-        h = expit(offsets + X @ beta)
         grad = X.T @ (y - h) - ridge * beta
         if float(np.max(np.abs(grad))) == 0.0:
             # Exactly stationary (e.g. all covariates zero); nothing to move.
@@ -248,8 +253,8 @@ def _fit(tenure, outcome, X, widths, baseline: BaselineHazard, ridge: float, tol
 
         beta = candidate
         path.append(new_objective)
-        h_new = expit(offsets + X @ beta)
-        if float(np.max(np.abs(y - h_new))) < _SEPARATION_ATOL:
+        h = expit(offsets + X @ beta)  # also the next iteration's
+        if float(np.max(np.abs(y - h))) < _SEPARATION_ATOL:
             raise FitDiverged("perfect separation", last_beta=beta, iterations=it)
         improvement = new_objective - objective
         objective = new_objective

@@ -10,6 +10,7 @@ record-level APIs.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -718,3 +719,183 @@ def test_parse_lines_reads_columns_of_each_kind():
     (b"1,1234567890123456\n", 1)])
 def test_parse_lines_refuses_what_it_does_not_read(data, rows):
     assert fixedpoint.parse_lines(data, rows, "df") is None
+
+
+# The byte path (a file read from its raw bytes) against the text path it
+# falls back to: with ``_plain`` patched to False every block goes to the
+# text path, and the batches and errors must be the same, bit for bit.
+
+ORACLE_BATCH_SIZES = (1, 7, 512, 2048, 8192)
+COMPETING_HEADER = "customer_id,tenure,churned,cause,x1"
+
+
+def _competing_rows(n, start=0):
+    """Rows valid in a competing calibration file, churners with either cause."""
+    return "".join(f"c{i},{i % 40},{int(i % 3 == 0)},{'VI'[i % 2] if i % 3 == 0 else ''},"
+                   f"{i % 9 / 4}\n" for i in range(start, start + n))
+
+
+def _text_path_batches(path, reader, mode, size):
+    with mock.patch.object(dataio, "_plain", lambda text, longest_line: False):
+        return _exact_batches(path, reader, mode, size)
+
+
+def _assert_text_path(path, reader, mode="single", sizes=ORACLE_BATCH_SIZES):
+    """The batches and error at each of ``sizes`` are the text path's;
+    returns them at the last size."""
+    for size in sizes:
+        found = _exact_batches(path, reader, mode, size)
+        assert found == _text_path_batches(path, reader, mode, size), size
+    return found
+
+
+def _with_byte(data, offset, byte=0xFF):
+    data = bytearray(data)
+    data[offset] = byte
+    return bytes(data)
+
+
+_SCORING_FILE = ("customer_id,tenure,churn_score,margin\n" + _filler(7_000)).encode()
+_CHUNK = dataio._DECODE_CHUNK
+
+
+@pytest.mark.parametrize("offset", [
+    _SCORING_FILE.index(b"\nc1000,") + 3,  # inside the first block
+    _SCORING_FILE.index(b"\nc5000,") + 3,  # inside the third block of 2048 lines
+    # just after the end of a block, in the decode chunk that block ends in
+    *(_SCORING_FILE.index(f"\nc{i},".encode()) + 2 for i in (2044, 2048, 4096)),
+    3 * _CHUNK - 1, 3 * _CHUNK, 6 * _CHUNK - 1, 6 * _CHUNK, 6 * _CHUNK + 1,
+    len(_SCORING_FILE) - 1])
+def test_undecodable_byte_ends_the_rows_where_the_text_path_does(tmp_path, offset):
+    path = tmp_path / "in.csv"
+    path.write_bytes(_with_byte(_SCORING_FILE, offset))
+    found = _assert_text_path(path, dataio.read_scoring_batches)
+    assert found[-1][0] is InvalidDocument and "0xff" in found[-1][1]
+
+
+@pytest.mark.parametrize("kept,at_end", [(3, False), (1, False), (2, False), (2, True)])
+def test_character_across_a_decode_chunk_boundary(tmp_path, kept, at_end):
+    # Line 2048 (the first of a block at batch sizes 1, 512 and 2048) holds
+    # the first ``kept`` bytes of a 3-byte character, from the last byte of a
+    # decode chunk on; with at_end, they end the file.
+    lines = _filler(5_000).splitlines(keepends=True)
+    head = "customer_id,tenure,churn_score,margin\n"
+    before = len(head) + sum(map(len, lines[:2048]))
+    boundary = -(-(before + 10) // _CHUNK) * _CHUNK
+    lines[0] = "c" * (boundary - 5 - before) + lines[0]
+    char = "中".encode()[:kept]
+    line = b"cccc" + char + (b"" if at_end else b",1,0.5,1\n")
+    rest = b"" if at_end else "".join(lines[2049:]).encode()
+    data = (head + "".join(lines[:2048])).encode() + line + rest
+    assert data.index(char) == boundary - 1
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    found = _assert_text_path(path, dataio.read_scoring_batches)
+    assert (found[-1][0] is InvalidDocument) == (kept < 3)
+
+
+@pytest.mark.parametrize("line,cell", [
+    (5_000, '"q,1"'), (5_000, "c\r"), (300, '"q"'), (7_400, "c\r"), (7_400, '"x"')])
+def test_irregular_line_after_plain_blocks(tmp_path, line, cell):
+    lines = _filler(7_500).splitlines(keepends=True)
+    lines[line] = lines[line].replace(f"c{line},", f"{cell},", 1)
+    path = tmp_path / "in.csv"
+    path.write_text("customer_id,tenure,churn_score,margin\n" + "".join(lines),
+                    encoding="utf-8", newline="")
+    _assert_text_path(path, dataio.read_scoring_batches)
+
+
+@pytest.mark.parametrize("header", ['customer_id,tenure,"churn_score",margin',
+                                    "customer_id,tenure,churn_score,margin\r"])
+def test_header_that_is_not_plain(tmp_path, header):
+    path = tmp_path / "in.csv"
+    path.write_text(f"{header}\n" + _filler(3_000), encoding="utf-8", newline="")
+    found = _assert_text_path(path, dataio.read_scoring_batches)
+    assert not isinstance(found[-1], tuple)
+
+
+@pytest.mark.parametrize("cell,churned", [("VI", 1), ("é", 1), ("X", 0), ("", 1), ("IV", 0)])
+def test_code_cells_the_byte_path_does_not_read(tmp_path, cell, churned):
+    lines = _competing_rows(6_000).splitlines(keepends=True)
+    lines[4_500] = f"bad,3,{churned},{cell},0.5\n"
+    path = tmp_path / "in.csv"
+    path.write_text(COMPETING_HEADER + "\n" + "".join(lines), encoding="utf-8")
+    found = _assert_text_path(path, dataio.read_calibration_batches, "competing")
+    assert found[-1][0] is InvalidValue and "row 4502" in found[-1][1]
+
+
+def test_empty_and_repeated_ids_in_later_blocks(tmp_path):
+    for bad in ("", "c17"):
+        lines = _competing_rows(5_000).splitlines(keepends=True)
+        lines[4_000] = lines[4_000].replace("c4000,", f"{bad},", 1)
+        path = tmp_path / "in.csv"
+        path.write_text(COMPETING_HEADER + "\n" + "".join(lines), encoding="utf-8")
+        found = _assert_text_path(path, dataio.read_calibration_batches, "competing")
+        assert "row 4002" in found[-1][1]
+
+
+def _spy_text_path():
+    """A patch that counts the calls of ``_text_batches``."""
+    calls = []
+    text_batches = dataio._text_batches
+
+    def spy(*args):
+        calls.append(args)
+        return text_batches(*args)
+
+    return calls, mock.patch.object(dataio, "_text_batches", spy)
+
+
+def test_the_writers_files_are_read_from_bytes(tmp_path):
+    rng = np.random.default_rng(8)
+    n = 5_000
+    tenure = rng.integers(0, 100, n)
+    churned = (rng.random(n) < 0.3).astype(np.int64)
+    cause = np.where(churned == 1, np.where(rng.random(n) < 0.5, "V", "I"), "")
+    ids = tuple(f"c{i}é" for i in range(n))
+    cal = tmp_path / "cal.csv"
+    dataio.write_calibration(cal, dataio.CalibrationBatch(
+        ids, tenure, churned, cause, rng.normal(0.0, 1.0, (n, 2))), "competing")
+    scoring = tmp_path / "scoring.csv"
+    dataio.write_scoring(scoring, dataio.ScoringBatch(
+        ids, tenure, rng.normal(0.0, 50.0, n), None, *(rng.random((2, n)) / 2)), "competing")
+    for path, reader in [(cal, dataio.read_calibration_batches),
+                         (scoring, dataio.read_scoring_batches)]:
+        calls, spy = _spy_text_path()
+        for size in ORACLE_BATCH_SIZES:
+            with spy:
+                found = _exact_batches(path, reader, "competing", size)
+            assert not calls, (path.name, size)
+            assert found == _text_path_batches(path, reader, "competing", size)
+    (batch, *_) = dataio.read_calibration_batches(cal, "competing")
+    assert batch.cause.dtype == np.dtype("U1")
+    assert batch.cause.tolist() == cause[:dataio.CALIBRATION_BATCH_SIZE].tolist()
+
+
+def test_error_quoting_a_cell_shows_a_str(tmp_path):
+    # A rule quoting the cause cell, which comes from the bytes as a U1 array.
+    rules = dataio._calibration_rules(COMPETING_HEADER.split(","))
+    quoting = [rule._replace(reason="{!r} is not a cause") if rule.column == "cause" else rule
+               for rule in rules]
+    path = tmp_path / "in.csv"
+    path.write_text(COMPETING_HEADER + "\nc1,3,1,X,0.5\n", encoding="utf-8")
+    with mock.patch.object(dataio, "_calibration_rules", lambda names: quoting):
+        with pytest.raises(InvalidValue, match=r"row 2, column 'cause': invalid value \('X' is not a cause\)"):
+            list(dataio.read_calibration_batches(path, "competing"))
+
+
+@pytest.mark.parametrize("reader,mode,header,rows", [
+    (dataio.read_calibration_batches, "competing", COMPETING_HEADER, _competing_rows(3_000)),
+    (dataio.read_scoring_batches, "single", "customer_id,tenure,churn_score,margin",
+     _filler(3_000))], ids=["calibration", "scoring"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_byte_order_mark_reads_as_without(tmp_path, reader, mode, header, rows, newline):
+    text = (header + "\n" + rows).replace("\n", newline)
+    without, with_mark = tmp_path / "without.csv", tmp_path / "with.csv"
+    without.write_bytes(text.encode())
+    with_mark.write_bytes(codecs.BOM_UTF8 + text.encode())
+    for size in ORACLE_BATCH_SIZES:
+        expected = _exact_batches(without, reader, mode, size)
+        assert len(expected) == -(-3_000 // size)  # every batch, and no error
+        assert _exact_batches(with_mark, reader, mode, size) == expected, size
+        assert _text_path_batches(with_mark, reader, mode, size) == expected, size

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, logit
 
 from clvkit import odds
@@ -83,6 +85,28 @@ class TestLikelihoodAndGradient:
                     fd = (log_likelihood(up, X, y, offsets, ridge)
                           - log_likelihood(down, X, y, offsets, ridge)) / (2 * h)
                     assert analytic[k] == pytest.approx(fd, rel=1e-6)
+
+
+def _two_term_log_likelihood(eta, y):
+    """The log-likelihood as each row's two terms weighted by y and 1 - y."""
+    return float(-(np.logaddexp(0.0, -eta) * y + np.logaddexp(0.0, eta) * (1.0 - y)).sum())
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64).item()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(
+           st.one_of(st.floats(-1e8, 1e8), st.sampled_from([0.0, -0.0, 5e-324, 36.7, -745.2]),
+                     st.sampled_from([math.inf, -math.inf])),
+           st.sampled_from([0.0, 1.0])), min_size=1, max_size=40))
+def test_log_likelihood_equals_the_two_term_form_bit_for_bit(rows):
+    eta, y = map(np.array, zip(*rows))
+    X = np.zeros((len(eta), 1))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the two-term form
+        expected = _two_term_log_likelihood(eta, y)
+        assert _bits(log_likelihood(np.zeros(1), X, y, eta)) == _bits(expected)
 
 
 class TestFit:
