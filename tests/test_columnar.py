@@ -736,7 +736,7 @@ def _competing_rows(n, start=0):
 
 
 def _text_path_batches(path, reader, mode, size):
-    with mock.patch.object(dataio, "_plain", lambda text, longest_line: False):
+    with mock.patch.object(dataio, "_plain", lambda text, line_lengths: False):
         return _exact_batches(path, reader, mode, size)
 
 
