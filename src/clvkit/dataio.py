@@ -22,14 +22,13 @@ and whose number cells are plain fixed-point decimals and code cells
 (``cause``) single ASCII bytes is parsed from those bytes by
 ``fixedpoint.parse_lines``, to the values ``int`` and ``float`` give. From
 the first other block on (or from the header, if the header line is not
-plain), the file is reopened as text, the lines already read are skipped,
-and the rest is read as before: a block by ``parse_lines`` again if it is
-plain, and from the first block that is not, batch by batch as text, a
-plain batch split at commas and newlines and parsed cell by cell and any
-other batch read by ``csv.reader``, which reads a quoted field on past the
-batch's last line if it must. Every way, the cells are those ``csv.reader``
-gives. The record readers (``read_calibration``, ``read_scoring``) are
-views over the same batches.
+plain), the rest of the same open file is read as text (``_text_from``),
+batch by batch: a plain batch split at commas and newlines and parsed cell
+by cell, and any other batch read by ``csv.reader``, which reads a quoted
+field on past the batch's last line if it must. A file that cannot seek (a
+pipe) is read as text from its start. Every way, the cells are those
+``csv.reader`` gives. The record readers (``read_calibration``,
+``read_scoring``) are views over the same batches.
 Each schema is one table of rules in check order: the field count, the id
 (non-empty, and new across batches too), then each column's parse and
 range rules, with a rule over two columns (``churned`` with ``cause``,
@@ -63,6 +62,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import io
 import math
 import os
@@ -94,9 +94,8 @@ _PARSE_ROWS = 2048
 # peak memory.
 CALIBRATION_BATCH_SIZE = _PARSE_ROWS
 SCORING_BATCH_SIZE = 8192
-# io.TextIOWrapper decodes a file in chunks of this many bytes from its
-# start; a smaller power-of-two buffer gives smaller chunks, which end on
-# these boundaries too.
+# io.TextIOWrapper decodes a file in chunks of this many bytes from where it
+# starts reading it (checked by _decodes_in_chunks).
 _DECODE_CHUNK = 8192
 # Bytes the byte path reads from a file at a time (at least). Reads of
 # 256 KiB raised `baseline`'s peak memory by up to 0.5 MB.
@@ -338,12 +337,11 @@ def _validate_header(header: list[str] | None, required: list[str]) -> int:
 # cells.
 
 class _Parser(NamedTuple):
-    """Cell text to value (None: the cells as they are, which all parse),
-    the dtype of the parsed column, and the kind of cell
-    ``fixedpoint.parse_lines`` reads from bytes to the same values."""
+    """Cell text to value, the dtype of the parsed column, and the kind of
+    cell ``fixedpoint.parse_lines`` reads from bytes to the same values."""
 
-    parse: Callable[[str], object] | None
-    dtype: type
+    parse: Callable[[str], object]
+    dtype: type | str
     kind: str
 
 
@@ -357,9 +355,15 @@ class _Rule(NamedTuple):
 _INTEGER = _Parser(int, np.int64, "d")
 _NUMBER = _Parser(float, np.float64, "f")
 _FLAG = _Parser({"0": 0, "1": 1}.__getitem__, np.int64, "b")
-# A code column (``cause``): numpy str, one character wide when every cell
-# holds at most one, which a file from the byte path's blocks always does.
-_CODE = _Parser(None, np.str_, "c")
+
+
+def _code(codes: tuple[str, ...]) -> _Parser:
+    """A code column (``cause``): a ``U1`` column holding each cell that is
+    empty or one of ``codes`` as it is and any other as "?", which breaks
+    the column's rules as that cell does, however long it is. From the
+    bytes, a cell that is empty or one ASCII byte is read as it is."""
+    known = dict.fromkeys(("", *codes))
+    return _Parser(lambda cell: cell if cell in known else "?", "U1", "c")
 
 
 def _empty(cells: tuple[str, ...]) -> np.ndarray:
@@ -439,7 +443,7 @@ def _calibration_rules(names: list[str]) -> list[_Rule]:
              _Rule("churned", _FLAG, None, "must be 0 or 1")]
     if "cause" in names:
         causes = np.array(CAUSES)
-        rules += [_Rule("cause", _CODE,
+        rules += [_Rule("cause", _code(CAUSES),
                         lambda c: (c["churned"] == 1) & ~np.isin(c["cause"], causes),
                         "must be V or I for churners"),
                   _Rule("cause", None, lambda c: (c["churned"] == 0) & (c["cause"] != ""),
@@ -468,8 +472,6 @@ def _parsed(cells: tuple[str, ...], parser: _Parser) -> tuple[np.ndarray, np.nda
     """
     parse, dtype, _ = parser
     n = len(cells)
-    if parse is None:
-        return np.array(cells, dtype), np.zeros(n, dtype=bool)
     try:
         return np.fromiter(map(parse, cells), dtype, n), np.zeros(n, dtype=bool)
     except (ValueError, KeyError, OverflowError):  # OverflowError: an int past int64
@@ -624,15 +626,6 @@ def _sliced(columns: list, n: int, size: int, first: int):
         yield range(first + start, first + min(start + size, n)), [c[rows] for c in columns], None
 
 
-def _line_bytes(lines: list[str]) -> tuple[bytes, np.ndarray]:
-    """The UTF-8 bytes of ``lines``, a newline added after a last line
-    without one, and the offsets of their newlines."""
-    data = "".join(lines).encode()
-    if not data.endswith(b"\n"):  # the file's last line
-        data += b"\n"
-    return data, _newlines(data)
-
-
 class _LineBlocks:
     """The lines of a binary file, taken a block at a time from its start.
 
@@ -699,76 +692,53 @@ def _plain_header(block: tuple[bytes, np.ndarray] | None) -> list[str] | None:
 
 
 def _text_batches(fh, failed: list[UnicodeDecodeError], path: str | Path, width: int,
-                  size: int, kinds: str, first: int):
+                  size: int, first: int):
     """The records of text file ``fh`` from row ``first`` on, in batches of
     at most ``size``.
 
     Yields (row numbers, columns, rows) for each batch's non-blank records:
     ``columns`` holds the cells transposed, and ``rows`` is None when every
     record has ``width`` fields, else it holds each record's cells (the
-    columns then hold them cut or padded with "" to ``width``). Lines are
-    read a block of whole batches at a time (or one batch, if it is longer
-    than ``_PARSE_ROWS``). A block of plain lines (``_plain``) is parsed
-    from its bytes by ``_byte_columns``, each column as its ``kinds`` letter
-    says. From the first block that is not read so, the rest of the file is
-    read batch by batch as text (so no file reads much slower than that): a
-    batch of plain lines is split at commas and newlines; any other batch is
-    read by ``csv.reader`` from the same lines, and from the file beyond
-    them where a quoted field runs on. A record csv cannot read ends the batch
-    before it, and its error is raised after that batch. Lines that cannot
-    be decoded end the text (``_read_lines``).
+    columns then hold them cut or padded with "" to ``width``). A batch of
+    plain lines (``_plain``) is split at commas and newlines; any other
+    batch is read by ``csv.reader`` from the same lines, and from the file
+    beyond them where a quoted field runs on. A record csv cannot read ends
+    the batch before it, and its error is raised after that batch. Lines
+    that cannot be decoded end the text (``_read_lines``).
     """
-    block = size * max(1, _PARSE_ROWS // size)
-    while lines := _read_lines(fh, block, failed):
-        columns = _byte_columns(*_line_bytes(lines), kinds) if kinds else None
-        if columns is not None:
-            n = len(lines)
-            del lines
-            yield from _sliced(columns, n, size, first)
-            first += n
-            continue
-        kinds = ""  # read the rest of the file as text
-        rest = iter(lines)
-        del lines
-        for _ in range(block // size):
-            lines = list(islice(rest, size))
-            if len(lines) < size:
-                lines += _read_lines(fh, size - len(lines), failed)
-            if not lines:
-                break
-            text = "".join(lines)
-            if _plain(text, lambda: np.fromiter(map(len, lines), np.int64, len(lines))):
-                numbers = range(first, first + len(lines))
-                first += len(lines)
-                if set(map(str.count, lines, repeat(","))) != {width - 1}:
-                    yield numbers, *_columns([line.rstrip("\n").split(",") for line in lines],
-                                             width)
-                    continue
-                del lines  # free each copy of the text before the cells exist
-                text = text.replace("\n", ",")
-                cells = text.split(",")
-                del text, cells[len(numbers) * width:]  # the cell after a final newline
-                yield numbers, [tuple(cells[j::width]) for j in range(width)], None
+    while lines := _read_lines(fh, size, failed):
+        text = "".join(lines)
+        if _plain(text, lambda: np.fromiter(map(len, lines), np.int64, len(lines))):
+            numbers = range(first, first + len(lines))
+            first += len(lines)
+            if set(map(str.count, lines, repeat(","))) != {width - 1}:
+                yield numbers, *_columns([line.rstrip("\n").split(",") for line in lines],
+                                         width)
                 continue
-            del text
-            rows: list[list[str]] = []
-            error = None
-            try:
-                rows.extend(islice(csv.reader(chain(lines, rest, _until_error(fh, failed))),
-                                   size))
-            except csv.Error as exc:
-                error = InvalidDocument(path, f"row {first + len(rows)}: {exc}")
-            del lines
-            numbers = range(first, first + len(rows))
-            first += len(rows)
-            if not all(rows):
-                numbers = [n for n, cells in zip(numbers, rows) if cells]
-                rows = [cells for cells in rows if cells]
-            if rows:
-                yield numbers, *_columns(rows, width)
-            del rows
-            if error is not None:
-                raise error
+            del lines  # free each copy of the text before the cells exist
+            text = text.replace("\n", ",")
+            cells = text.split(",")
+            del text, cells[len(numbers) * width:]  # the cell after a final newline
+            yield numbers, [tuple(cells[j::width]) for j in range(width)], None
+            continue
+        del text
+        rows: list[list[str]] = []
+        error = None
+        try:
+            rows.extend(islice(csv.reader(chain(lines, _until_error(fh, failed))), size))
+        except csv.Error as exc:
+            error = InvalidDocument(path, f"row {first + len(rows)}: {exc}")
+        del lines
+        numbers = range(first, first + len(rows))
+        first += len(rows)
+        if not all(rows):
+            numbers = [n for n, cells in zip(numbers, rows) if cells]
+            rows = [cells for cells in rows if cells]
+        if rows:
+            yield numbers, *_columns(rows, width)
+        del rows
+        if error is not None:
+            raise error
 
 
 def _byte_kinds(names: list[str], rules: list[_Rule]) -> str:
@@ -780,53 +750,99 @@ def _byte_kinds(names: list[str], rules: list[_Rule]) -> str:
     return "".join(first[name].kind if first.get(name) else "s" for name in names)
 
 
+@functools.cache
+def _decodes_in_chunks() -> bool:
+    """Whether ``io.TextIOWrapper`` reads a buffered file in ``read1`` calls
+    of ``_DECODE_CHUNK`` bytes, as ``_LineBlocks`` and ``_text_from``
+    assume. CPython 3.11's does, but that is no part of its interface;
+    where it does not, files are read as text from their start."""
+    sizes = []
+
+    class Recorded(io.BufferedReader):
+        def read1(self, size=-1):
+            sizes.append(size)
+            return super().read1(size)
+
+    lines = (b"a" * 999 + b"\n") * 20
+    for _ in io.TextIOWrapper(Recorded(io.BytesIO(lines)), encoding="utf-8", newline=""):
+        pass
+    return set(sizes) == {_DECODE_CHUNK}
+
+
+def _text_from(fh, offset: int) -> io.TextIOWrapper:
+    """A text file over the unbuffered binary file ``fh``, from the line at
+    file offset ``offset``: 0, or, in a seekable file, the end of bytes
+    that decode as UTF-8 and end in a newline.
+
+    It starts reading at the last ``_DECODE_CHUNK`` boundary before
+    ``offset`` that is not inside a character, and reads past the lines up
+    to ``offset``, so it decodes in the chunks it would decode from the
+    file's start, without the bytes before that boundary.
+    """
+    start = lines = 0
+    if fh.seekable():
+        start = offset - offset % _DECODE_CHUNK
+        while True:
+            fh.seek(start)
+            head = fh.read(offset - start)
+            if not head or not 0x80 <= head[0] < 0xC0:  # not a UTF-8 continuation byte
+                break
+            start -= _DECODE_CHUNK
+        lines = head.count(b"\n")
+        fh.seek(start)
+    text = io.TextIOWrapper(io.BufferedReader(fh), encoding="utf-8" if start else "utf-8-sig",
+                            newline="")
+    for _ in islice(text, lines):
+        pass
+    return text
+
+
 def _cells(path: str | Path, schema, size: int, failed: list[UnicodeDecodeError]):
     """The file's column names and rules, row numbers, columns and rows
     (see ``_text_batches``), one tuple per batch of at most ``size`` records.
 
-    The header and each block of lines are read from the file's bytes
-    (``_LineBlocks``) while the header is plain and each block is read by
-    ``_byte_columns``. From the first that is not, the file is reopened as
-    text, the lines already read are skipped and ``_text_batches`` reads
-    the rest: the text wrapper's decode chunks stay where they were, and
-    plain lines hold no carriage return, so it reads each line as before.
+    In a seekable file, the header and each block of lines are read from the
+    file's bytes (``_LineBlocks``) while the header is plain and each block
+    is read by ``_byte_columns``. From the first that is not (or from the
+    start), ``_text_batches`` reads the rest as text (``_text_from``), so
+    plain lines, which hold no carriage return, are each read as before.
     """
     block = size * max(1, _PARSE_ROWS // size)
-    first = 2  # the row of the first line after those read
-    with open(path, "rb") as fh:
-        blocks = _LineBlocks(fh)
-        header = _plain_header(blocks.take(1))
-        if header is not None:
-            names, rules = schema(header)
-            kinds = _byte_kinds(names, rules)
-            while (taken := blocks.take(block)) is not None:
-                if not taken[0]:
-                    return  # the end of the file
-                columns = _byte_columns(*taken, kinds)
-                n = len(taken[1])
-                del taken
-                if columns is None:
-                    break
-                for batch in _sliced(columns, n, size, first):
-                    yield names, rules, *batch
-                del columns
-                first += n
-        del blocks
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        if header is None:
-            try:
-                header = next(csv.reader(_until_error(fh, failed)), None)
-            except csv.Error as exc:
-                raise InvalidDocument(path, f"row 1: {exc}") from None
-            if failed:
-                return
-            names, rules = schema(header)
-            kinds = _byte_kinds(names, rules)
-        else:
-            for _ in islice(_until_error(fh, failed), first - 1):  # the lines read as bytes
-                pass
-        for batch in _text_batches(fh, failed, path, len(names), size, kinds, first):
-            yield names, rules, *batch
+    first, offset = 2, 0  # the row and file offset of the first line not read as bytes
+    header = None
+    with open(path, "rb", buffering=0) as fh:
+        if fh.seekable() and _decodes_in_chunks():
+            blocks = _LineBlocks(fh)
+            header = _plain_header(blocks.take(1))
+            if header is not None:
+                names, rules = schema(header)
+                kinds = _byte_kinds(names, rules)
+                offset = blocks.offset
+                while (taken := blocks.take(block)) is not None:
+                    if not taken[0]:
+                        return  # the end of the file
+                    columns = _byte_columns(*taken, kinds)
+                    n = len(taken[1])
+                    del taken
+                    if columns is None:
+                        break
+                    for batch in _sliced(columns, n, size, first):
+                        yield names, rules, *batch
+                    del columns
+                    first += n
+                    offset = blocks.offset
+            del blocks
+        with _text_from(fh, offset) as text:
+            if header is None:
+                try:
+                    header = next(csv.reader(_until_error(text, failed)), None)
+                except csv.Error as exc:
+                    raise InvalidDocument(path, f"row 1: {exc}") from None
+                if failed:
+                    return
+                names, rules = schema(header)
+            for batch in _text_batches(text, failed, path, len(names), size, first):
+                yield names, rules, *batch
 
 
 def _read_batches(path: str | Path, schema, batch_of, size: int):

@@ -14,7 +14,10 @@ import codecs
 import csv
 import io
 import math
+import os
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -899,3 +902,116 @@ def test_byte_order_mark_reads_as_without(tmp_path, reader, mode, header, rows, 
         assert len(expected) == -(-3_000 // size)  # every batch, and no error
         assert _exact_batches(with_mark, reader, mode, size) == expected, size
         assert _text_path_batches(with_mark, reader, mode, size) == expected, size
+
+
+def test_long_cause_cell_is_refused_in_little_memory(tmp_path):
+    # A cause cell the byte path does not read sends its block to the text
+    # path, whose cause column must not be as wide as its longest cell.
+    lines = _competing_rows(3_000).splitlines(keepends=True)
+    lines[100] = f"bad,3,1,{'V' * 20_000},0.5\n"
+    path = tmp_path / "in.csv"
+    path.write_text(COMPETING_HEADER + "\n" + "".join(lines), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidValue, match=r"row 102, column 'cause': .*V or I for churners"):
+            list(dataio.read_calibration_batches(path, "competing"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    _assert_text_path(path, dataio.read_calibration_batches, "competing")
+
+
+@pytest.mark.parametrize("cell,churned", [("V\0", 1), ("\0", 0), ("I\0\0", 1)])
+def test_cause_cell_with_a_nul_is_refused(tmp_path, cell, churned):
+    # numpy drops a str's trailing NULs, so such a cell must not reach it as it is.
+    path = tmp_path / "in.csv"
+    path.write_text(COMPETING_HEADER + f"\nc1,3,1,V,0.5\nbad,3,{churned},{cell},0.5\n",
+                    encoding="utf-8", newline="")
+    try:
+        next(csv.reader(["\0\n"]))
+    except csv.Error:  # csv reads no NUL before Python 3.11
+        error = InvalidDocument
+    else:
+        error = InvalidValue
+    with pytest.raises(error, match="row 3"):
+        list(dataio.read_calibration_batches(path, "competing"))
+
+
+def _through_a_pipe(tmp_path, data, reader, mode, size):
+    """``_exact_batches`` of ``data`` read from a named pipe."""
+    fifo = tmp_path / "fifo"
+    if not fifo.exists():
+        os.mkfifo(fifo)
+
+    done = threading.Event()
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped at an error
+            pass
+        while not done.wait(1):  # a reader that opens the pipe again finds it ended
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return _exact_batches(fifo, reader, mode, size)
+    finally:
+        done.set()
+        writer.join(10)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_a_pipe_reads_as_the_file(tmp_path, newline):
+    # A pipe is read as text from its start; with LF, after a late quoted id.
+    text = "customer_id,tenure,churn_score,margin\n" + _filler(5_000)
+    data = text.replace("c4500,", '"c4500",').replace("\n", newline).encode()
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    for size in (7, 2048, 8192):
+        expected = _exact_batches(path, dataio.read_scoring_batches, "single", size)
+        assert len(expected) == -(-5_000 // size)  # every batch, and no error
+        assert _through_a_pipe(tmp_path, data, dataio.read_scoring_batches, "single",
+                               size) == expected, size
+
+
+@pytest.mark.parametrize("kept", [1, 2])
+def test_text_path_starts_outside_a_character(tmp_path, kept):
+    # Line 2048 starts the block (at batch sizes 1, 512 and 2048) that holds
+    # a quoted id, which the byte path refuses. Line 2047 starts with a
+    # 3-byte character across the decode chunk boundary before line 2048,
+    # ``kept`` of its bytes before it.
+    head = "customer_id,tenure,churn_score,margin\n"
+    lines = _filler(5_000).splitlines(keepends=True)
+    before = len(head) + sum(map(len, lines[:2047]))
+    boundary = -(-(before + kept) // _CHUNK) * _CHUNK
+    lines[0] = "c" * (boundary - kept - before) + lines[0]
+    lines[2047] = "中" + lines[2047]
+    lines[3000] = lines[3000].replace("c3000,", '"c3000",', 1)
+    data = (head + "".join(lines)).encode()
+    assert data.index("中".encode()) == boundary - kept
+    assert data.index(b"\nc2048,") > boundary
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    found = _assert_text_path(path, dataio.read_scoring_batches)
+    assert not isinstance(found[-1], tuple)
+
+
+def test_files_read_as_text_where_decode_chunks_differ(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text(COMPETING_HEADER + "\n" + _competing_rows(3_000), encoding="utf-8")
+    assert dataio._decodes_in_chunks()
+    reader = dataio.read_calibration_batches
+    calls, spy = _spy_text_path()
+    for size in ORACLE_BATCH_SIZES:
+        with spy, mock.patch.object(dataio, "_decodes_in_chunks", lambda: False):
+            found = _exact_batches(path, reader, "competing", size)
+        assert found == _text_path_batches(path, reader, "competing", size), size
+    assert len(calls) == len(ORACLE_BATCH_SIZES)
