@@ -295,7 +295,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     dataio.write_scoring(out_dir / "scoring.csv", cohort.scoring_batch, mode)
     simulate.write_truth(out_dir / "truth.csv", cohort.truth_batch)
     if cohort.clipped_hazards:
-        log.warning("%d simulated hazards or score pairs exceeded 1 and were clipped",
+        log.warning("%d simulated customers were clipped: a hazard or noisy score above 1",
                     cohort.clipped_hazards)
     log.info("simulated %d customers into %s", spec.n_customers, out_dir)
     return 0

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,10 +53,12 @@ class CustomerProjection:
     """Projected future for one customer, starting at their current tenure.
 
     ``survival_path[j]`` is the probability of remaining a customer for at
-    least ``j + 1`` further months. ``ert_months`` is the sum of the stored
-    path; ``truncated_at`` is the last index included in that sum. For
-    competing-risks projections ``alpha`` is the combined coefficient at the
-    current tenure and the per-cause coefficients are carried alongside.
+    least ``j + 1`` further months, up to ``truncated_at``. ``ert_months``
+    and ``truncated_at`` are the batch kernel's (``project_batch``), so they
+    equal the scorer's bit for bit; the ERT is the path's sum up to the
+    rounding of its closed-form tail. For competing-risks projections
+    ``alpha`` is the combined coefficient at the current tenure and the
+    per-cause coefficients are carried alongside.
     """
 
     alpha: float
@@ -162,51 +164,24 @@ def project_hazard(alpha: float, baseline: BaselineHazard, t0: int,
     return _path((resolve(baseline, pooling),), (alpha,), t0, horizon)
 
 
-def truncated_survival_sum(hazard_fn: Callable[[int], float],
-                           eps: float, max_horizon: int,
-                           ) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Shared summation core for expected remaining tenure.
-
-    Walks months j = 0, 1, ... pulling the hazard for each from
-    ``hazard_fn``, accumulating the survival product and its running sum.
-    Stops after the first month whose survival drops below ``eps`` (that
-    month is still included) or at ``max_horizon`` months.
-
-    Returns ``(ert, hazard_path, survival_path, truncated_at)``.
-    """
-    survival = 1.0
-    ert = 0.0
-    hazards: list[float] = []
-    path: list[float] = []
-    for j in range(max_horizon):
-        h = hazard_fn(j)
-        survival *= 1.0 - h
-        hazards.append(h)
-        path.append(survival)
-        ert += survival
-        if survival < eps:
-            break
-    return ert, np.array(hazards), np.array(path), len(path) - 1
-
-
 def fold_path(tables: Sequence[np.ndarray], alphas: Sequence[float], t0: int,
               config: ProjectionConfig, **fields) -> CustomerProjection:
     """One customer's projection from resolved tables, with its paths.
 
-    The single-customer counterpart of ``project_batch``: the same tables,
-    scalar coefficients and hazard rule, folded month by month through
-    ``truncated_survival_sum``. The hazards are computed once up to the
-    largest tail start; the last of them holds from there on. ``fields``
+    ERT and ``truncated_at`` are ``project_batch``'s on a batch of one, so a
+    single customer gets the scorer's numbers bit for bit. The paths run to
+    ``truncated_at``: the clipped hazards, and their running product of
+    ``1 - hazard``, multiplied in month order as the kernel steps. ``fields``
     supplies the coefficients the projection reports (``alpha`` and, for
     competing risks, ``alpha_v`` and ``alpha_inv``).
     """
-    tail_start = max(len(table) - 1 for table in tables)
-    hazards = _path(tables, alphas, t0, max(tail_start - t0, 0) + 1).tolist()
-    last = len(hazards) - 1
-    ert, hazard_path, survival_path, truncated_at = truncated_survival_sum(
-        lambda j: hazards[min(j, last)], config.eps, config.max_horizon)
-    return CustomerProjection(hazard_path=hazard_path, survival_path=survival_path,
-                              ert_months=ert, truncated_at=truncated_at, **fields)
+    _path(tables, alphas, t0, 0)  # rejects a bad coefficient or tenure before the kernel
+    ert, _, truncated = project_batch(tables, [np.array([alpha]) for alpha in alphas],
+                                      np.array([t0]), np.zeros(1), DiscountSpec(), config)
+    truncated_at = int(truncated[0])
+    hazard_path = _path(tables, alphas, t0, truncated_at + 1)
+    return CustomerProjection(hazard_path=hazard_path, survival_path=np.cumprod(1.0 - hazard_path),
+                              ert_months=float(ert[0]), truncated_at=truncated_at, **fields)
 
 
 def expected_remaining_tenure(alpha: float, baseline: BaselineHazard, t0: int,

@@ -18,9 +18,10 @@ set to each customer's state in turn for that customer's draws. Every run
 checks the first and last customers' states against numpy's own seeding
 and raises on a mismatch rather than writing other streams.
 
-Only the draws run per customer, in a fixed order: alpha (voluntary, then
-involuntary under competing risks), the churn uniform, the cause uniform
-for churners under competing risks, then the score noise. Everything else
+Only the draws run per customer, in one loop over the causes (single risk
+is one cause) and in a fixed order: one alpha per cause (voluntary, then
+involuntary), the churn uniform, the cause uniform for churners under
+competing risks, then one score noise per cause. Everything else
 (base rates, clipping, churn flags, causes, scores, truth) is computed on
 numpy columns, and the cohort holds column batches that the writers format
 through line templates. Truth comes from one call of the batch kernel
@@ -33,8 +34,9 @@ and the constant-hazard rest of the sum is added in closed form
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -52,7 +54,7 @@ from .dataio import (
     json_number,
     write_csv,
 )
-from .projection import ProjectionConfig, project_batch, truncated_survival_sum
+from .projection import ProjectionConfig, project_batch
 from .survival import lookup
 from .valuation import DiscountSpec
 
@@ -260,12 +262,41 @@ class Cohort:
         return list(self.truth_batch.records())
 
 
+def truncated_survival_sum(hazard_fn: Callable[[int], float],
+                           eps: float, max_horizon: int,
+                           ) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """Expected remaining tenure by stepping every month, from first principles.
+
+    Walks months j = 0, 1, ... pulling the hazard for each from
+    ``hazard_fn``, accumulating the survival product and its running sum.
+    Stops after the first month whose survival drops below ``eps`` (that
+    month is still included) or at ``max_horizon`` months.
+
+    Returns ``(ert, hazard_path, survival_path, truncated_at)``.
+    """
+    survival = 1.0
+    ert = 0.0
+    hazards: list[float] = []
+    path: list[float] = []
+    for j in range(max_horizon):
+        h = hazard_fn(j)
+        survival *= 1.0 - h
+        hazards.append(h)
+        path.append(survival)
+        ert += survival
+        if survival < eps:
+            break
+    return ert, np.array(hazards), np.array(path), len(path) - 1
+
+
 def true_ert(hazard_path: Sequence[float] | Callable[[int], float],
              eps: float = 1e-6, max_horizon: int = 1200) -> float:
     """Expected remaining tenure evaluated directly on a known hazard path.
 
-    Uses the same truncated summation as the estimator, so oracle and
-    estimate differ only by estimation error, never by arithmetic.
+    The independent oracle: ``truncated_survival_sum`` steps every month to
+    ``eps`` or ``max_horizon`` and shares no code with the batch kernel
+    (``projection.project_batch``) behind the simulator's truth and every
+    projection, which closes the constant tail in closed form.
     """
     if callable(hazard_path):
         fn = hazard_path
@@ -391,18 +422,37 @@ def _customer_streams(seed: int, n: int) -> Iterator[np.random.Generator]:
             yield rng
 
 
+def _shares_where(parts: list[np.ndarray], total: np.ndarray,
+                  over: np.ndarray) -> list[np.ndarray]:
+    """Each part over ``total`` where ``over``, else the part itself; a NaN
+    share (an infinite part) reads 1, as ``min(1, x)`` does for one cause."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return [np.where(over, np.fmin(part / total, 1.0), part) for part in parts]
+
+
 def generate_cohort(spec: SimSpec) -> Cohort:
     """Generate calibration, scoring, and truth rows for one snapshot.
 
     Snapshot tenures are assigned round-robin over 0..max_tenure, giving
     every tenure bin the same exposure (up to one customer). Deterministic
     in the seed.
+
+    Single risk is one cause with the whole baseline. Cause c's planted
+    hazard is ``alpha_c * share_c * base`` and the customer's is their sum
+    ``p``, clipped at 1. Before noise a cause's score is its hazard, or its
+    share of ``p`` where ``p > 1``; after noise, a customer whose scores sum
+    above 1 gets each score's share of the sum. ``clipped_hazards`` counts
+    the customers clipped either way, once each.
     """
     n = spec.n_customers
-    competing = spec.competing is not None
-    dist_v = spec.alpha_dist
-    dist_inv = spec.alpha_dist_inv if spec.alpha_dist_inv is not None else spec.alpha_dist
-    f_v = spec.competing if competing else 1.0
+    if spec.competing is None:
+        dists, shares, score_names = [spec.alpha_dist], [1.0], ["churn_score"]
+    else:
+        dist_inv = spec.alpha_dist if spec.alpha_dist_inv is None else spec.alpha_dist_inv
+        dists = [spec.alpha_dist, dist_inv]
+        shares = [spec.competing, 1.0 - spec.competing]
+        score_names = ["score_v", "score_inv"]
+    causes = len(dists)
     sigma = spec.score_noise_sigma
     table = spec.baseline_shape.table(spec.max_tenure + spec.projection.max_horizon)
     t0 = np.arange(n, dtype=np.int64) % (spec.max_tenure + 1)
@@ -410,80 +460,50 @@ def generate_cohort(spec: SimSpec) -> Cohort:
     width = max(6, len(str(n - 1)))
     ids = tuple(map(f"c%0{width}d".__mod__, range(n)))
 
-    # The draws, customer by customer in stream order.
-    alpha_v, alpha_inv, u_churn, u_cause, noise_v, noise_inv = ([] for _ in range(6))
-    streams = _customer_streams(spec.seed, n)
-    if competing:
-        w_v, w_inv = f_v, 1.0 - f_v
-        for rng, b in zip(streams, base.tolist()):
-            a_v = dist_v.draw(rng)
-            a_inv = dist_inv.draw(rng)
-            u = rng.random()
-            alpha_v.append(a_v)
-            alpha_inv.append(a_inv)
-            u_churn.append(u)
-            # A churner draws its cause (u < 1, so clipping the sum at 1 never
-            # changes who churns).
-            u_cause.append(rng.random() if u < a_v * w_v * b + a_inv * w_inv * b else np.nan)
-            if sigma > 0.0:
-                noise_v.append(rng.lognormal(0.0, sigma))
-                noise_inv.append(rng.lognormal(0.0, sigma))
-    else:
-        for rng in streams:
-            alpha_v.append(dist_v.draw(rng))
-            u_churn.append(rng.random())
-            if sigma > 0.0:
-                noise_v.append(rng.lognormal(0.0, sigma))
-    alpha_v = np.array(alpha_v, dtype=np.float64)
-    u_churn = np.array(u_churn)
+    # The draws, customer by customer in stream order, into flat lists.
+    alphas, u_churn, u_cause, noises = [], [], [], []
+    per_cause = list(zip(dists, shares))
+    for rng, b in zip(_customer_streams(spec.seed, n), base.tolist()):
+        p = 0.0
+        for dist, share in per_cause:
+            alpha = dist.draw(rng)
+            alphas.append(alpha)
+            p += alpha * share * b
+        u = rng.random()
+        u_churn.append(u)
+        if causes > 1 and u < p:  # a churner draws its cause
+            u_cause.append(rng.random())
+        if sigma > 0.0:
+            for _ in dists:
+                noises.append(rng.lognormal(0.0, sigma))
 
-    if competing:
-        alpha_inv = np.array(alpha_inv, dtype=np.float64)
-        raw_v = alpha_v * f_v * base
-        raw_inv = alpha_inv * (1.0 - f_v) * base
-        p_churn = raw_v + raw_inv
-        over = p_churn > 1.0
-        clipped = int(over.sum())
-        churned = u_churn < np.where(over, 1.0, p_churn)
+    alphas = np.array(alphas, dtype=np.float64).reshape(n, causes).T
+    u_churn = np.array(u_churn)
+    coefs = [alpha * share for alpha, share in zip(alphas, shares)]
+    raw = [coef * base for coef in coefs]
+    p = reduce(operator.add, raw)
+    churned = u_churn < p  # u < 1, so clipping p at 1 never changes who churns
+    cause = None
+    if causes > 1:  # voluntary while the cause uniform is below the voluntary share
         cause = np.full(n, "", dtype="U1")
-        share_v = raw_v[churned] / p_churn[churned]
-        cause[churned] = np.where(np.array(u_cause)[churned] < share_v,
+        cause[churned] = np.where(np.array(u_cause) < raw[0][churned] / p[churned],
                                   CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY)
-        score_v, score_inv = raw_v, raw_inv
-        if sigma > 0.0:
-            score_v = raw_v * np.array(noise_v)
-            score_inv = raw_inv * np.array(noise_inv)
-        total = score_v + score_inv
-        over = total > 1.0
-        clipped += int(over.sum())
-        score_v = np.divide(score_v, total, out=score_v.copy(), where=over)
-        score_inv = np.divide(score_inv, total, out=score_inv.copy(), where=over)
-        scores = {"score_v": score_v, "score_inv": score_inv}
-        # Truth hazard: min(1, alpha_v * f_v * r + alpha_inv * (1 - f_v) * r).
-        coefs = [alpha_v * f_v, alpha_inv * (1.0 - f_v)]
-        true_alpha = np.divide(p_churn, base, out=coefs[0] + coefs[1], where=base > 0.0)
-    else:
-        hazard = alpha_v * base
-        over = hazard > 1.0
-        clipped = int(over.sum())
-        hazard[over] = 1.0
-        churned = u_churn < hazard
-        cause = None
-        score = hazard
-        if sigma > 0.0:
-            noisy = hazard * np.array(noise_v)
-            # min(1.0, noisy) as Python takes it: 1.0 unless noisy < 1.0.
-            score = np.where(noisy < 1.0, noisy, 1.0)
-        scores = {"churn_score": score}
-        coefs = [alpha_v]
-        true_alpha = alpha_v
+    clipped = p > 1.0
+    scores = _shares_where(raw, p, clipped)
+    if sigma > 0.0:
+        scores = [score * noise for score, noise
+                  in zip(scores, np.array(noises).reshape(n, causes).T)]
+        total = reduce(operator.add, scores)
+        over = ~(total <= 1.0)
+        scores = _shares_where(scores, total, over)
+        clipped |= over
 
     margin = np.full(n, float(spec.margin))
-    ert, value, _ = project_batch([table] * len(coefs), coefs, t0, margin,
+    ert, value, _ = project_batch([table] * causes, coefs, t0, margin,
                                   DiscountSpec(spec.discount_monthly), spec.projection)
     return Cohort(CalibrationBatch(ids, t0, churned.astype(np.int64), cause, None),
-                  ScoringBatch(ids, t0, margin, **scores),
-                  TruthBatch(ids, true_alpha, ert, value), clipped)
+                  ScoringBatch(ids, t0, margin, **dict(zip(score_names, scores))),
+                  TruthBatch(ids, reduce(operator.add, coefs), ert, value), int(clipped.sum()))
 
 
 TRUTH_COLUMNS = ["customer_id", "true_alpha", "true_ert", "true_clv"]

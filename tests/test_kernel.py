@@ -27,14 +27,13 @@ from clvkit import dataio
 from clvkit.cli import main
 from clvkit.dataio import ScoringRecord
 from clvkit.errors import DegenerateBaseline, OffsetUndefined
-from clvkit.odds import OddsModel, project_with_odds_model
+from clvkit.odds import OddsModel, expit, logit, project_with_odds_model
 from clvkit.projection import (
     ProjectionConfig,
     expected_remaining_tenure,
     project_batch,
     project_competing,
     project_customer,
-    truncated_survival_sum,
 )
 from clvkit.simulate import (
     DecayingShape,
@@ -45,6 +44,7 @@ from clvkit.simulate import (
     StepShape,
     generate_cohort,
     pcg64_states,
+    truncated_survival_sum,
 )
 from clvkit.survival import (
     BaselineHazard,
@@ -344,7 +344,7 @@ def assert_agrees_with_kernel(ert, path, truncated, tables, alphas, t0, config):
         DiscountSpec(), config)
     assert truncated == int(k_truncated[0])
     assert len(path) == truncated + 1
-    assert close(ert, float(k_ert[0]))
+    assert ert == float(k_ert[0])
     assert np.all(np.diff(path) <= 0.0)
 
 
@@ -415,6 +415,45 @@ def test_odds_projection_at_zero_beta_is_unit_alpha_on_jeffreys_view(
     assert projection.ert_months == ert
     assert np.array_equal(projection.survival_path, path)
     assert projection.truncated_at == truncated
+
+
+@settings(max_examples=200, deadline=None)
+@given(baseline=baselines(), pooling=poolings, t0=tenures, config=configs,
+       beta=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=2, max_size=2))
+def test_odds_projection_equals_kernel_on_odds_table(baseline, pooling, t0, config, beta):
+    model = OddsModel(beta=np.array(beta), ridge=0.0, log_likelihood=0.0, iterations=1,
+                      converged=True, baseline_sha=baseline.content_sha())
+    x = np.array([0.7, -1.2])
+    try:
+        projection = project_with_odds_model(model, x, baseline, t0, config, pooling)
+    except OffsetUndefined:
+        return  # where it must fail is pinned by the zero-beta test above
+    # The odds transform of every entry of the resolved Jeffreys table, at unit alpha.
+    table = resolve(jeffreys_view(baseline), pooling)
+    lin = float(model.beta @ x)
+    defined = (table > 0.0) & (table < 1.0)
+    hazards = (table if lin == 0.0
+               else np.where(defined, expit(logit(np.where(defined, table, 0.5)) + lin), table))
+    assert_agrees_with_kernel(projection.ert_months, projection.survival_path,
+                              projection.truncated_at, (hazards,), (1.0,), t0, config)
+    assert np.array_equal(projection.hazard_path,
+                          hazards[np.minimum(t0 + np.arange(projection.truncated_at + 1),
+                                             len(hazards) - 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(baseline=baselines(), pooling=poolings, t0=tenures, config=configs,
+       alpha=st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(5.0, 500.0)))
+def test_survival_path_is_the_stepped_product(baseline, pooling, t0, config, alpha):
+    # np.cumprod multiplies in month order, as stepping does: the paths agree
+    # bit for bit over the months both hold.
+    _, path, _ = expected_remaining_tenure(alpha, baseline, t0, config, pooling)
+    table = resolve(baseline, pooling)
+    _, _, stepped, _ = truncated_survival_sum(
+        lambda j: min(1.0, alpha * float(table[min(t0 + j, len(table) - 1)])),
+        config.eps, config.max_horizon)
+    months = min(len(path), len(stepped))
+    assert path[:months].tobytes() == stepped[:months].tobytes()
 
 
 def test_score_over_vanishing_hazard_is_degenerate():

@@ -171,6 +171,15 @@ class TestProjectCustomer:
         assert np.array_equal(projection.survival_path, path)
         assert projection.truncated_at == truncated
 
+    def test_survival_path_is_the_running_product_bitwise(self, fixture_baseline):
+        projection = project_customer(0.07, fixture_baseline, 2)
+        survival, expected = 1.0, []
+        for h in projection.hazard_path.tolist():
+            survival *= 1.0 - h
+            expected.append(survival)
+        assert len(expected) > 100
+        assert projection.survival_path.tolist() == expected
+
     def test_path_sum_invariant(self, fixture_baseline):
         projection = project_customer(0.1, fixture_baseline, 0)
         assert projection.ert_months == pytest.approx(

@@ -92,6 +92,64 @@ class TestGenerateCohort:
         assert cohort.clipped_hazards == 50
         assert all(r.churn_score == 1.0 for r in cohort.scoring)
 
+    def test_competing_clipping_counted_once_per_customer(self):
+        # A customer whose summed hazard clips also has its score pair
+        # normalised; without noise that is one clipped customer, not two.
+        spec = SimSpec(baseline_shape=FlatShape(0.4), alpha_dist=LognormalAlpha(0.5, 0.8),
+                       alpha_dist_inv=LognormalAlpha(0.0, 0.6), competing=0.7,
+                       n_customers=300, max_tenure=2, seed=13)
+        cohort = generate_cohort(spec)
+        drawn = []
+        for i in range(spec.n_customers):
+            rng = np.random.default_rng(np.random.SeedSequence((spec.seed, i)))
+            drawn.append((rng.lognormal(0.5, 0.8), rng.lognormal(0.0, 0.6)))
+        alpha_v, alpha_inv = np.array(drawn).T
+        f, b = spec.competing, 0.4
+        expected = int((alpha_v * f * b + alpha_inv * (1 - f) * b > 1).sum())
+        assert 0 < expected < spec.n_customers
+        assert cohort.clipped_hazards == expected
+
+    def test_clipped_noisy_competing_scores(self, monkeypatch):
+        # Raw cause hazards (1.2, 0.3) sum to 1.5: the shares of 1 are
+        # (0.8, 0.2). Noise (0.5, 1.0) gives (0.4, 0.2), which sums below 1
+        # and stands; noise (2.0, 1.0) gives (1.6, 0.2), normalised by 1.8.
+        class Stream:
+            def __init__(self, uniforms, noises):
+                self.uniforms, self.noises = list(uniforms), list(noises)
+
+            def random(self):
+                return self.uniforms.pop(0)
+
+            def lognormal(self, mean, sigma):
+                return self.noises.pop(0)
+
+        streams = [Stream([0.99, 0.5], [0.5, 1.0]), Stream([0.99, 0.5], [2.0, 1.0])]
+        monkeypatch.setattr(simulate, "_customer_streams", lambda seed, n: iter(streams))
+        # 4.8 * 0.5 * 0.5 and 1.2 * 0.5 * 0.5 scale by powers of two: exactly 1.2 and 0.3.
+        spec = SimSpec(baseline_shape=FlatShape(0.5), alpha_dist=FixedAlpha(4.8),
+                       alpha_dist_inv=FixedAlpha(1.2), competing=0.5, n_customers=2,
+                       max_tenure=0, seed=1, score_noise_sigma=1.0)
+        cohort = generate_cohort(spec)
+        scores = [(r.score_v, r.score_inv) for r in cohort.scoring]
+        assert scores[0] == pytest.approx((0.4, 0.2), rel=1e-15)
+        assert scores[1] == pytest.approx((1.6 / 1.8, 0.2 / 1.8), rel=1e-15)
+        assert all(s.uniforms == s.noises == [] for s in streams)
+        assert [r.churned for r in cohort.calibration] == [1, 1]
+        assert cohort.clipped_hazards == 2
+
+    @pytest.mark.parametrize("competing", [None, 0.6])
+    def test_overflowing_noise_still_gives_scores_in_unit_interval(self, competing):
+        # Noise this wide overflows to inf or underflows to 0 for most
+        # customers; an infinite score reads 1, as min(1, x) gives for one cause.
+        spec = SimSpec(baseline_shape=FlatShape(0.3), alpha_dist=FixedAlpha(1.0),
+                       competing=competing, n_customers=400, max_tenure=3, seed=6,
+                       score_noise_sigma=400.0)
+        batch = generate_cohort(spec).scoring_batch
+        scores = [batch.churn_score] if competing is None else [batch.score_v, batch.score_inv]
+        total = sum(scores)
+        assert np.all((total >= 0.0) & (total <= 1.0))
+        assert np.any(total == 1.0) and np.any(total < 0.3)
+
     def test_competing_mode_produces_causes_and_subscores(self):
         spec = SimSpec(baseline_shape=FlatShape(0.1), alpha_dist=FixedAlpha(2.0),
                        alpha_dist_inv=FixedAlpha(0.5), competing=0.6,
@@ -254,5 +312,29 @@ class TestGoldenFiles:
         dataio.write_scoring(tmp_path / "scoring.csv", cohort.scoring)
         write_truth(tmp_path / "truth.csv", cohort.truth)
         for name, expected in self.GOLDEN.items():
+            digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert digest == expected, f"{name} digest changed: {digest}"
+
+    COMPETING_SPEC = SimSpec(baseline_shape=StepShape(0.1, 0.04, 5),
+                             alpha_dist=LognormalAlpha(0.0, 0.4),
+                             alpha_dist_inv=LognormalAlpha(-0.5, 0.3), competing=0.7,
+                             n_customers=60, max_tenure=9, seed=20240602,
+                             score_noise_sigma=0.3, margin=20.0, discount_monthly=0.004)
+
+    # Competing risks with score noise and no clipped customer.
+    COMPETING_GOLDEN = {
+        "calibration.csv": "4ebe055864d33aa401659c64cd74e85774f909db3bdb230bef5b8af1deae2f70",
+        "scoring.csv": "b8104e8808dfdbbede5dec2ba90feab7966aa2724e3021c80913569e238d80b7",
+        "truth.csv": "0a378b3c0cd64956161aa703f23ed555989c3af843b76eb6f9989917b17d4454",
+    }
+
+    def test_competing_byte_stable_outputs(self, tmp_path):
+        cohort = generate_cohort(self.COMPETING_SPEC)
+        assert cohort.clipped_hazards == 0
+        dataio.write_calibration(tmp_path / "calibration.csv", cohort.calibration_batch,
+                                 "competing")
+        dataio.write_scoring(tmp_path / "scoring.csv", cohort.scoring_batch, "competing")
+        write_truth(tmp_path / "truth.csv", cohort.truth_batch)
+        for name, expected in self.COMPETING_GOLDEN.items():
             digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert digest == expected, f"{name} digest changed: {digest}"
