@@ -14,21 +14,23 @@ exactly (case-sensitive). LF and CRLF are both accepted; blank lines are
 skipped. Floats are written with six decimal places.
 
 Readers yield validated column batches: up to ``batch_size`` records at a
-time, parsed column by column into numpy arrays. A file is read from its
-raw bytes, a block of whole batches at a time (about ``_PARSE_ROWS`` lines,
-or one longer batch), cut at newlines found in numpy. A block of plain
-lines (no quote, carriage return, NUL or blank line) that decodes as UTF-8
-and whose number cells are plain fixed-point decimals and code cells
+time, parsed column by column into numpy arrays. A file (a regular file or
+a pipe) is read once, in order, from its raw bytes by one line source
+(``_Lines``): the header line, then a block of whole batches at a time
+(about ``_PARSE_ROWS`` lines, or one longer batch), cut at newlines found
+in numpy. A block of plain lines (no quote, carriage return, NUL or blank
+line) whose number cells are plain fixed-point decimals and code cells
 (``cause``) single ASCII bytes is parsed from those bytes by
-``fixedpoint.parse_lines``, to the values ``int`` and ``float`` give. From
-the first other block on (or from the header, if the header line is not
-plain), the rest of the same open file is read as text (``_text_from``),
-batch by batch: a plain batch split at commas and newlines and parsed cell
-by cell, and any other batch read by ``csv.reader``, which reads a quoted
-field on past the batch's last line if it must. A file that cannot seek (a
-pipe) is read as text from its start. Every way, the cells are those
-``csv.reader`` gives. The record readers (``read_calibration``,
-``read_scoring``) are views over the same batches.
+``fixedpoint.parse_lines``, to the values ``int`` and ``float`` give. Any
+other block is decoded and split into lines at "\\n", "\\r" and "\\r\\n",
+as ``csv.reader`` is given them, and read batch by batch: a plain batch
+split at commas and newlines and parsed cell by cell, and any other batch
+read by ``csv.reader``, which takes further lines from the same source
+where a quoted field runs past the block. The next block that starts where
+a batch ends is tried as bytes again. Every way, the cells are those
+``csv.reader`` gives. The header is read as text after a UTF-8 byte order
+mark. The record readers (``read_calibration``, ``read_scoring``) are views
+over the same batches.
 Each schema is one table of rules in check order: the field count, the id
 (non-empty, and new across batches too), then each column's parse and
 range rules, with a rule over two columns (``churned`` with ``cause``,
@@ -41,9 +43,10 @@ and reason a row-by-row reader would, at any batch size. An error
 surfaces when its batch is read, before any record of that batch is
 consumed. Text that is not UTF-8, or a record csv refuses (a field past
 its size limit), is ``InvalidDocument`` naming the file, raised after the
-records before it have been checked: those that ``io.TextIOWrapper``
-returns before it fails to decode, which the byte path leaves to the text
-path by checking each block's bytes as that wrapper decodes them.
+records before it have been checked. For bytes that do not decode, those
+are the records of the lines before the line that holds the first such
+byte: a UTF-8 character holds no newline byte, so each line decodes on its
+own.
 
 Every writer (projections, and the simulator's calibration, scoring and
 truth files) formats each batch through one line template and quotes ids
@@ -62,11 +65,11 @@ from __future__ import annotations
 
 import codecs
 import csv
-import functools
 import io
 import math
 import os
 import re
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -94,12 +97,9 @@ _PARSE_ROWS = 2048
 # peak memory.
 CALIBRATION_BATCH_SIZE = _PARSE_ROWS
 SCORING_BATCH_SIZE = 8192
-# io.TextIOWrapper decodes a file in chunks of this many bytes from where it
-# starts reading it (checked by _decodes_in_chunks).
-_DECODE_CHUNK = 8192
-# Bytes the byte path reads from a file at a time (at least). Reads of
-# 256 KiB raised `baseline`'s peak memory by up to 0.5 MB.
-_READ_BYTES = 8 * _DECODE_CHUNK
+# Bytes read from a file at a time (at least). Reads of 256 KiB raised
+# `baseline`'s peak memory by up to 0.5 MB.
+_READ_BYTES = 64 * 1024
 
 # Largest tenure (months) a calibration row may hold. Counting sizes its
 # arrays by the largest tenure, so this bounds them at about 0.8 MB each.
@@ -531,34 +531,6 @@ def _scoring_batch(c: dict, names: list[str]) -> ScoringBatch:
                         **{name: c[name] for name in names[2:-1]})
 
 
-def _read_lines(fh, n: int, failed: list[UnicodeDecodeError]) -> list[str]:
-    """Up to ``n`` more lines of ``fh``, ending before the first line that
-    cannot be decoded; that error goes to ``failed``, and no line is read
-    after it.
-
-    The text then simply ends, so the records before it are read and checked
-    the same way at every batch size before the error is raised.
-    """
-    lines: list[str] = []
-    if not failed:
-        try:
-            lines.extend(islice(fh, n))
-        except UnicodeDecodeError as exc:
-            failed.append(exc)
-    return lines
-
-
-def _until_error(fh, failed: list[UnicodeDecodeError]) -> Iterator[str]:
-    """The lines of ``fh`` that ``_read_lines`` would read, one at a time,
-    for ``csv.reader``. Closing the generator leaves ``fh`` open."""
-    if not failed:
-        try:
-            for line in fh:
-                yield line
-        except UnicodeDecodeError as exc:
-            failed.append(exc)
-
-
 # Characters that make text not plain, as str and as bytes.
 _NOT_PLAIN = {str: ('"', "\r", "\0"), bytes: (b'"', b"\r", b"\0")}
 
@@ -596,13 +568,17 @@ def _newlines(data: bytes) -> np.ndarray:
 
 def _byte_columns(data: bytes, ends: np.ndarray, kinds: str) -> list | None:
     """The columns of the lines ``data``, each ending in a newline at an
-    offset in ``ends``, parsed from their bytes by
-    ``fixedpoint.parse_lines``, ``_PARSE_ROWS`` lines at a time: a tuple of
-    cells for a text column, an array for any other. None if the lines are
-    not plain (``_plain``) or ``parse_lines`` does not read one.
+    offset in ``ends`` but the file's last line, which may have none,
+    parsed from their bytes by ``fixedpoint.parse_lines``, ``_PARSE_ROWS``
+    lines at a time: a tuple of cells for a text column, an array for any
+    other. None if the lines are not plain (``_plain``) or ``parse_lines``
+    does not read one.
     """
     from .fixedpoint import parse_lines  # loaded on the first read
 
+    if not data.endswith(b"\n"):
+        data += b"\n"
+        ends = np.append(ends, len(data) - 1)
     if not _plain(data, lambda: np.diff(ends, prepend=-1)):
         return None
     parts = []
@@ -626,119 +602,128 @@ def _sliced(columns: list, n: int, size: int, first: int):
         yield range(first + start, first + min(start + size, n)), [c[rows] for c in columns], None
 
 
-class _LineBlocks:
-    """The lines of a binary file, taken a block at a time from its start.
+class _Lines:
+    """The lines of an unbuffered binary file (a regular file or a pipe), read once from its start.
 
-    The bytes are read ``_READ_BYTES`` or more at a time and cut at newlines
-    found in numpy. Each block is checked to decode as ``io.TextIOWrapper``
-    decodes the file while it returns the block's lines: in chunks of
-    ``_DECODE_CHUNK`` bytes from the file's start, so up to the end of the
-    chunk the block's last line ends in, and to the end of the file if that
-    chunk reaches it.
+    ``take`` gives the next lines as one block of bytes, read
+    ``_READ_BYTES`` or more at a time and cut at newlines found in numpy.
+    ``push`` splits a block into text lines at "\\n", "\\r" and "\\r\\n", as a
+    text file opened with ``newline=""`` splits them; ``read_text`` and
+    iteration take those before further lines of the file, which they push
+    as they need them. The lines end before the first line that does not
+    decode as UTF-8, whose error is kept in ``error``. No UTF-8 character
+    holds a newline byte, so a block of whole lines decodes on its own.
     """
 
     def __init__(self, fh):
         self.fh = fh
+        self.error: UnicodeDecodeError | None = None
         self.data = b""  # bytes read and not yet taken
         self.ends = np.zeros(0, dtype=np.intp)  # the offsets of their newlines
-        self.offset = 0  # the file offset of data[0]
-        self.checked = 0  # the file offset up to which the bytes decode
         self.eof = False
-        self.decoder = codecs.getincrementaldecoder("utf-8")()
+        self.text: deque[str] = deque()  # lines pushed and not yet taken
 
-    def _read(self, size: int) -> None:
-        chunk = self.fh.read(size)
-        self.eof = not chunk
-        self.ends = np.concatenate([self.ends, _newlines(chunk) + len(self.data)])
-        self.data += chunk
-
-    def take(self, lines: int) -> tuple[bytes, np.ndarray] | None:
-        """The next ``lines`` lines (fewer at the end of the file, and b""
-        past it), a newline added after a last line without one, and the
-        offsets of their newlines; None if their bytes do not decode."""
+    def take(self, lines: int) -> tuple[bytes, np.ndarray]:
+        """The next ``lines`` lines (fewer at the end of the file or before
+        a line that does not decode, and b"" past them), and the offsets of
+        their newlines."""
         while len(self.ends) < lines and not self.eof:
-            self._read(max(_READ_BYTES, len(self.data)))  # doubling, for long blocks
-        cut = int(self.ends[lines - 1]) + 1 if len(self.ends) >= lines else len(self.data)
-        stop = -(-(self.offset + cut) // _DECODE_CHUNK) * _DECODE_CHUNK
-        while self.offset + len(self.data) < stop and not self.eof:
-            self._read(stop - self.offset - len(self.data))
-        stop = min(stop, self.offset + len(self.data))
-        final = self.eof and stop == self.offset + len(self.data)
-        new = self.data[self.checked - self.offset:stop - self.offset]
-        if final or self.decoder.getstate()[0] or not new.isascii():
-            try:
-                self.decoder.decode(new, final)
-            except UnicodeDecodeError:
-                return None
-        self.checked = max(self.checked, stop)
-        data, ends = self.data[:cut], self.ends[:lines]
+            chunk = self.fh.read(max(_READ_BYTES, len(self.data)))  # doubling, for long lines
+            self.eof = not chunk
+            self.ends = np.concatenate([self.ends, _newlines(chunk) + len(self.data)])
+            self.data += chunk
+        ends = self.ends[:lines]
+        cut = int(ends[-1]) + 1 if len(ends) == lines else len(self.data)
+        data = self.data[:cut]
         self.data, self.ends = self.data[cut:], self.ends[lines:] - cut
-        self.offset += cut
-        if data and not data.endswith(b"\n"):  # the file's last line
-            data += b"\n"
-            ends = np.append(ends, cut)
+        if not data.isascii():
+            try:
+                data.decode()
+            except UnicodeDecodeError as exc:
+                self.error = exc
+                ends = ends[:np.searchsorted(ends, exc.start)]  # the lines before its line
+                data = data[:int(ends[-1]) + 1 if len(ends) else 0]
+                self.data, self.ends, self.eof = b"", self.ends[:0], True
         return data, ends
 
+    def push(self, data: bytes) -> None:
+        """Put the lines of ``data``, a block ``take`` gave, before the file's next lines."""
+        self.text.extend(io.StringIO(data.decode(), newline=""))
 
-def _plain_header(block: tuple[bytes, np.ndarray] | None) -> list[str] | None:
-    """The cells of the header line ``block`` (see ``_LineBlocks.take``),
-    after a UTF-8 byte order mark, if it decodes and is plain; else None."""
-    if block is None:
-        return None
-    line = block[0].removeprefix(codecs.BOM_UTF8)
-    if not line or not _plain(line, lambda: np.array([len(line)])):
-        return None
-    return next(csv.reader([line.decode()]))
+    def _more(self, lines: int) -> bool:
+        """Push up to ``lines`` more lines of the file; False past its last."""
+        data = self.take(lines)[0]
+        self.push(data)
+        return bool(data)
+
+    def read_text(self, n: int) -> list[str]:
+        """The next ``n`` text lines (fewer at the end)."""
+        while len(self.text) < n and self._more(n - len(self.text)):
+            pass
+        return [self.text.popleft() for _ in range(min(n, len(self.text)))]
+
+    def __iter__(self) -> Iterator[str]:
+        """The next text lines, one at a time, for a reader that may stop after any."""
+        while self.text or self._more(1):
+            yield self.text.popleft()
 
 
-def _text_batches(fh, failed: list[UnicodeDecodeError], path: str | Path, width: int,
-                  size: int, first: int):
-    """The records of text file ``fh`` from row ``first`` on, in batches of
-    at most ``size``.
+def _header(lines: _Lines, path: str | Path) -> list[str] | None:
+    """The header's cells, read by ``csv.reader`` after a UTF-8 byte order
+    mark; None if the file holds no record."""
+    lines.push(lines.take(1)[0].removeprefix(codecs.BOM_UTF8))
+    try:
+        return next(csv.reader(lines), None)
+    except csv.Error as exc:
+        raise InvalidDocument(path, f"row 1: {exc}") from None
 
-    Yields (row numbers, columns, rows) for each batch's non-blank records:
-    ``columns`` holds the cells transposed, and ``rows`` is None when every
-    record has ``width`` fields, else it holds each record's cells (the
-    columns then hold them cut or padded with "" to ``width``). A batch of
-    plain lines (``_plain``) is split at commas and newlines; any other
-    batch is read by ``csv.reader`` from the same lines, and from the file
-    beyond them where a quoted field runs on. A record csv cannot read ends
-    the batch before it, and its error is raised after that batch. Lines
-    that cannot be decoded end the text (``_read_lines``).
+
+def _text_batch(lines: _Lines, path: str | Path, width: int, size: int, first: int):
+    """Read the next batch of at most ``size`` records, from row ``first``
+    on, from the text lines of ``lines``; returns the number of records.
+
+    Yields (row numbers, columns, rows) for the batch's non-blank records,
+    if it has any: ``columns`` holds the cells transposed, and ``rows`` is
+    None when every record has ``width`` fields, else it holds each
+    record's cells (the columns then hold them cut or padded with "" to
+    ``width``). A batch of plain lines (``_plain``) is split at commas and
+    newlines; any other batch is read by ``csv.reader`` from the same lines,
+    and from the lines after them where a quoted field runs on. A record csv
+    cannot read ends the batch before it, and its error is raised after the
+    batch.
     """
-    while lines := _read_lines(fh, size, failed):
-        text = "".join(lines)
-        if _plain(text, lambda: np.fromiter(map(len, lines), np.int64, len(lines))):
-            numbers = range(first, first + len(lines))
-            first += len(lines)
-            if set(map(str.count, lines, repeat(","))) != {width - 1}:
-                yield numbers, *_columns([line.rstrip("\n").split(",") for line in lines],
-                                         width)
-                continue
-            del lines  # free each copy of the text before the cells exist
-            text = text.replace("\n", ",")
-            cells = text.split(",")
-            del text, cells[len(numbers) * width:]  # the cell after a final newline
-            yield numbers, [tuple(cells[j::width]) for j in range(width)], None
-            continue
-        del text
-        rows: list[list[str]] = []
-        error = None
-        try:
-            rows.extend(islice(csv.reader(chain(lines, _until_error(fh, failed))), size))
-        except csv.Error as exc:
-            error = InvalidDocument(path, f"row {first + len(rows)}: {exc}")
-        del lines
-        numbers = range(first, first + len(rows))
-        first += len(rows)
-        if not all(rows):
-            numbers = [n for n, cells in zip(numbers, rows) if cells]
-            rows = [cells for cells in rows if cells]
-        if rows:
-            yield numbers, *_columns(rows, width)
-        del rows
-        if error is not None:
-            raise error
+    batch = lines.read_text(size)
+    text = "".join(batch)
+    if _plain(text, lambda: np.fromiter(map(len, batch), np.int64, len(batch))):
+        numbers = range(first, first + len(batch))
+        if set(map(str.count, batch, repeat(","))) != {width - 1}:
+            yield numbers, *_columns([line.rstrip("\n").split(",") for line in batch], width)
+            return len(numbers)
+        del batch  # free each copy of the text before the cells exist
+        text = text.replace("\n", ",")
+        cells = text.split(",")
+        del text, cells[len(numbers) * width:]  # the cell after a final newline
+        yield numbers, [tuple(cells[j::width]) for j in range(width)], None
+        return len(numbers)
+    del text
+    rows: list[list[str]] = []
+    error = None
+    try:
+        rows.extend(islice(csv.reader(chain(batch, lines)), size))
+    except csv.Error as exc:
+        error = InvalidDocument(path, f"row {first + len(rows)}: {exc}")
+    del batch
+    count = len(rows)
+    numbers = range(first, first + count)
+    if not all(rows):
+        numbers = [n for n, cells in zip(numbers, rows) if cells]
+        rows = [cells for cells in rows if cells]
+    if rows:
+        yield numbers, *_columns(rows, width)
+    del rows
+    if error is not None:
+        raise error
+    return count
 
 
 def _byte_kinds(names: list[str], rules: list[_Rule]) -> str:
@@ -750,99 +735,32 @@ def _byte_kinds(names: list[str], rules: list[_Rule]) -> str:
     return "".join(first[name].kind if first.get(name) else "s" for name in names)
 
 
-@functools.cache
-def _decodes_in_chunks() -> bool:
-    """Whether ``io.TextIOWrapper`` reads a buffered file in ``read1`` calls
-    of ``_DECODE_CHUNK`` bytes, as ``_LineBlocks`` and ``_text_from``
-    assume. CPython 3.11's does, but that is no part of its interface;
-    where it does not, files are read as text from their start."""
-    sizes = []
+def _batches(lines: _Lines, path: str | Path, width: int, kinds: str, size: int):
+    """Row numbers, columns and rows (see ``_text_batch``) of each batch of
+    at most ``size`` records after the header.
 
-    class Recorded(io.BufferedReader):
-        def read1(self, size=-1):
-            sizes.append(size)
-            return super().read1(size)
-
-    lines = (b"a" * 999 + b"\n") * 20
-    for _ in io.TextIOWrapper(Recorded(io.BytesIO(lines)), encoding="utf-8", newline=""):
-        pass
-    return set(sizes) == {_DECODE_CHUNK}
-
-
-def _text_from(fh, offset: int) -> io.TextIOWrapper:
-    """A text file over the unbuffered binary file ``fh``, from the line at
-    file offset ``offset``: 0, or, in a seekable file, the end of bytes
-    that decode as UTF-8 and end in a newline.
-
-    It starts reading at the last ``_DECODE_CHUNK`` boundary before
-    ``offset`` that is not inside a character, and reads past the lines up
-    to ``offset``, so it decodes in the chunks it would decode from the
-    file's start, without the bytes before that boundary.
-    """
-    start = lines = 0
-    if fh.seekable():
-        start = offset - offset % _DECODE_CHUNK
-        while True:
-            fh.seek(start)
-            head = fh.read(offset - start)
-            if not head or not 0x80 <= head[0] < 0xC0:  # not a UTF-8 continuation byte
-                break
-            start -= _DECODE_CHUNK
-        lines = head.count(b"\n")
-        fh.seek(start)
-    text = io.TextIOWrapper(io.BufferedReader(fh), encoding="utf-8" if start else "utf-8-sig",
-                            newline="")
-    for _ in islice(text, lines):
-        pass
-    return text
-
-
-def _cells(path: str | Path, schema, size: int, failed: list[UnicodeDecodeError]):
-    """The file's column names and rules, row numbers, columns and rows
-    (see ``_text_batches``), one tuple per batch of at most ``size`` records.
-
-    In a seekable file, the header and each block of lines are read from the
-    file's bytes (``_LineBlocks``) while the header is plain and each block
-    is read by ``_byte_columns``. From the first that is not (or from the
-    start), ``_text_batches`` reads the rest as text (``_text_from``), so
-    plain lines, which hold no carriage return, are each read as before.
+    While no text line is left over, the next block of lines is read by
+    ``_byte_columns``; a block it does not read is pushed as text lines,
+    which ``_text_batch`` reads until a batch ends with none left over.
     """
     block = size * max(1, _PARSE_ROWS // size)
-    first, offset = 2, 0  # the row and file offset of the first line not read as bytes
-    header = None
-    with open(path, "rb", buffering=0) as fh:
-        if fh.seekable() and _decodes_in_chunks():
-            blocks = _LineBlocks(fh)
-            header = _plain_header(blocks.take(1))
-            if header is not None:
-                names, rules = schema(header)
-                kinds = _byte_kinds(names, rules)
-                offset = blocks.offset
-                while (taken := blocks.take(block)) is not None:
-                    if not taken[0]:
-                        return  # the end of the file
-                    columns = _byte_columns(*taken, kinds)
-                    n = len(taken[1])
-                    del taken
-                    if columns is None:
-                        break
-                    for batch in _sliced(columns, n, size, first):
-                        yield names, rules, *batch
-                    del columns
-                    first += n
-                    offset = blocks.offset
-            del blocks
-        with _text_from(fh, offset) as text:
-            if header is None:
-                try:
-                    header = next(csv.reader(_until_error(text, failed)), None)
-                except csv.Error as exc:
-                    raise InvalidDocument(path, f"row 1: {exc}") from None
-                if failed:
-                    return
-                names, rules = schema(header)
-            for batch in _text_batches(text, failed, path, len(names), size, first):
-                yield names, rules, *batch
+    first = 2  # the row number of the next record
+    while True:
+        if not lines.text:
+            data, ends = lines.take(block)
+            if not data:
+                return
+            columns = _byte_columns(data, ends, kinds)
+            if columns is not None:
+                del data, ends
+                n = len(columns[0])
+                yield from _sliced(columns, n, size, first)
+                del columns
+                first += n
+                continue
+            lines.push(data)
+            del data, ends
+        first += yield from _text_batch(lines, path, width, size, first)
 
 
 def _read_batches(path: str | Path, schema, batch_of, size: int):
@@ -855,16 +773,20 @@ def _read_batches(path: str | Path, schema, batch_of, size: int):
     """
     if size < 1:
         raise ValueError("batch_size must be >= 1")
-    failed: list[UnicodeDecodeError] = []
     seen: set[str] = set()
-    for names, rules, numbers, columns, rows in _cells(path, schema, size, failed):
-        c = _checked_columns(rules, names, numbers, columns, rows, seen)
-        del columns, rows  # free the cells before the next batch is read
-        batch = batch_of(c, names)
-        del c
-        yield batch
-    if failed:
-        exc = failed[0]
+    with open(path, "rb", buffering=0) as fh:
+        lines = _Lines(fh)
+        header = _header(lines, path)
+        if lines.error is None:
+            names, rules = schema(header)
+            for numbers, columns, rows in _batches(lines, path, len(names),
+                                                   _byte_kinds(names, rules), size):
+                c = _checked_columns(rules, names, numbers, columns, rows, seen)
+                del columns, rows  # free the cells before the next batch is read
+                batch = batch_of(c, names)
+                del c
+                yield batch
+    if (exc := lines.error) is not None:
         raise InvalidDocument(path, f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
                                     "cannot be decoded)")
 

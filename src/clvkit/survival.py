@@ -15,7 +15,6 @@ sums, ``resolve`` tabulates the hazard at every tenure from the counts'
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -152,6 +151,8 @@ class BaselineHazard:
 
     def content_sha(self) -> str:
         """Hash of the canonical serialized form; identifies this baseline."""
+        import hashlib  # loaded only by the commands that hash a baseline
+
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -594,6 +594,11 @@ class TestLazyImports:
                 "print(*sorted(m for m in sys.modules if m.startswith('clvkit')))")
         assert python(code) == "clvkit clvkit.cli clvkit.dataio clvkit.errors clvkit.survival"
 
+    def test_cli_import_leaves_out_hashlib(self):
+        # Only fit-odds hashes a baseline; OpenSSL costs every other command.
+        code = "import sys, clvkit.cli; print('hashlib' in sys.modules, '_hashlib' in sys.modules)"
+        assert python(code) == "False False"
+
     def test_every_export_is_its_submodules_object(self):
         code = """
 import importlib, clvkit

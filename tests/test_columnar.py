@@ -759,13 +759,13 @@ def _with_byte(data, offset, byte=0xFF):
 
 
 _SCORING_FILE = ("customer_id,tenure,churn_score,margin\n" + _filler(7_000)).encode()
-_CHUNK = dataio._DECODE_CHUNK
+_CHUNK = 8192
 
 
 @pytest.mark.parametrize("offset", [
     _SCORING_FILE.index(b"\nc1000,") + 3,  # inside the first block
     _SCORING_FILE.index(b"\nc5000,") + 3,  # inside the third block of 2048 lines
-    # just after the end of a block, in the decode chunk that block ends in
+    # just after the end of a block
     *(_SCORING_FILE.index(f"\nc{i},".encode()) + 2 for i in (2044, 2048, 4096)),
     3 * _CHUNK - 1, 3 * _CHUNK, 6 * _CHUNK - 1, 6 * _CHUNK, 6 * _CHUNK + 1,
     len(_SCORING_FILE) - 1])
@@ -779,8 +779,8 @@ def test_undecodable_byte_ends_the_rows_where_the_text_path_does(tmp_path, offse
 @pytest.mark.parametrize("kept,at_end", [(3, False), (1, False), (2, False), (2, True)])
 def test_character_across_a_decode_chunk_boundary(tmp_path, kept, at_end):
     # Line 2048 (the first of a block at batch sizes 1, 512 and 2048) holds
-    # the first ``kept`` bytes of a 3-byte character, from the last byte of a
-    # decode chunk on; with at_end, they end the file.
+    # the first ``kept`` bytes of a 3-byte character, from the last byte
+    # before an 8192-byte boundary on; with at_end, they end the file.
     lines = _filler(5_000).splitlines(keepends=True)
     head = "customer_id,tenure,churn_score,margin\n"
     before = len(head) + sum(map(len, lines[:2048]))
@@ -795,6 +795,69 @@ def test_character_across_a_decode_chunk_boundary(tmp_path, kept, at_end):
     path.write_bytes(data)
     found = _assert_text_path(path, dataio.read_scoring_batches)
     assert (found[-1][0] is InvalidDocument) == (kept < 3)
+
+
+def _scoring_rows_before_line_of(data, offset):
+    """The scoring rows on the lines of ``data`` before the line that holds
+    byte ``offset``, read from the bytes alone."""
+    lines = data[:data.rfind(b"\n", 0, offset) + 1].removeprefix(codecs.BOM_UTF8)
+    rows = []
+    for line in lines.split(b"\n")[1:-1]:  # after the header
+        cid, tenure, score, margin = line.rstrip(b"\r").decode().split(",")
+        rows.append((cid, int(tenure), float(score), float(margin)))
+    return rows
+
+
+_CUT = "中".encode()[:2]  # the first two of a 3-byte character's bytes
+_CRLF_FILE = _SCORING_FILE.replace(b"\n", b"\r\n")
+_BLOCK_END = _SCORING_FILE.index(b"\nc2048,")  # the newline that ends the first 2048 lines
+
+
+@pytest.mark.parametrize("data,offset", [
+    *(pytest.param(_SCORING_FILE, offset, id=f"byte {offset}") for offset in (
+        _SCORING_FILE.index(b"\nc1000,") + 3,  # inside a block
+        _SCORING_FILE.index(b"\nc5000,") + 3,
+        _BLOCK_END + 1, _BLOCK_END + 2,  # just after a block ends
+        3 * _CHUNK - 1, 3 * _CHUNK, 3 * _CHUNK + 1, 6 * _CHUNK - 1, 6 * _CHUNK,
+        6 * _CHUNK + 1,
+        _SCORING_FILE.rindex(b"\n", 0, -1) + 2,  # in the last line
+        len(_SCORING_FILE) - 1, 5)),  # the last newline, the header
+    # a 3-byte character cut at the end of the first block, and of the file
+    pytest.param(_SCORING_FILE[:_BLOCK_END] + _CUT + _SCORING_FILE[_BLOCK_END:], _BLOCK_END,
+                 id="cut character at a block end"),
+    pytest.param(_SCORING_FILE[:-1] + _CUT, len(_SCORING_FILE) - 1,
+                 id="cut character at the end"),
+    *(pytest.param(codecs.BOM_UTF8 + text, offset, id=f"byte order mark, {name}, byte {offset}")
+      for text, name in ((_SCORING_FILE, "LF"), (_CRLF_FILE, "CRLF"))
+      for offset in (3, 5, 3 * _CHUNK, len(text)))])
+def test_undecodable_byte_ends_the_rows_before_its_line(tmp_path, data, offset):
+    if data[offset] < 0x80:
+        data = _with_byte(data, offset)
+    expected = _scoring_rows_before_line_of(data, offset)
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    for size in ORACLE_BATCH_SIZES:
+        rows = []
+        with pytest.raises(InvalidDocument) as err:
+            for batch in dataio.read_scoring_batches(path, "single", size):
+                rows += [(r.customer_id, r.tenure, r.churn_score, r.margin)
+                         for r in batch.records()]
+        assert rows == expected, size
+        assert str(path) in str(err.value)
+        assert f"byte 0x{data[offset]:02x} cannot be decoded" in str(err.value)
+
+
+def test_row_before_an_undecodable_line_is_checked_in_its_8192_bytes(tmp_path):
+    # Row 5 repeats an id, and line 12 holds an undecodable byte in the same
+    # first 8192 bytes of the file; the repeated id is reported.
+    text = ("customer_id,tenure,churn_score,margin\n" + _filler(3) + "c1,5,0.1,1\n"
+            + _filler(6, start=10))
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode() + b"\xff\n" + _filler(2_000, start=20).encode())
+    for size in ORACLE_BATCH_SIZES:
+        with pytest.raises(DuplicateCustomerId) as err:
+            list(dataio.read_scoring_batches(path, "single", size))
+        assert err.value.row == 5
 
 
 @pytest.mark.parametrize("line,cell", [
@@ -837,16 +900,31 @@ def test_empty_and_repeated_ids_in_later_blocks(tmp_path):
         assert "row 4002" in found[-1][1]
 
 
+def _spy_byte_parser():
+    """A patch that records the number of lines of each ``parse_lines`` call
+    that reads its lines."""
+    lines = []
+    parse_lines = fixedpoint.parse_lines
+
+    def spy(data, rows, kinds):
+        columns = parse_lines(data, rows, kinds)
+        if columns is not None:
+            lines.append(rows)
+        return columns
+
+    return lines, mock.patch.object(fixedpoint, "parse_lines", spy)
+
+
 def _spy_text_path():
-    """A patch that counts the calls of ``_text_batches``."""
+    """A patch that counts the calls of ``_text_batch``."""
     calls = []
-    text_batches = dataio._text_batches
+    text_batch = dataio._text_batch
 
     def spy(*args):
         calls.append(args)
-        return text_batches(*args)
+        return text_batch(*args)
 
-    return calls, mock.patch.object(dataio, "_text_batches", spy)
+    return calls, mock.patch.object(dataio, "_text_batch", spy)
 
 
 def test_the_writers_files_are_read_from_bytes(tmp_path):
@@ -970,7 +1048,8 @@ def _through_a_pipe(tmp_path, data, reader, mode, size):
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
 def test_a_pipe_reads_as_the_file(tmp_path, newline):
-    # A pipe is read as text from its start; with LF, after a late quoted id.
+    # A pipe is read by the same line source as a file: a CRLF file, and with
+    # LF, one with a late quoted id.
     text = "customer_id,tenure,churn_score,margin\n" + _filler(5_000)
     data = text.replace("c4500,", '"c4500",').replace("\n", newline).encode()
     path = tmp_path / "in.csv"
@@ -986,8 +1065,8 @@ def test_a_pipe_reads_as_the_file(tmp_path, newline):
 def test_text_path_starts_outside_a_character(tmp_path, kept):
     # Line 2048 starts the block (at batch sizes 1, 512 and 2048) that holds
     # a quoted id, which the byte path refuses. Line 2047 starts with a
-    # 3-byte character across the decode chunk boundary before line 2048,
-    # ``kept`` of its bytes before it.
+    # 3-byte character across an 8192-byte boundary, ``kept`` of its bytes
+    # before it.
     head = "customer_id,tenure,churn_score,margin\n"
     lines = _filler(5_000).splitlines(keepends=True)
     before = len(head) + sum(map(len, lines[:2047]))
@@ -1004,14 +1083,35 @@ def test_text_path_starts_outside_a_character(tmp_path, kept):
     assert not isinstance(found[-1], tuple)
 
 
-def test_files_read_as_text_where_decode_chunks_differ(tmp_path):
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_plain_pipe_is_read_from_bytes(tmp_path):
+    data = (COMPETING_HEADER + "\n" + _competing_rows(5_000)).encode()
     path = tmp_path / "in.csv"
-    path.write_text(COMPETING_HEADER + "\n" + _competing_rows(3_000), encoding="utf-8")
-    assert dataio._decodes_in_chunks()
+    path.write_bytes(data)
     reader = dataio.read_calibration_batches
-    calls, spy = _spy_text_path()
+    for size in (7, 2048, 8192):
+        calls, text_spy = _spy_text_path()
+        parsed, byte_spy = _spy_byte_parser()
+        with text_spy, byte_spy:
+            found = _through_a_pipe(tmp_path, data, reader, "competing", size)
+        assert not calls and sum(parsed) == 5_000, size
+        assert found == _exact_batches(path, reader, "competing", size), size
+
+
+def test_blocks_after_an_irregular_one_are_read_from_bytes(tmp_path):
+    # A quoted id on line 2 sends the first block to csv; each later block
+    # starts where one of its batches ends and is read from its bytes.
+    n = 3 * 8192 + 100
+    path = tmp_path / "in.csv"
+    text = "customer_id,tenure,churn_score,margin\n" + _filler(n)
+    path.write_text(text.replace("c0,", '"c0",', 1), encoding="utf-8")
+    reader = dataio.read_scoring_batches
     for size in ORACLE_BATCH_SIZES:
-        with spy, mock.patch.object(dataio, "_decodes_in_chunks", lambda: False):
-            found = _exact_batches(path, reader, "competing", size)
-        assert found == _text_path_batches(path, reader, "competing", size), size
-    assert len(calls) == len(ORACLE_BATCH_SIZES)
+        block = size * max(1, dataio._PARSE_ROWS // size)
+        calls, text_spy = _spy_text_path()
+        parsed, byte_spy = _spy_byte_parser()
+        with text_spy, byte_spy:
+            found = _exact_batches(path, reader, "single", size)
+        assert len(calls) == block // size and sum(parsed) == n - block, size
+        assert found == _text_path_batches(path, reader, "single", size), size
+        assert len(found) == -(-n // size)  # every batch, and no error
