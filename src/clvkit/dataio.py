@@ -10,27 +10,27 @@ Three row formats move through the pipeline:
 * projections: the per-customer output written by the scorer.
 
 Files are UTF-8 CSV with a header row that must match the declared schema
-exactly (case-sensitive). LF and CRLF are both accepted; blank lines are
-skipped. Floats are written with six decimal places.
+exactly (case-sensitive). Floats are written with six decimal places.
 
 Readers yield validated column batches: up to ``batch_size`` records at a
 time, parsed column by column into numpy arrays. A file (a regular file or
-a pipe) is read once, in order, from its raw bytes by one line source
-(``_Lines``): the header line, then a block of whole batches at a time
-(about ``_PARSE_ROWS`` lines, or one longer batch), cut at newlines found
-in numpy. A block of plain lines (no quote, carriage return, NUL or blank
-line) whose number cells are plain fixed-point decimals and code cells
-(``cause``) single ASCII bytes is parsed from those bytes by
-``fixedpoint.parse_lines``, to the values ``int`` and ``float`` give. Any
-other block is decoded and split into lines at "\\n", "\\r" and "\\r\\n",
-as ``csv.reader`` is given them, and read batch by batch: a plain batch
-split at commas and newlines and parsed cell by cell, and any other batch
-read by ``csv.reader``, which takes further lines from the same source
-where a quoted field runs past the block. The next block that starts where
-a batch ends is tried as bytes again. Every way, the cells are those
-``csv.reader`` gives. The header is read as text after a UTF-8 byte order
-mark. The record readers (``read_calibration``, ``read_scoring``) are views
-over the same batches.
+a pipe) is read once, in order, from its raw bytes after a UTF-8 byte order
+mark, and tokenized in numpy as ``csv.reader`` reads a text file opened
+with ``newline=""`` (``_Lines``): a record ends at "\\n", "\\r\\n" or a
+lone "\\r", and a cell at a comma or a record end, outside quoted
+sections; a blank record is skipped but keeps its row number. A quote
+opens a section only at a field start or right after the quote that closed
+one (so ``""`` in a section reads ``"``), and any quote in a section closes
+it; any other quote, and NUL, is an ordinary character: ``a"b`` reads
+``a"b`` and ``"ab"c`` reads ``abc``. A cell quoted whole is narrowed to the
+bytes between its quotes; the quotes csv removes from any other cell are
+left out when its text is sliced out. Each block of whole records (about
+``_PARSE_ROWS``, or one batch if longer) is parsed by
+``fixedpoint.parse_lines``: plain fixed-point number cells and one-byte
+code cells (``cause``) to the values ``int`` and ``float`` give, and a
+column with any other cell as text, which is parsed cell by cell. The
+record readers (``read_calibration``, ``read_scoring``) are views over the
+same batches.
 Each schema is one table of rules in check order: the field count, the id
 (non-empty, and new across batches too), then each column's parse and
 range rules, with a rule over two columns (``churned`` with ``cause``,
@@ -41,12 +41,11 @@ smallest failing row, and within that row of the first rule it breaks, so
 it names the row number (header = row 1, counting csv records), column
 and reason a row-by-row reader would, at any batch size. An error
 surfaces when its batch is read, before any record of that batch is
-consumed. Text that is not UTF-8, or a record csv refuses (a field past
-its size limit), is ``InvalidDocument`` naming the file, raised after the
-records before it have been checked. For bytes that do not decode, those
-are the records of the lines before the line that holds the first such
-byte: a UTF-8 character holds no newline byte, so each line decodes on its
-own.
+consumed. Text that is not UTF-8, or a cell past csv's field size limit,
+is ``InvalidDocument`` naming the file, raised after the records before it
+have been checked. For bytes that do not decode, those are the records of
+the lines before the line that holds the first such byte: no UTF-8
+character holds a byte below 128, so each block decodes on its own.
 
 Every writer (projections, and the simulator's calibration, scoring and
 truth files) formats each batch through one line template and quotes ids
@@ -69,7 +68,6 @@ import io
 import math
 import os
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -86,8 +84,8 @@ CAUSES = (CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY)
 
 PROJECTION_COLUMNS = ["customer_id", "alpha", "ert_months", "clv", "truncated_at"]
 
-# Lines that fixedpoint.parse_lines reads at a time, so that its arrays stay
-# small (about 1.7 MB at most for 2048 lines of 11 cells).
+# Records tokenized as one block (or one batch, if longer): as many as
+# fixedpoint.parse_lines reads at a time.
 _PARSE_ROWS = 2048
 # Rows per batch. A calibration batch is one parse block, so that its rules,
 # its batch and its counting step run once per block: against 512-row
@@ -487,17 +485,16 @@ def _parsed(cells: tuple[str, ...], parser: _Parser) -> tuple[np.ndarray, np.nda
 
 
 def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: list,
-                     rows: list[list[str]] | None, seen: set[str]) -> dict:
+                     fields: np.ndarray | None, seen: set[str]) -> dict:
     """One batch's columns by name, parsed; raises the error of its first failing row.
 
     ``numbers`` are the rows' numbers in the file, ``columns`` their cells
-    transposed and ``rows`` their cells if some row has another number of
-    fields than ``names``.
+    by column and ``fields`` their numbers of fields if some row has
+    another number than ``names`` (its cells then cut or padded with "").
     """
     n = len(numbers)
     c = dict(zip(names, columns))
-    c["fields"] = (np.full(n, len(names)) if rows is None
-                   else np.fromiter(map(len, rows), np.int64, n))
+    c["fields"] = np.full(n, len(names)) if fields is None else fields
     c["seen"] = seen
     masks = []
     for rule in rules:
@@ -511,8 +508,8 @@ def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: lis
     if broken.any():
         i = int(broken.argmax())
         rule = next(rule for rule, mask in zip(rules, masks) if mask[i])
-        cells = rows[i] if rows else [column[i].item() if isinstance(column, np.ndarray)
-                                      else column[i] for column in columns]
+        cells = [column[i].item() if isinstance(column, np.ndarray) else column[i]
+                 for column in columns][:None if fields is None else fields[i]]
         if callable(rule.reason):
             raise rule.reason(numbers[i], cells)
         raise InvalidValue(numbers[i], rule.column,
@@ -531,199 +528,225 @@ def _scoring_batch(c: dict, names: list[str]) -> ScoringBatch:
                         **{name: c[name] for name in names[2:-1]})
 
 
-# Characters that make text not plain, as str and as bytes.
-_NOT_PLAIN = {str: ('"', "\r", "\0"), bytes: (b'"', b"\r", b"\0")}
+# The bytes the tokenizer looks for.
+_LF, _CR, _QUOTE, _COMMA = 10, 13, 34, 44
 
 
-def _plain(text: str | bytes, line_lengths: Callable[[], np.ndarray]) -> bool:
-    """Whether ``csv.reader`` reads each line of ``text`` (str, or UTF-8
-    bytes) as ``line.split(",")``.
+def _quotes(data: bytes, a: np.ndarray) -> np.ndarray:
+    """The offsets of the quotes of ``data`` (``a``, its bytes as uint8,
+    from a record start on) that act as csv's quote character: outside a
+    quoted section, one at a field start or right after the quote that
+    closed one (an escaped ``""``) opens it; inside, every quote closes it.
+    Whether all quotes pair up so is checked in numpy; if not, they are
+    walked one by one."""
+    quotes = np.flatnonzero(a == _QUOTE)
+    opens = quotes[::2]
+    before = a[opens - 1]
+    ok = (before == _COMMA) | (before == _LF) | (before == _CR) | (opens == 0)
+    ok[1:] |= opens[1:] == quotes[1::2][:len(opens) - 1] + 1
+    if ok.all():
+        return quotes
+    acting: list[int] = []
+    for p in quotes.tolist():
+        if (len(acting) % 2 or p == 0 or data[p - 1] in b",\r\n"
+                or (acting and acting[-1] == p - 1)):
+            acting.append(p)
+    return np.array(acting, dtype=np.intp)
 
-    That holds when the text has no quote, carriage return, NUL or blank
-    line and no line long enough to hold a field past csv's size limit.
-    ``line_lengths()`` gives each line's length with its newline (in bytes,
-    for bytes: never fewer than its characters), so a blank line is 1 long;
-    so is a last line of one character without a newline, which is then
-    taken for a blank line.
+
+def _outside(offsets: np.ndarray, quotes: np.ndarray) -> np.ndarray:
+    """The sorted ``offsets`` that are not from an opening quote of ``quotes``
+    (those that act) to the one that closes it, or to the end."""
+    bounds = np.append(np.searchsorted(offsets, quotes), offsets.size)
+    opens, closes = bounds[0:-1:2], bounds[1::2]
+    if not (closes > opens).any():
+        return offsets
+    edges = np.bincount(opens, minlength=offsets.size + 1)
+    edges -= np.bincount(closes, minlength=offsets.size + 1)
+    return offsets[np.cumsum(edges)[:-1] == 0]
+
+
+def _separators(data: bytes, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The offsets of the commas and line ends of ``data`` (``a``, its bytes
+    as uint8, from a record start on) outside quoted sections, of the line
+    ends alone, and of the quotes that act (``_quotes``). A line ends at a
+    "\\n", a "\\r\\n" (at its "\\n") or another "\\r", as in a text file
+    opened with ``newline=""``.
     """
-    if any(b in text for b in _NOT_PLAIN[type(text)]):
-        return False
-    lengths = line_lengths()
+    cr = b"\r" in data
+    found = a == _LF
+    if cr:
+        found |= a == _CR
+    breaks = np.flatnonzero(found)
+    found |= a == _COMMA
+    separators = np.flatnonzero(found)
+    del found
+    quotes = _quotes(data, a) if b'"' in data else breaks[:0]
+    if quotes.size:
+        separators, breaks = _outside(separators, quotes), _outside(breaks, quotes)
+    if cr:  # the "\r" of a "\r\n" ends no line: its "\n" does
+        crlf = breaks[(a[breaks] == _CR) & (a[np.minimum(breaks + 1, a.size - 1)] == _LF)]
+        separators = np.delete(separators, np.searchsorted(separators, crlf))
+        breaks = np.delete(breaks, np.searchsorted(breaks, crlf))
+    return separators, breaks, quotes
+
+
+class _Records(NamedTuple):
+    """The records of a block of bytes, as ``_records`` reads them."""
+
+    starts: np.ndarray  # each cell's first byte, and
+    stops: np.ndarray  # the byte after its last, in order
+    counts: np.ndarray  # each record's number of cells
+    index: np.ndarray  # the records, of the first ``count``, that are not blank
+    count: int  # the records read: all, or those before the one ``error`` names
+    escaped: np.ndarray  # the cells with quotes other than two around them, whose
+    dropped: np.ndarray | None  # quotes that csv removes are marked here
+    error: str | None
+
+
+def _text(data: bytes, records: _Records, cell: int) -> str:
+    """The text of one cell, without the quotes csv removes."""
+    start, stop = records.starts[cell], records.stops[cell]
+    if records.dropped is None:
+        return data[start:stop].decode()
+    kept = np.frombuffer(data, np.uint8)[start:stop][~records.dropped[start:stop]]
+    return kept.tobytes().decode()
+
+
+def _records(data: bytes, separators: np.ndarray, breaks: np.ndarray,
+             quotes: np.ndarray) -> _Records:
+    """The cells of ``data``, a block of whole records, as ``csv.reader``
+    reads them, given its ``_separators``. The last record ends at the end of
+    the block if no line end does, in a quoted section too (a quote left open
+    at the end of a file). A blank record has one empty cell, with no quotes.
+    A cell quoted whole is narrowed to the bytes between its quotes; the
+    quotes csv removes from any other cell are marked in ``dropped``. A cell
+    longer than csv's field size limit ends the records before its record.
+    """
+    a = np.frombuffer(data, np.uint8)
+    # Each record's last cell: found by a stride if every record has as many.
+    width = max(1, separators.size // max(1, breaks.size))
+    last = np.arange(width - 1, separators.size, width)
+    if last.size != breaks.size or (separators[last] != breaks).any():
+        last = np.searchsorted(separators, breaks)
+    stops = separators
+    if b"\r" in data:  # a "\r\n" ends its line's last cell at its "\r"
+        stops = separators.copy()
+        stops[last] -= (a[breaks] == _LF) & (a[breaks - 1] == _CR) & (breaks > 0)
+    if not (breaks.size and breaks[-1] == a.size - 1):
+        last = np.append(last, separators.size)
+        separators, stops = np.append(separators, a.size), np.append(stops, a.size)
+    starts = np.concatenate(([0], separators[:-1] + 1))
+    counts = np.diff(last, prepend=-1)
+    blank = (counts == 1) & (stops[last] == starts[last])
+    escaped, dropped = last[:0], None
+    if quotes.size:
+        cell = np.searchsorted(separators, quotes)  # the cell each quote is in
+        held = np.bincount(cell, minlength=starts.size)
+        closing = cell[1::2]
+        whole = closing[(held[closing] == 2) & (starts[closing] == quotes[0:-1:2])
+                        & (stops[closing] == quotes[1::2] + 1)]
+        if 2 * whole.size < quotes.size:
+            escaped = held > 0
+            escaped[whole] = False
+            escaped = np.flatnonzero(escaped)
+            # Every quote but one that opens a section right after one closed
+            # (the quote an escaped "" reads) is left out of the cell's text.
+            kept = np.zeros(quotes.size, dtype=bool)
+            kept[2::2] = quotes[2::2] == quotes[1:-1:2] + 1
+            dropped = np.zeros(a.size + 1, dtype=bool)
+            dropped[quotes[~kept]] = True
+        starts[whole] += 1
+        stops = stops.copy()
+        stops[whole] -= 1
+    records = _Records(starts, stops, counts, np.flatnonzero(~blank), last.size, escaped,
+                       dropped, None)
     limit = csv.field_size_limit()
-    return lengths.min() > 1 and (len(text) <= limit or lengths.max() <= limit)
-
-
-def _columns(rows: list[list[str]], width: int) -> tuple[list, list[list[str]] | None]:
-    """The rows transposed, and the rows themselves if one has another number
-    of fields than ``width`` (its cells then cut or padded with "")."""
-    if set(map(len, rows)) == {width}:
-        return list(zip(*rows)), None
-    return list(zip(*((cells + [""] * width)[:width] for cells in rows))), rows
-
-
-def _newlines(data: bytes) -> np.ndarray:
-    """The offsets of the newline bytes in ``data``."""
-    return np.flatnonzero(np.frombuffer(data, np.uint8) == 10)
-
-
-def _byte_columns(data: bytes, ends: np.ndarray, kinds: str) -> list | None:
-    """The columns of the lines ``data``, each ending in a newline at an
-    offset in ``ends`` but the file's last line, which may have none,
-    parsed from their bytes by ``fixedpoint.parse_lines``, ``_PARSE_ROWS``
-    lines at a time: a tuple of cells for a text column, an array for any
-    other. None if the lines are not plain (``_plain``) or ``parse_lines``
-    does not read one.
-    """
-    from .fixedpoint import parse_lines  # loaded on the first read
-
-    if not data.endswith(b"\n"):
-        data += b"\n"
-        ends = np.append(ends, len(data) - 1)
-    if not _plain(data, lambda: np.diff(ends, prepend=-1)):
-        return None
-    parts = []
-    start = 0
-    for first in range(0, len(ends), _PARSE_ROWS):
-        stop = int(ends[min(first + _PARSE_ROWS, len(ends)) - 1]) + 1
-        columns = parse_lines(data[start:stop], min(_PARSE_ROWS, len(ends) - first), kinds)
-        if columns is None:
-            return None
-        parts.append(columns)
-        start = stop
-    return [tuple(chain.from_iterable(cs)) if kind == "s" else np.concatenate(cs)
-            for cs, kind in zip(zip(*parts), kinds)]
-
-
-def _sliced(columns: list, n: int, size: int, first: int):
-    """The batches (row numbers, columns, None) of at most ``size`` rows of
-    the ``n`` rows of a block's ``columns``, whose first is row ``first``."""
-    for start in range(0, n, size):
-        rows = slice(start, start + size)
-        yield range(first + start, first + min(start + size, n)), [c[rows] for c in columns], None
+    for cell in np.flatnonzero(stops - starts > limit).tolist() if a.size > limit else ():
+        if len(_text(data, records, cell)) > limit:
+            count = int(np.searchsorted(last, cell))
+            return records._replace(index=records.index[records.index < count], count=count,
+                                    error=f"field larger than field limit ({limit})")
+    return records
 
 
 class _Lines:
-    """The lines of an unbuffered binary file (a regular file or a pipe), read once from its start.
-
-    ``take`` gives the next lines as one block of bytes, read
-    ``_READ_BYTES`` or more at a time and cut at newlines found in numpy.
-    ``push`` splits a block into text lines at "\\n", "\\r" and "\\r\\n", as a
-    text file opened with ``newline=""`` splits them; ``read_text`` and
-    iteration take those before further lines of the file, which they push
-    as they need them. The lines end before the first line that does not
-    decode as UTF-8, whose error is kept in ``error``. No UTF-8 character
-    holds a newline byte, so a block of whole lines decodes on its own.
+    """The records of an unbuffered binary file (a regular file or a pipe),
+    read once from its start after a UTF-8 byte order mark, ``_READ_BYTES``
+    or more at a time, their separators and quotes found (``_separators``)
+    as the bytes come. The records end before the first line that holds a
+    byte that does not decode as UTF-8, whose error is kept in ``error``; no
+    UTF-8 character holds a byte below 128, so a block decodes on its own.
     """
 
     def __init__(self, fh):
         self.fh = fh
         self.error: UnicodeDecodeError | None = None
         self.data = b""  # bytes read and not yet taken
-        self.ends = np.zeros(0, dtype=np.intp)  # the offsets of their newlines
         self.eof = False
-        self.text: deque[str] = deque()  # lines pushed and not yet taken
+        # The offsets in ``data`` of the separators, line ends and quotes that
+        # act of the records found.
+        self.separators = self.breaks = self.quotes = np.zeros(0, dtype=np.intp)
+        while len(self.data) < len(codecs.BOM_UTF8) and not self.eof:
+            self._read()
+        self.data = self.data.removeprefix(codecs.BOM_UTF8)
+        self._scan()
 
-    def take(self, lines: int) -> tuple[bytes, np.ndarray]:
-        """The next ``lines`` lines (fewer at the end of the file or before
-        a line that does not decode, and b"" past them), and the offsets of
-        their newlines."""
-        while len(self.ends) < lines and not self.eof:
-            chunk = self.fh.read(max(_READ_BYTES, len(self.data)))  # doubling, for long lines
-            self.eof = not chunk
-            self.ends = np.concatenate([self.ends, _newlines(chunk) + len(self.data)])
-            self.data += chunk
-        ends = self.ends[:lines]
-        cut = int(ends[-1]) + 1 if len(ends) == lines else len(self.data)
+    def _read(self) -> None:
+        chunk = self.fh.read(max(_READ_BYTES, len(self.data)))  # doubling, for long records
+        self.eof = not chunk
+        self.data += chunk
+
+    def _scan(self) -> None:
+        """Find the records after the last one found; at the end of the
+        file, the last record runs to it."""
+        start = int(self.breaks[-1]) + 1 if self.breaks.size else 0
+        data = self.data[start:]
+        a = np.frombuffer(data, np.uint8)
+        found = _separators(data, a)
+        breaks = found[1]
+        if breaks.size and breaks[-1] == a.size - 1 and a[-1] == _CR and not self.eof:
+            breaks = breaks[:-1]  # the "\n" of a "\r\n" may come in the next read
+        end = a.size if self.eof else int(breaks[-1]) + 1 if breaks.size else 0
+        for name, offsets in zip(("separators", "breaks", "quotes"), found):
+            setattr(self, name, np.concatenate(
+                [getattr(self, name), offsets[:np.searchsorted(offsets, end)] + start]))
+
+    def take(self, records: int) -> tuple[bytes, _Records]:
+        """The next ``records`` records as one block of bytes, and its cells
+        (``_records``): fewer records at the end of the file or before a line
+        that does not decode, none past them."""
+        while len(self.breaks) < records and not self.eof:
+            self._read()
+            self._scan()
+        cut = int(self.breaks[records - 1]) + 1 if len(self.breaks) >= records else len(self.data)
         data = self.data[:cut]
-        self.data, self.ends = self.data[cut:], self.ends[lines:] - cut
         if not data.isascii():
             try:
                 data.decode()
             except UnicodeDecodeError as exc:
-                self.error = exc
-                ends = ends[:np.searchsorted(ends, exc.start)]  # the lines before its line
-                data = data[:int(ends[-1]) + 1 if len(ends) else 0]
-                self.data, self.ends, self.eof = b"", self.ends[:0], True
-        return data, ends
-
-    def push(self, data: bytes) -> None:
-        """Put the lines of ``data``, a block ``take`` gave, before the file's next lines."""
-        self.text.extend(io.StringIO(data.decode(), newline=""))
-
-    def _more(self, lines: int) -> bool:
-        """Push up to ``lines`` more lines of the file; False past its last."""
-        data = self.take(lines)[0]
-        self.push(data)
-        return bool(data)
-
-    def read_text(self, n: int) -> list[str]:
-        """The next ``n`` text lines (fewer at the end)."""
-        while len(self.text) < n and self._more(n - len(self.text)):
-            pass
-        return [self.text.popleft() for _ in range(min(n, len(self.text)))]
-
-    def __iter__(self) -> Iterator[str]:
-        """The next text lines, one at a time, for a reader that may stop after any."""
-        while self.text or self._more(1):
-            yield self.text.popleft()
+                self.error, self.eof, self.data = exc, True, b""
+                cut = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+                data = data[:cut]
+        self.data = self.data[cut:]
+        taken = []
+        for name in ("separators", "breaks", "quotes"):
+            found = getattr(self, name)
+            at = np.searchsorted(found, cut)
+            taken.append(found[:at])
+            setattr(self, name, found[:0] if self.error else found[at:] - cut)
+        return data, _records(data, *taken)
 
 
 def _header(lines: _Lines, path: str | Path) -> list[str] | None:
-    """The header's cells, read by ``csv.reader`` after a UTF-8 byte order
-    mark; None if the file holds no record."""
-    lines.push(lines.take(1)[0].removeprefix(codecs.BOM_UTF8))
-    try:
-        return next(csv.reader(lines), None)
-    except csv.Error as exc:
-        raise InvalidDocument(path, f"row 1: {exc}") from None
-
-
-def _text_batch(lines: _Lines, path: str | Path, width: int, size: int, first: int):
-    """Read the next batch of at most ``size`` records, from row ``first``
-    on, from the text lines of ``lines``; returns the number of records.
-
-    Yields (row numbers, columns, rows) for the batch's non-blank records,
-    if it has any: ``columns`` holds the cells transposed, and ``rows`` is
-    None when every record has ``width`` fields, else it holds each
-    record's cells (the columns then hold them cut or padded with "" to
-    ``width``). A batch of plain lines (``_plain``) is split at commas and
-    newlines; any other batch is read by ``csv.reader`` from the same lines,
-    and from the lines after them where a quoted field runs on. A record csv
-    cannot read ends the batch before it, and its error is raised after the
-    batch.
-    """
-    batch = lines.read_text(size)
-    text = "".join(batch)
-    if _plain(text, lambda: np.fromiter(map(len, batch), np.int64, len(batch))):
-        numbers = range(first, first + len(batch))
-        if set(map(str.count, batch, repeat(","))) != {width - 1}:
-            yield numbers, *_columns([line.rstrip("\n").split(",") for line in batch], width)
-            return len(numbers)
-        del batch  # free each copy of the text before the cells exist
-        text = text.replace("\n", ",")
-        cells = text.split(",")
-        del text, cells[len(numbers) * width:]  # the cell after a final newline
-        yield numbers, [tuple(cells[j::width]) for j in range(width)], None
-        return len(numbers)
-    del text
-    rows: list[list[str]] = []
-    error = None
-    try:
-        rows.extend(islice(csv.reader(chain(batch, lines)), size))
-    except csv.Error as exc:
-        error = InvalidDocument(path, f"row {first + len(rows)}: {exc}")
-    del batch
-    count = len(rows)
-    numbers = range(first, first + count)
-    if not all(rows):
-        numbers = [n for n, cells in zip(numbers, rows) if cells]
-        rows = [cells for cells in rows if cells]
-    if rows:
-        yield numbers, *_columns(rows, width)
-    del rows
-    if error is not None:
-        raise error
-    return count
+    """The cells of the file's first record; None if the file holds none."""
+    data, records = lines.take(1)
+    if not data:
+        return None
+    if records.error is not None:
+        raise InvalidDocument(path, f"row 1: {records.error}")
+    return [_text(data, records, cell)
+            for cell in range(records.counts[0] if records.index.size else 0)]
 
 
 def _byte_kinds(names: list[str], rules: list[_Rule]) -> str:
@@ -735,32 +758,59 @@ def _byte_kinds(names: list[str], rules: list[_Rule]) -> str:
     return "".join(first[name].kind if first.get(name) else "s" for name in names)
 
 
-def _batches(lines: _Lines, path: str | Path, width: int, kinds: str, size: int):
-    """Row numbers, columns and rows (see ``_text_batch``) of each batch of
-    at most ``size`` records after the header.
+def _columns(data: bytes, records: _Records, width: int, kinds: str):
+    """The columns of the non-blank records of a block (``parse_lines``; a
+    column with an ``escaped`` cell as text), and their field counts if
+    one has another number than ``width``, its missing cells empty and extra
+    ones dropped (else None)."""
+    from .fixedpoint import parse_lines  # loaded on the first read
 
-    While no text line is left over, the next block of lines is read by
-    ``_byte_columns``; a block it does not read is pushed as text lines,
-    which ``_text_batch`` reads until a batch ends with none left over.
-    """
+    counts = records.counts[records.index]
+    starts, stops = records.starts, records.stops
+    fields = None
+    if counts.size * width == starts.size and (counts == width).all():  # every cell, in order
+        cells = np.arange(starts.size).reshape(-1, width)
+        starts, stops = starts.reshape(cells.shape), stops.reshape(cells.shape)
+    else:
+        first = np.cumsum(records.counts) - records.counts  # each record's first cell
+        cells = first[records.index, None] + np.arange(width)
+        if not (counts == width).all():
+            fields = counts
+            cells = np.where(np.arange(width) < counts[:, None], cells, starts.size)
+            starts, stops = np.append(starts, 0), np.append(stops, 0)  # an empty cell
+        starts, stops = starts[cells], stops[cells]
+    if records.escaped.size:
+        text = set(np.flatnonzero(np.isin(cells, records.escaped).any(axis=0)).tolist())
+        kinds = "".join("s" if j in text else kind for j, kind in enumerate(kinds))
+    del cells
+    return parse_lines(data, starts.T, stops.T, kinds, records.dropped), fields
+
+
+def _batches(lines: _Lines, path: str | Path, width: int, kinds: str, size: int):
+    """The row numbers, columns and field counts (``_columns``) of each batch
+    of at most ``size`` records after the header, blank ones left out, read a
+    block of whole batches (about ``_PARSE_ROWS``, or one batch) at a time.
+    A record csv cannot read ends the records, and its error is raised."""
     block = size * max(1, _PARSE_ROWS // size)
-    first = 2  # the row number of the next record
+    first = 2  # the row number of the block's first record
     while True:
-        if not lines.text:
-            data, ends = lines.take(block)
-            if not data:
-                return
-            columns = _byte_columns(data, ends, kinds)
-            if columns is not None:
-                del data, ends
-                n = len(columns[0])
-                yield from _sliced(columns, n, size, first)
-                del columns
-                first += n
-                continue
-            lines.push(data)
-            del data, ends
-        first += yield from _text_batch(lines, path, width, size, first)
+        data, records = lines.take(block)
+        if not data:
+            return
+        columns, fields = ([], None) if not records.index.size else _columns(
+            data, records, width, kinds)
+        index, count, error = records.index, records.count, records.error
+        del data, records  # free the bounds before the batches are read
+        numbers = range(first, first + count) if index.size == count else (first + index).tolist()
+        for start in range(0, count, size):
+            rows = slice(*np.searchsorted(index, (start, start + size)).tolist())
+            if rows.start < rows.stop:
+                yield (numbers[rows], [c[rows] if isinstance(c, np.ndarray) else tuple(c[rows])
+                                       for c in columns], None if fields is None else fields[rows])
+        del columns
+        if error is not None:
+            raise InvalidDocument(path, f"row {first + count}: {error}")
+        first += count
 
 
 def _read_batches(path: str | Path, schema, batch_of, size: int):
@@ -779,10 +829,10 @@ def _read_batches(path: str | Path, schema, batch_of, size: int):
         header = _header(lines, path)
         if lines.error is None:
             names, rules = schema(header)
-            for numbers, columns, rows in _batches(lines, path, len(names),
-                                                   _byte_kinds(names, rules), size):
-                c = _checked_columns(rules, names, numbers, columns, rows, seen)
-                del columns, rows  # free the cells before the next batch is read
+            for numbers, columns, fields in _batches(lines, path, len(names),
+                                                     _byte_kinds(names, rules), size):
+                c = _checked_columns(rules, names, numbers, columns, fields, seen)
+                del columns  # free the cells before the next batch is read
                 batch = batch_of(c, names)
                 del c
                 yield batch

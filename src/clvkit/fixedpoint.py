@@ -20,24 +20,25 @@ of 4-digit groups and of the fraction, and NUL bytes pad the words. The
 lines are the non-NUL bytes in order, so an id holding a NUL (or a comma,
 which marks where ids end) is not printed either.
 
-``parse_lines`` reads the cells of a block of lines from their UTF-8
-bytes, with no Python object per number. A number cell is read only if it
-matches ``-?[0-9]+(\\.[0-9]+)?`` with at most 15 digits. Its digits then
-form an integer N < 2**53, exact in a double as every power 10**k used is,
-and IEEE division is correctly rounded: ``N / 10**k`` is the double
-nearest the decimal, which is what ``float`` returns. The sign is applied
-after dividing, so ``-0.000000`` reads -0.0 as ``float`` reads it. An
-integer cell is ``±N``, and a flag cell the one byte ``0`` or ``1``. Any
-other number cell (``+1``, ``.5``, ``1e3``, ``nan``, `` 1``, a non-ASCII
-digit, 16 digits or more) is not read, and nor is a block holding one.
-A code cell is empty or one ASCII byte, and a code column comes as a
-one-character numpy str column (``U1``); a longer code cell is not read.
+``parse_lines`` reads the cells of a block of records, given their bounds,
+from their UTF-8 bytes, with no Python object per number. A number cell is
+read only if it matches ``-?[0-9]+(\\.[0-9]+)?`` with at most 15 digits.
+Its digits then form an integer N < 2**53, exact in a double as every
+power 10**k used is, and IEEE division is correctly rounded: ``N / 10**k``
+is the double nearest the decimal, which is what ``float`` returns. The
+sign is applied after dividing, so ``-0.000000`` reads -0.0 as ``float``
+reads it. An integer cell is ``±N``, and a flag cell the one byte ``0`` or
+``1``. A code cell is empty or one ASCII byte other than NUL, and a code
+column comes as a one-character numpy str column (``U1``). A column with
+any other cell (``+1``, ``.5``, ``1e3``, ``nan``, `` 1``, a non-ASCII
+digit, 16 digits or more; a longer code) comes as text.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from itertools import chain
 
 import numpy as np
 
@@ -188,45 +189,60 @@ _POW10 = 10.0 ** np.arange(16)
 # Zero bytes in front of a block's text, as many as the widest window of a
 # number cell (see ``_number_cells``), so that every window starts in it.
 _PAD = bytes(_CELL_BYTES // 4 * 4 + 4)
+# Rows read at a time, so that the byte matrices stay small (about 1.7 MB at
+# most for 2048 rows of 11 cells).
+_PARSE_ROWS = 2048
 
 
-def _text_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+def _text_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                dropped: np.ndarray | None) -> list[str]:
     """The cells from ``starts`` to ``ends`` (exclusive) of ``text``, as str,
-    sliced out together, then decoded and split once."""
+    without the bytes marked in ``dropped`` (offsets in ``text`` after
+    ``_PAD``), sliced out together, then decoded and split once (split by
+    their byte offsets if a cell holds a newline)."""
     lengths = ends - starts + 1  # each cell and a newline
     stops = np.cumsum(lengths)
-    picked = text[np.arange(stops[-1]) + np.repeat(starts - stops + lengths, lengths)]
+    index = np.arange(stops[-1]) + np.repeat(starts - stops + lengths, lengths)
+    picked = text[index]
     picked[stops - 1] = 10
-    return picked.tobytes().decode().split("\n")[:-1]
+    if dropped is not None:
+        kept = ~dropped[index - len(_PAD)]
+        kept[stops - 1] = True
+        picked, stops = picked[kept], np.cumsum(kept)[stops - 1]
+    cells = picked.tobytes().decode().split("\n")[:-1]
+    if len(cells) == len(starts):
+        return cells
+    picked = picked.tobytes()
+    return [picked[a:b - 1].decode() for a, b in zip([0, *stops[:-1].tolist()], stops.tolist())]
 
 
 def _code_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
     """The cells from ``starts`` to ``ends`` of ``text`` as a ``U1`` column
-    (an empty cell is ""); None if a cell is longer than one ASCII byte."""
+    (an empty cell is ""); None if a cell is longer than one byte, or is one
+    byte that is not ASCII or is NUL, which ``U1`` would read as ""."""
     lengths = ends - starts
     if lengths.max(initial=0) > 1:
         return None
     codes = text[starts].astype(np.uint32)  # an empty cell starts at its separator
     codes *= lengths == 1
-    if codes.max(initial=0) >= 128:
+    if not (codes - 1 < 127)[lengths == 1].all():  # 0 wraps
         return None
     return codes.view("U1")
 
 
 def _number_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                  kinds: list[str]) -> list[np.ndarray] | None:
+                  kinds: list[str]) -> list[np.ndarray | None]:
     """The number cells from ``starts`` to ``ends`` of ``text``, (columns,
-    rows) arrays, as one array per column of ``kinds`` (see ``parse_lines``);
-    None if a cell is not read.
+    rows) arrays of cells of at most ``_CELL_BYTES``, as one array per column
+    of ``kinds`` (see ``parse_lines``), or None for a column with a cell that
+    is not read.
 
     Each cell is right-aligned in a window longer than the longest cell, so
     that a byte's place (the bytes after it in its cell) is given by its row
     of the (window, cell) byte matrix. All columns go through the same calls.
     """
     lengths = ends - starts
-    longest = int(lengths.max(initial=0))
-    if longest > _CELL_BYTES:
-        return None
+    longest = int(lengths.max())
     span = longest // 4 * 4 + 4  # whole groups of 4 places
     windows = np.ndarray((text.size - span + 1,), f"V{span}", text, strides=(1,))
     digit = np.ascontiguousarray(
@@ -243,15 +259,14 @@ def _number_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     del is_point, point_places
     negative = text[starts] == 45
     floats = np.array([kind == "f" for kind in kinds])
-    flags = [j for j, kind in enumerate(kinds) if kind == "b"]
+    flags = np.array([kind == "b" for kind in kinds])
     # Every byte a digit or the point, but a leading minus; 1 to 15 digits;
     # a point only in a float, with a digit on each side; a flag 0 or 1.
     ok = ((digits + points + negative == lengths) & (digits - np.uint8(1) < 15)  # wraps
           & ((points == 0) | (floats[:, None] & (points == 1) & (fraction >= 1)
                               & (fraction < lengths - 1 - negative))))
-    if not (ok.all() and (lengths[flags] == 1).all()
-            and (digit[-1].reshape(lengths.shape)[flags] <= 1).all()):
-        return None
+    ok &= ~flags[:, None] | ((lengths == 1) & (digit[-1].reshape(lengths.shape) <= 1))
+    read = ok.all(axis=1)
     digit *= is_digit
     del is_digit
     if points.any():  # close up each point: the digits before it move a place down
@@ -272,44 +287,47 @@ def _number_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         value += quad
     value = value.reshape(lengths.shape)
     sign = 1 - 2 * negative.view(np.int8)
+    floats &= read  # a column not read may hold any number of points
     numbers = value[floats] / _POW10[fraction[floats]]
     numbers *= sign[floats]  # after dividing, so that -0.0 keeps its sign
-    columns = dict(zip(np.flatnonzero(floats), numbers))
-    return [columns[j] if floats[j] else value[j] * sign[j] for j in range(len(kinds))]
+    floated = dict(zip(np.flatnonzero(floats).tolist(), numbers))
+    return [(floated[j] if floats[j] else value[j] * sign[j]) if read[j] else None
+            for j in range(len(kinds))]
 
 
-def parse_lines(data: bytes, rows: int, kinds: str) -> list | None:
-    """The cells of ``rows`` comma-separated lines, each ending in a newline,
-    from their UTF-8 bytes ``data``, column by column.
+def parse_lines(data: bytes, starts: np.ndarray, ends: np.ndarray, kinds: str,
+                dropped: np.ndarray | None = None) -> list:
+    """The cells of a block of records from their UTF-8 bytes ``data``,
+    column by column, ``_PARSE_ROWS`` rows at a time.
 
-    ``kinds`` holds each column's kind: ``s`` text (a list of str), ``c`` a
-    code (a ``U1`` array), ``d`` an integer or ``b`` a 0 or 1 flag (int64
-    arrays), ``f`` a float (a float64 array). Returns None if a line has
-    another number of cells, or a number or code cell is not read (see the
-    module docstring).
+    ``starts`` and ``ends`` are (columns, rows) arrays of each cell's
+    offsets in ``data``: its first byte, and the byte after its last (at
+    most ``len(data)``). ``kinds`` holds each column's kind: ``s`` text,
+    ``c`` a code (a ``U1`` array), ``d`` an integer or ``b`` a 0 or 1 flag
+    (int64 arrays), ``f`` a float (a float64 array). A text column, and a
+    number or code column with a cell that is not read (see the module
+    docstring), comes as a list of str, without the bytes of ``data`` that
+    ``dropped`` (a bool array, one longer than ``data``) marks.
     """
-    width = len(kinds)
-    if len(data) >= 2**31 - len(_PAD):  # positions are int32
-        return None
-    text = np.frombuffer(_PAD + data, np.uint8)
-    separators = text == 44
-    separators |= text == 10
-    ends = np.flatnonzero(separators).astype(np.int32)
-    del separators
-    if ends.size != rows * width or not (text[ends[width - 1::width]] == 10).all():
-        return None
-    starts = np.empty_like(ends)
-    starts[0] = len(_PAD)
-    starts[1:] = ends[:-1] + 1
-    starts, ends = starts.reshape(rows, width).T, ends.reshape(rows, width).T
+    text = np.frombuffer(b"".join((_PAD, data, b"\n")), np.uint8)
+    if text.size < 2**31:  # offsets in half the bytes
+        starts, ends = starts.astype(np.int32), ends.astype(np.int32)
+    parts = [slice(i, i + _PARSE_ROWS) for i in range(0, starts.shape[1], _PARSE_ROWS)]
     numeric = [j for j, kind in enumerate(kinds) if kind in "dbf"]
-    numbers = _number_cells(text, starts[numeric], ends[numeric], [kinds[j] for j in numeric])
-    if numbers is None:
-        return None
-    columns = dict(zip(numeric, numbers))
-    for j in (j for j, kind in enumerate(kinds) if kind == "c"):
-        columns[j] = _code_cells(text, starts[j], ends[j])
-        if columns[j] is None:
-            return None
-    return [columns[j] if j in columns else _text_cells(text, starts[j], ends[j])
-            for j in range(width)]
+    read = {j: [] for j, kind in enumerate(kinds) if kind != "s"}
+    for rows in parts:
+        first, last = starts[:, rows] + len(_PAD), ends[:, rows] + len(_PAD)
+        fit = [j for j, longest in zip(numeric, (last[numeric] - first[numeric]).max(axis=1))
+               if longest <= _CELL_BYTES]
+        found = dict(zip(fit, _number_cells(text, first[fit], last[fit], [kinds[j] for j in fit])
+                         if fit else ()))
+        for j in numeric:
+            read[j].append(found.get(j))
+        for j in (j for j, kind in enumerate(kinds) if kind == "c"):
+            read[j].append(_code_cells(text, first[j], last[j]))
+    return [(read[j][0] if len(parts) == 1 else np.concatenate(read[j]))
+            if j in read and all(c is not None for c in read[j])
+            else list(chain.from_iterable(_text_cells(text, starts[j, rows] + len(_PAD),
+                                                      ends[j, rows] + len(_PAD), dropped)
+                                          for rows in parts))
+            for j in range(len(kinds))]

@@ -1,20 +1,27 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clvkit import dataio
 from clvkit.cli import main
 from clvkit.odds import load_model
 from clvkit.survival import hazard_at, jeffreys_view, load_baseline, save_baseline
 
-from conftest import baseline_from_rates
+from conftest import baseline_from_rates, fixture_curve_rates
 
 
 SIM_SPEC = {
@@ -752,3 +759,67 @@ def test_calibration_tenure_past_ceiling_is_data_error(tmp_path, capsys):
     assert_one_line_error(capsys, code, 1, "row 2", "'tenure'",
                           f"<= {dataio.MAX_CALIBRATION_TENURE}")
     assert not (tmp_path / "b.json").exists()
+
+
+# Input files under random byte edits: every run ends in a result or a
+# one-line error (exit 0 or 1), never in a traceback.
+
+_EDIT_BYTES = [b'"', b"\r", b"\0", b"\xff", b",", b"\n"]
+
+
+@functools.cache
+def _valid_inputs() -> dict[str, bytes]:
+    """A competing calibration file with a covariate, and a scoring file."""
+    rng = np.random.default_rng(4)
+    n = 60
+    tenure = rng.integers(0, 12, n)
+    churned = (rng.random(n) < 0.3).astype(np.int64)
+    cause = np.where(churned == 1, np.where(rng.random(n) < 0.5, "V", "I"), "")
+    ids = tuple(f"c{i}" for i in range(n))
+    with tempfile.TemporaryDirectory() as tmp:
+        cal, scoring = Path(tmp) / "cal.csv", Path(tmp) / "scoring.csv"
+        dataio.write_calibration(cal, dataio.CalibrationBatch(
+            ids, tenure, churned, cause, rng.normal(size=(n, 1))), "competing")
+        dataio.write_scoring(scoring, dataio.ScoringBatch(
+            ids, tenure, rng.normal(10.0, 2.0, n), rng.random(n) / 10), "single")
+        return {"calibration": cal.read_bytes(), "scoring": scoring.read_bytes()}
+
+
+@st.composite
+def edited(draw, data: bytes) -> bytes:
+    """``data`` with a few bytes inserted or replaced."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.sampled_from(_EDIT_BYTES))
+        data[at:at + draw(st.sampled_from([0, 1]))] = byte
+    return bytes(data)
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), competing=st.booleans())
+def test_edited_input_files_end_without_a_traceback(data, competing):
+    inputs = _valid_inputs()
+    calibration = data.draw(edited(inputs["calibration"]))
+    scoring = data.draw(edited(inputs["scoring"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cal.csv").write_bytes(calibration)
+        (tmp / "scoring.csv").write_bytes(scoring)
+        save_baseline(tmp / "baseline.json", baseline_from_rates(fixture_curve_rates(),
+                                                                 tail_start=25))
+        runs = [
+            ["baseline", "--calibration", str(tmp / "cal.csv"), "--out", str(tmp / "b.json"),
+             *(["--competing"] if competing else [])],
+            ["score", "--baseline", str(tmp / "baseline.json"), "--scoring",
+             str(tmp / "scoring.csv"), "--out", str(tmp / "p.csv")]]
+        for argv in runs:
+            code, err = _run(argv)
+            assert code in (0, 1) and "Traceback" not in err, (argv[0], err)

@@ -15,9 +15,11 @@ import csv
 import io
 import math
 import os
+import re
 import tempfile
 import threading
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 from unittest import mock
 
@@ -392,13 +394,76 @@ def irregular_files(draw, kind):
     return text
 
 
+class _CsvRecords:
+    """The oracle of the readers' tokenizer: a file's records as csv.reader
+    reads them from its text, after a UTF-8 byte order mark and up to the
+    line (as ``newline=""`` splits lines) of its first byte that does not
+    decode. That error is ``error`` once those records are read, or once
+    the header is if it runs up to that line (a header with no records
+    after it, that one more character would join). It stands in for
+    ``dataio._Lines``, and its methods for ``dataio._header`` and
+    ``dataio._batches`` (``_csv_tokenizer``), so that the batches it gives
+    are checked by the readers' own rules."""
+
+    def __init__(self, fh):
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+        self.error = self.decode_error = None
+        try:
+            self.text = data.decode()
+        except UnicodeDecodeError as exc:
+            self.decode_error = exc
+            self.text = data[:max(data.rfind(b"\n", 0, exc.start),
+                                  data.rfind(b"\r", 0, exc.start)) + 1].decode()
+        self.records = csv.reader(io.StringIO(self.text, newline=""))
+
+    def header(self, path):
+        try:
+            header = next(self.records, None)
+        except csv.Error as exc:
+            raise InvalidDocument(path, f"row 1: {exc}") from None
+        if header != next(csv.reader(io.StringIO(self.text + "x", newline="")), None):
+            self.error = self.decode_error
+        return header
+
+    def batches(self, path, width, kinds, size):
+        """Batches of ``size`` records, blank ones left out: row numbers,
+        cells by column (cut or padded with "" to ``width``), field counts."""
+        first = 2
+        while True:
+            rows, error = [], None
+            try:
+                rows.extend(islice(self.records, size))
+            except csv.Error as exc:
+                error = InvalidDocument(path, f"row {first + len(rows)}: {exc}")
+            count = len(rows)
+            numbers = [first + i for i, cells in enumerate(rows) if cells]
+            rows = [cells for cells in rows if cells]
+            if rows:
+                fields = np.array([len(cells) for cells in rows])
+                padded = [(cells + [""] * width)[:width] for cells in rows]
+                yield (numbers, [tuple(column) for column in zip(*padded)],
+                       None if (fields == width).all() else fields)
+            if error is not None:
+                raise error
+            if count < size:
+                self.error = self.decode_error
+                return
+            first += size
+
+
+def _csv_tokenizer():
+    """A patch that reads every file through ``_CsvRecords``."""
+    return mock.patch.multiple(dataio, _Lines=_CsvRecords, _header=_CsvRecords.header,
+                               _batches=_CsvRecords.batches)
+
+
 def _read_both_ways(text, reader):
-    """The outcome at each batch size, with plain batches split as text and
-    with every batch read by csv."""
+    """The outcome at each batch size, with the file tokenized by the reader
+    and by csv.reader."""
     outcomes = []
     for size in BATCH_SIZES:
         outcomes.append(_outcome_of_file(text, reader, size))
-        with mock.patch.object(dataio, "_plain", lambda text, lines: False):
+        with _csv_tokenizer():
             outcomes.append(_outcome_of_file(text, reader, size))
     return outcomes
 
@@ -416,19 +481,13 @@ def _outcome_of_file(text, reader, size):
 
 
 def _assert_reference(found, records):
-    """``found`` is the reference reader's outcome; a record csv refuses
-    (NUL before Python 3.11) is InvalidDocument."""
-    try:
-        expected = outcome(records)
-    except csv.Error:
-        assert found[0] is InvalidDocument, found
-    else:
-        assert found == expected
+    """``found`` is the reference reader's outcome."""
+    assert found == outcome(records)
 
 
 @settings(max_examples=300, deadline=None)
 @given(text=irregular_files("scoring"))
-def test_scoring_plain_split_equals_csv_fallback(text):
+def test_scoring_tokenizer_equals_csv_reader(text):
     outcomes = _read_both_ways(text, dataio.read_scoring_batches)
     assert all(o == outcomes[0] for o in outcomes), outcomes
     _assert_reference(outcomes[0], reference_scoring(text, "single"))
@@ -436,7 +495,7 @@ def test_scoring_plain_split_equals_csv_fallback(text):
 
 @settings(max_examples=300, deadline=None)
 @given(text=irregular_files("calibration"))
-def test_calibration_plain_split_equals_csv_fallback(text):
+def test_calibration_tokenizer_equals_csv_reader(text):
     outcomes = _read_both_ways(text, dataio.read_calibration_batches)
     assert all(o == outcomes[0] for o in outcomes), outcomes
     _assert_reference(outcomes[0], reference_calibration(text, "single", 0))
@@ -457,12 +516,10 @@ def test_undecodable_bytes_name_the_file(tmp_path, reader, header, where):
     data = b"\xff\xfe" + good.encode() if where == "header" else good.encode() + b"\xff\n"
     path.write_bytes(data)
     for size in BATCH_SIZES:
-        for plain in (True, False):
-            with mock.patch.object(dataio, "_plain", dataio._plain if plain
-                                   else lambda text, lines: False):
-                with pytest.raises(InvalidDocument) as err:
-                    list(reader(path, "single", size))
-            assert str(path) in str(err.value) and "UTF-8" in str(err.value)
+        for found in (_exact_batches(path, reader, "single", size),
+                      _oracle_batches(path, reader, "single", size)):
+            assert found[-1][0] is InvalidDocument
+            assert str(path) in found[-1][1] and "UTF-8" in found[-1][1]
 
 
 def test_rows_before_undecodable_bytes_are_checked_first(tmp_path):
@@ -484,13 +541,10 @@ def test_oversized_field_names_file_and_row(tmp_path, reader, header, row):
     path.write_text(f"{header}\n" + _filler(5) + row.format("1" * 200_000) + "\n"
                     + _filler(5, start=10), encoding="utf-8")
     for size in BATCH_SIZES:
-        for plain in (True, False):
-            with mock.patch.object(dataio, "_plain", dataio._plain if plain
-                                   else lambda text, lines: False):
-                with pytest.raises(InvalidDocument) as err:
-                    list(reader(path, "single", size))
-            assert err.value.reason.startswith("row 7: field larger than field limit")
-            assert str(path) in str(err.value)
+        for found in (_exact_batches(path, reader, "single", size),
+                      _oracle_batches(path, reader, "single", size)):
+            assert found[-1][0] is InvalidDocument
+            assert found[-1][1].startswith(f"{path}: row 7: field larger than field limit")
 
 
 def test_calibration_tenure_ceiling(tmp_path):
@@ -507,9 +561,9 @@ def test_calibration_tenure_ceiling(tmp_path):
     assert batch.tenure.tolist() == [top]
 
 
-# The byte parser (fixedpoint.parse_lines) against the text split and csv:
-# files whose number cells sit on the edges of the grammar it reads, and
-# just outside it.
+# The byte parser (fixedpoint.parse_lines) against csv.reader and the
+# readers' text parse: files whose number cells sit on the edges of the
+# grammar it reads, and just outside it.
 
 PARSER_BATCH_SIZES = (1, 7, 512, 8192)
 # Cells the byte parser reads, on the grammar's edges: zeros and negative
@@ -609,21 +663,28 @@ def _exact_batches(path, reader, mode, size):
     return batches
 
 
+def _text_columns(kinds, columns):
+    """The places of the number and code columns that ``parse_lines`` gave as text."""
+    return [j for j, (kind, column) in enumerate(zip(kinds, columns))
+            if kind != "s" and not isinstance(column, np.ndarray)]
+
+
 def _assert_bytes_read_as_text(path, reader, mode, sizes=PARSER_BATCH_SIZES):
-    """The batches at each of ``sizes`` are those of the csv path, bit for
-    bit; returns the outcomes of the byte parser's calls."""
+    """The batches at each of ``sizes`` are those of csv.reader's cells
+    parsed as text, bit for bit; returns, for each call of the byte parser,
+    the number and code columns it gave as text (``_text_columns``)."""
     calls = []
 
-    def recorded(*args):
-        calls.append(parse_lines(*args))
-        return calls[-1]
+    def recorded(data, starts, ends, kinds, dropped):
+        columns = parse_lines(data, starts, ends, kinds, dropped)
+        calls.append(_text_columns(kinds, columns))
+        return columns
 
     parse_lines = fixedpoint.parse_lines
     for size in sizes:
         with mock.patch.object(fixedpoint, "parse_lines", recorded):
             found = _exact_batches(path, reader, mode, size)
-        with mock.patch.object(dataio, "_plain", lambda text, lines: False):
-            assert found == _exact_batches(path, reader, mode, size), size
+        assert found == _oracle_batches(path, reader, mode, size), size
     return calls
 
 
@@ -658,16 +719,17 @@ def test_byte_parser_reads_the_writers_files(tmp_path, mode):
     for path, reader in [(cal, dataio.read_calibration_batches),
                          (scoring, dataio.read_scoring_batches)]:
         calls = _assert_bytes_read_as_text(path, reader, mode)
-        assert calls and all(columns is not None for columns in calls), path.name
+        assert calls and not any(calls), path.name
 
 
 @pytest.mark.parametrize("column,cell", [
     *(("churned", cell) for cell in EDGE_FLAGS),
     *(("tenure", cell) for cell in OUTSIDE_NUMBERS + OUTSIDE_INTEGERS),
     *((("margin", "churn_score")[i % 2], cell) for i, cell in enumerate(OUTSIDE_NUMBERS))])
-def test_byte_parser_leaves_other_cells_to_the_text_split(tmp_path, column, cell):
+def test_byte_parser_leaves_other_cells_to_the_text_parse(tmp_path, column, cell):
     # The cell sits in the second block of lines, after one the byte parser
     # reads (at batch sizes below 8192, which read the file as one block).
+    # Only the cell's own column is read as text.
     n, row = 2_200, 2_150
     cells = {"customer_id": [f"c{i}" for i in range(n)],
              "tenure": [str(i % 40) for i in range(n)],
@@ -685,7 +747,8 @@ def test_byte_parser_leaves_other_cells_to_the_text_split(tmp_path, column, cell
                     + "\n".join(map(",".join, zip(*(cells[name] for name in header)))),
                     encoding="utf-8")
     calls = _assert_bytes_read_as_text(path, reader, "single", sizes=(7, 512, 8192))
-    assert calls[0] is not None
+    assert calls[0] == [] and all(text in ([], [header.index(column)]) for text in calls)
+    assert [header.index(column)] in calls
 
 
 def test_byte_parser_counts_each_lines_fields(tmp_path):
@@ -704,10 +767,18 @@ def test_byte_parser_counts_each_lines_fields(tmp_path):
         list(dataio.read_scoring_batches(path))
 
 
+def _parse_lines(data, kinds):
+    """``fixedpoint.parse_lines`` of ``data``, whose records have ``len(kinds)`` cells each."""
+    records = dataio._records(data, *dataio._separators(data, np.frombuffer(data, np.uint8)))
+    shape = (-1, len(kinds))
+    return fixedpoint.parse_lines(data, records.starts.reshape(shape).T,
+                                  records.stops.reshape(shape).T, kinds)
+
+
 def test_parse_lines_reads_columns_of_each_kind():
     data = ("5,-0.000000,a\u00e9,0,-0\n"
             "-12345678901234.5,007.250,,1,123456789012345\n").encode()
-    tenure, score, ids, flag, count = fixedpoint.parse_lines(data, 2, "ffsbd")
+    tenure, score, ids, flag, count = _parse_lines(data, "ffsbd")
     assert tenure.tolist() == [5.0, -12345678901234.5]
     assert score.view(np.int64).tolist() == np.array([-0.0, 7.25]).view(np.int64).tolist()
     assert ids == ["a\u00e9", ""]
@@ -715,18 +786,20 @@ def test_parse_lines_reads_columns_of_each_kind():
     assert flag.tolist() == [0, 1] and count.tolist() == [0, 123456789012345]
 
 
-@pytest.mark.parametrize("data,rows", [
-    (b"1,2\n3\n", 2),  # a line with a field too few
-    (b"1,2,3\n4,5\n", 2),  # one too many, then one too few
-    (b"1,1e3\n", 1),
-    (b"1,1234567890123456\n", 1)])
-def test_parse_lines_refuses_what_it_does_not_read(data, rows):
-    assert fixedpoint.parse_lines(data, rows, "df") is None
+@pytest.mark.parametrize("data,kinds,text", [
+    (b"1,1e3\n2,5\n", "df", {1: ["1e3", "5"]}),
+    (b"1,1234567890123456\n", "df", {1: ["1234567890123456"]}),
+    (b"1.5,2\n", "df", {0: ["1.5"]}),
+    (b"1,V\n2,\x00\n", "dc", {1: ["V", "\x00"]}),  # U1 would read a NUL as ""
+    (b"1,V\n2,\xc3\xa9\n", "dc", {1: ["V", "\u00e9"]}),
+    (b"1,2\n3,\n", "bd", {0: ["1", "3"], 1: ["2", ""]})])
+def test_parse_lines_gives_a_column_it_does_not_read_as_text(data, kinds, text):
+    columns = _parse_lines(data, kinds)
+    assert {j: columns[j] for j in _text_columns(kinds, columns)} == text
 
 
-# The byte path (a file read from its raw bytes) against the text path it
-# falls back to: with ``_plain`` patched to False every block goes to the
-# text path, and the batches and errors must be the same, bit for bit.
+# The readers' tokenizer against csv.reader (``_CsvRecords``): the batches
+# and errors must be the same, bit for bit.
 
 ORACLE_BATCH_SIZES = (1, 7, 512, 2048, 8192)
 COMPETING_HEADER = "customer_id,tenure,churned,cause,x1"
@@ -738,17 +811,18 @@ def _competing_rows(n, start=0):
                    f"{i % 9 / 4}\n" for i in range(start, start + n))
 
 
-def _text_path_batches(path, reader, mode, size):
-    with mock.patch.object(dataio, "_plain", lambda text, line_lengths: False):
+def _oracle_batches(path, reader, mode, size):
+    """``_exact_batches`` of the file tokenized by csv.reader."""
+    with _csv_tokenizer():
         return _exact_batches(path, reader, mode, size)
 
 
-def _assert_text_path(path, reader, mode="single", sizes=ORACLE_BATCH_SIZES):
-    """The batches and error at each of ``sizes`` are the text path's;
+def _assert_oracle(path, reader, mode="single", sizes=ORACLE_BATCH_SIZES):
+    """The batches and error at each of ``sizes`` are the oracle's;
     returns them at the last size."""
     for size in sizes:
         found = _exact_batches(path, reader, mode, size)
-        assert found == _text_path_batches(path, reader, mode, size), size
+        assert found == _oracle_batches(path, reader, mode, size), size
     return found
 
 
@@ -769,10 +843,10 @@ _CHUNK = 8192
     *(_SCORING_FILE.index(f"\nc{i},".encode()) + 2 for i in (2044, 2048, 4096)),
     3 * _CHUNK - 1, 3 * _CHUNK, 6 * _CHUNK - 1, 6 * _CHUNK, 6 * _CHUNK + 1,
     len(_SCORING_FILE) - 1])
-def test_undecodable_byte_ends_the_rows_where_the_text_path_does(tmp_path, offset):
+def test_undecodable_byte_ends_the_rows_where_csv_does(tmp_path, offset):
     path = tmp_path / "in.csv"
     path.write_bytes(_with_byte(_SCORING_FILE, offset))
-    found = _assert_text_path(path, dataio.read_scoring_batches)
+    found = _assert_oracle(path, dataio.read_scoring_batches)
     assert found[-1][0] is InvalidDocument and "0xff" in found[-1][1]
 
 
@@ -793,7 +867,7 @@ def test_character_across_a_decode_chunk_boundary(tmp_path, kept, at_end):
     assert data.index(char) == boundary - 1
     path = tmp_path / "in.csv"
     path.write_bytes(data)
-    found = _assert_text_path(path, dataio.read_scoring_batches)
+    found = _assert_oracle(path, dataio.read_scoring_batches)
     assert (found[-1][0] is InvalidDocument) == (kept < 3)
 
 
@@ -868,7 +942,7 @@ def test_irregular_line_after_plain_blocks(tmp_path, line, cell):
     path = tmp_path / "in.csv"
     path.write_text("customer_id,tenure,churn_score,margin\n" + "".join(lines),
                     encoding="utf-8", newline="")
-    _assert_text_path(path, dataio.read_scoring_batches)
+    _assert_oracle(path, dataio.read_scoring_batches)
 
 
 @pytest.mark.parametrize("header", ['customer_id,tenure,"churn_score",margin',
@@ -876,7 +950,7 @@ def test_irregular_line_after_plain_blocks(tmp_path, line, cell):
 def test_header_that_is_not_plain(tmp_path, header):
     path = tmp_path / "in.csv"
     path.write_text(f"{header}\n" + _filler(3_000), encoding="utf-8", newline="")
-    found = _assert_text_path(path, dataio.read_scoring_batches)
+    found = _assert_oracle(path, dataio.read_scoring_batches)
     assert not isinstance(found[-1], tuple)
 
 
@@ -886,7 +960,7 @@ def test_code_cells_the_byte_path_does_not_read(tmp_path, cell, churned):
     lines[4_500] = f"bad,3,{churned},{cell},0.5\n"
     path = tmp_path / "in.csv"
     path.write_text(COMPETING_HEADER + "\n" + "".join(lines), encoding="utf-8")
-    found = _assert_text_path(path, dataio.read_calibration_batches, "competing")
+    found = _assert_oracle(path, dataio.read_calibration_batches, "competing")
     assert found[-1][0] is InvalidValue and "row 4502" in found[-1][1]
 
 
@@ -896,35 +970,23 @@ def test_empty_and_repeated_ids_in_later_blocks(tmp_path):
         lines[4_000] = lines[4_000].replace("c4000,", f"{bad},", 1)
         path = tmp_path / "in.csv"
         path.write_text(COMPETING_HEADER + "\n" + "".join(lines), encoding="utf-8")
-        found = _assert_text_path(path, dataio.read_calibration_batches, "competing")
+        found = _assert_oracle(path, dataio.read_calibration_batches, "competing")
         assert "row 4002" in found[-1][1]
 
 
 def _spy_byte_parser():
-    """A patch that records the number of lines of each ``parse_lines`` call
-    that reads its lines."""
-    lines = []
+    """A patch that records the number of rows of each ``parse_lines`` call,
+    and the number of rows of those calls that give some number or code
+    column as text."""
+    rows, text = [], []
     parse_lines = fixedpoint.parse_lines
 
-    def spy(data, rows, kinds):
-        columns = parse_lines(data, rows, kinds)
-        if columns is not None:
-            lines.append(rows)
+    def spy(data, starts, ends, kinds, dropped):
+        columns = parse_lines(data, starts, ends, kinds, dropped)
+        (text if _text_columns(kinds, columns) else rows).append(starts.shape[1])
         return columns
 
-    return lines, mock.patch.object(fixedpoint, "parse_lines", spy)
-
-
-def _spy_text_path():
-    """A patch that counts the calls of ``_text_batch``."""
-    calls = []
-    text_batch = dataio._text_batch
-
-    def spy(*args):
-        calls.append(args)
-        return text_batch(*args)
-
-    return calls, mock.patch.object(dataio, "_text_batch", spy)
+    return rows, text, mock.patch.object(fixedpoint, "parse_lines", spy)
 
 
 def test_the_writers_files_are_read_from_bytes(tmp_path):
@@ -942,12 +1004,12 @@ def test_the_writers_files_are_read_from_bytes(tmp_path):
         ids, tenure, rng.normal(0.0, 50.0, n), None, *(rng.random((2, n)) / 2)), "competing")
     for path, reader in [(cal, dataio.read_calibration_batches),
                          (scoring, dataio.read_scoring_batches)]:
-        calls, spy = _spy_text_path()
         for size in ORACLE_BATCH_SIZES:
+            parsed, text, spy = _spy_byte_parser()
             with spy:
                 found = _exact_batches(path, reader, "competing", size)
-            assert not calls, (path.name, size)
-            assert found == _text_path_batches(path, reader, "competing", size)
+            assert not text and sum(parsed) == n, (path.name, size)
+            assert found == _oracle_batches(path, reader, "competing", size)
     (batch, *_) = dataio.read_calibration_batches(cal, "competing")
     assert batch.cause.dtype == np.dtype("U1")
     assert batch.cause.tolist() == cause[:dataio.CALIBRATION_BATCH_SIZE].tolist()
@@ -979,12 +1041,13 @@ def test_byte_order_mark_reads_as_without(tmp_path, reader, mode, header, rows, 
         expected = _exact_batches(without, reader, mode, size)
         assert len(expected) == -(-3_000 // size)  # every batch, and no error
         assert _exact_batches(with_mark, reader, mode, size) == expected, size
-        assert _text_path_batches(with_mark, reader, mode, size) == expected, size
+        assert _oracle_batches(with_mark, reader, mode, size) == expected, size
 
 
 def test_long_cause_cell_is_refused_in_little_memory(tmp_path):
-    # A cause cell the byte path does not read sends its block to the text
-    # path, whose cause column must not be as wide as its longest cell.
+    # A cause cell the byte parser does not read sends its block's cause
+    # column to the text parse, whose column must not be as wide as its
+    # longest cell.
     lines = _competing_rows(3_000).splitlines(keepends=True)
     lines[100] = f"bad,3,1,{'V' * 20_000},0.5\n"
     path = tmp_path / "in.csv"
@@ -997,7 +1060,7 @@ def test_long_cause_cell_is_refused_in_little_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
-    _assert_text_path(path, dataio.read_calibration_batches, "competing")
+    _assert_oracle(path, dataio.read_calibration_batches, "competing")
 
 
 @pytest.mark.parametrize("cell,churned", [("V\0", 1), ("\0", 0), ("I\0\0", 1)])
@@ -1006,13 +1069,7 @@ def test_cause_cell_with_a_nul_is_refused(tmp_path, cell, churned):
     path = tmp_path / "in.csv"
     path.write_text(COMPETING_HEADER + f"\nc1,3,1,V,0.5\nbad,3,{churned},{cell},0.5\n",
                     encoding="utf-8", newline="")
-    try:
-        next(csv.reader(["\0\n"]))
-    except csv.Error:  # csv reads no NUL before Python 3.11
-        error = InvalidDocument
-    else:
-        error = InvalidValue
-    with pytest.raises(error, match="row 3"):
+    with pytest.raises(InvalidValue, match="row 3"):
         list(dataio.read_calibration_batches(path, "competing"))
 
 
@@ -1062,11 +1119,10 @@ def test_a_pipe_reads_as_the_file(tmp_path, newline):
 
 
 @pytest.mark.parametrize("kept", [1, 2])
-def test_text_path_starts_outside_a_character(tmp_path, kept):
+def test_quoted_id_after_a_character_across_a_read(tmp_path, kept):
     # Line 2048 starts the block (at batch sizes 1, 512 and 2048) that holds
-    # a quoted id, which the byte path refuses. Line 2047 starts with a
-    # 3-byte character across an 8192-byte boundary, ``kept`` of its bytes
-    # before it.
+    # a quoted id. Line 2047 starts with a 3-byte character across an
+    # 8192-byte boundary, ``kept`` of its bytes before it.
     head = "customer_id,tenure,churn_score,margin\n"
     lines = _filler(5_000).splitlines(keepends=True)
     before = len(head) + sum(map(len, lines[:2047]))
@@ -1079,7 +1135,7 @@ def test_text_path_starts_outside_a_character(tmp_path, kept):
     assert data.index(b"\nc2048,") > boundary
     path = tmp_path / "in.csv"
     path.write_bytes(data)
-    found = _assert_text_path(path, dataio.read_scoring_batches)
+    found = _assert_oracle(path, dataio.read_scoring_batches)
     assert not isinstance(found[-1], tuple)
 
 
@@ -1090,28 +1146,131 @@ def test_a_plain_pipe_is_read_from_bytes(tmp_path):
     path.write_bytes(data)
     reader = dataio.read_calibration_batches
     for size in (7, 2048, 8192):
-        calls, text_spy = _spy_text_path()
-        parsed, byte_spy = _spy_byte_parser()
-        with text_spy, byte_spy:
+        parsed, text, spy = _spy_byte_parser()
+        with spy:
             found = _through_a_pipe(tmp_path, data, reader, "competing", size)
-        assert not calls and sum(parsed) == 5_000, size
+        assert not text and sum(parsed) == 5_000, size
         assert found == _exact_batches(path, reader, "competing", size), size
 
 
-def test_blocks_after_an_irregular_one_are_read_from_bytes(tmp_path):
-    # A quoted id on line 2 sends the first block to csv; each later block
-    # starts where one of its batches ends and is read from its bytes.
-    n = 3 * 8192 + 100
-    path = tmp_path / "in.csv"
+@pytest.mark.parametrize("form", ["first id quoted", "every id quoted", "every id escaped",
+                                  "numbers quoted", "CRLF", "lone CR"])
+def test_irregular_files_are_read_from_bytes(tmp_path, form):
+    # Quoted cells, CRLF and lone CR line ends: every number column of every
+    # block is read by the byte parser.
+    n = 8192 + 2100
     text = "customer_id,tenure,churn_score,margin\n" + _filler(n)
-    path.write_text(text.replace("c0,", '"c0",', 1), encoding="utf-8")
+    text = {"first id quoted": text.replace("c0,", '"c0",', 1),
+            "every id quoted": re.sub(r"(?m)^(c[0-9]+),", r'"\1",', text),
+            "every id escaped": re.sub(r"(?m)^(c[0-9]+),", r'"\1""x",', text),
+            "numbers quoted": text.replace(",1,1\n", ',"1","1"\n'),
+            "CRLF": text.replace("\n", "\r\n"),
+            "lone CR": text.replace("\n", "\r")}[form]
+    path = tmp_path / "in.csv"
+    path.write_text(text, encoding="utf-8", newline="")
     reader = dataio.read_scoring_batches
     for size in ORACLE_BATCH_SIZES:
-        block = size * max(1, dataio._PARSE_ROWS // size)
-        calls, text_spy = _spy_text_path()
-        parsed, byte_spy = _spy_byte_parser()
-        with text_spy, byte_spy:
+        parsed, text_calls, spy = _spy_byte_parser()
+        with spy:
             found = _exact_batches(path, reader, "single", size)
-        assert len(calls) == block // size and sum(parsed) == n - block, size
-        assert found == _text_path_batches(path, reader, "single", size), size
+        assert not text_calls and sum(parsed) == n, size
+        assert found == _oracle_batches(path, reader, "single", size), size
         assert len(found) == -(-n // size)  # every batch, and no error
+
+
+# A corpus of files whose records csv.reader reads in every way it can: the
+# tokenizer must give its batches and errors, bit for bit, at every batch
+# size and through a pipe.
+
+def _corpus_lines(n=2_100):
+    return ["customer_id,tenure,churn_score,margin", *(f"c{i},{i % 40},1,1" for i in range(n))]
+
+
+# The rows where a corpus file differs from a plain one: the first, each side
+# of the cuts between blocks (2044 lines at batch size 7, else 2048), the last.
+_CORPUS_ROWS = (1, 2044, 2045, 2048, 2049, 2100)
+
+
+def _with_ids(form, rows=_CORPUS_ROWS):
+    """A scoring file whose ids on ``rows`` are ``form.format(i=row)``."""
+    lines = _corpus_lines()
+    for row in rows:
+        lines[row] = form.format(i=row) + lines[row][lines[row].index(","):]
+    return "\n".join(lines) + "\n"
+
+
+def _corpus():
+    plain = "\n".join(_corpus_lines()) + "\n"
+    lines = _corpus_lines()
+    blank = lines[:]
+    for row in sorted(_CORPUS_ROWS, reverse=True):
+        blank.insert(row, "")
+    blank.insert(1000, "\r")
+    undecodable = _with_ids('"c\n{i}"').encode()
+    cut = undecodable.index(b'"c\n2049"') + 3
+    files = {
+        "CRLF": plain.replace("\n", "\r\n"),
+        "lone CR": plain.replace("\n", "\r"),
+        "mixed line ends": "".join(line + ("\n", "\r\n", "\r")[i % 3]
+                                   for i, line in enumerate(lines)),
+        "blank lines": "\n".join(blank) + "\n\n",
+        "quoted ids": _with_ids('"q{i}"'),
+        "quoted commas": _with_ids('"c,{i}"'),
+        "quoted newlines": _with_ids('"c\n{i}\r\n\r"'),
+        "escaped quotes": _with_ids('"q""{i}"""'),
+        "a quote inside a cell": _with_ids('c"{i}'),
+        "text after a closing quote": _with_ids('"q"{i}'),
+        "NUL": _with_ids("c\0{i}").replace("c2098,18,1,1", "c2098,18,1\0,1"),
+        "quoted header cell": plain.replace("tenure", '"tenure"', 1),
+        "quoted numbers": plain.replace(",1,1\n", ',"1","1"\n'),
+        "a ragged quoted row": _with_ids('"c{i}",""', rows=(2047,)),
+        "a quote left open at the end": plain + '"c9,1,1,1\n',
+        "an undecodable byte in a quoted record": undecodable[:cut] + b"\xff" + undecodable[cut:],
+        "an over-long field": _with_ids('"' + "x" * 70_000 + "\n" + "y" * 70_000 + '"',
+                                        rows=(2047,)),
+    }
+    return {name: data if isinstance(data, bytes) else data.encode()
+            for name, data in files.items()}
+
+
+CORPUS = _corpus()
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_reads_as_csv(tmp_path, name):
+    path = tmp_path / "in.csv"
+    path.write_bytes(CORPUS[name])
+    _assert_oracle(path, dataio.read_scoring_batches)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_reads_through_a_pipe_as_csv(tmp_path, name):
+    reader = dataio.read_scoring_batches
+    for size in (7, 2048):
+        with _csv_tokenizer():
+            expected = _through_a_pipe(tmp_path, CORPUS[name], reader, "single", size)
+        assert _through_a_pipe(tmp_path, CORPUS[name], reader, "single", size) == expected, size
+
+
+@st.composite
+def edited_files(draw):
+    """A competing scoring file with a few bytes inserted or replaced."""
+    lines = ["customer_id,tenure,score_v,score_inv,margin"]
+    lines += [f"c{i},{i % 9},0.{i % 7}5,{draw(st.floats(0.0, 0.5))!r},{i * 1.5}"
+              for i in range(draw(st.integers(1, 40)))]
+    data = bytearray(("\n".join(lines) + "\n").encode())
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(data) - 1))
+        data[at:at + draw(st.sampled_from([0, 1]))] = draw(st.sampled_from(
+            [b'"', b'""', b"\r", b"\r\n", b"\0", b"\xff", b",", b"\n", b".", b"-", b"7"]))
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=edited_files())
+def test_edited_files_read_as_csv(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(data)
+        _assert_oracle(path, dataio.read_scoring_batches, "competing", sizes=(1, 7, 8192))

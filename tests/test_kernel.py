@@ -30,6 +30,7 @@ from clvkit.errors import DegenerateBaseline, OffsetUndefined
 from clvkit.odds import OddsModel, expit, logit, project_with_odds_model
 from clvkit.projection import (
     ProjectionConfig,
+    coefficients,
     expected_remaining_tenure,
     project_batch,
     project_competing,
@@ -51,10 +52,11 @@ from clvkit.survival import (
     PoolingConfig,
     hazard_at,
     jeffreys_view,
+    lookup,
     resolve,
     save_baseline,
 )
-from clvkit.valuation import DiscountSpec, MarginSpec, clv
+from clvkit.valuation import DiscountSpec, MarginSpec, annual_to_monthly_rate, clv
 
 from conftest import baseline_from_rates
 
@@ -454,6 +456,69 @@ def test_survival_path_is_the_stepped_product(baseline, pooling, t0, config, alp
         config.eps, config.max_horizon)
     months = min(len(path), len(stepped))
     assert path[:months].tobytes() == stepped[:months].tobytes()
+
+
+# The paper's identities as properties of the batch kernel: alpha absorbs
+# the scale of the baseline, and ERT and CLV fall as the score or the
+# discount rate rises.
+
+def _project(table, scores, t0, margins, rate=0.0):
+    """Each customer's alpha and the kernel's (ert, clv, truncated_at), under
+    the one alpha rule (``coefficients``) and the default truncation."""
+    (alpha,), _ = coefficients([scores], [lookup(table, t0)], t0)
+    return alpha, *project_batch((table,), (alpha,), t0, margins, DiscountSpec(rate),
+                                 ProjectionConfig())
+
+
+# Scores of 0, or normal floats: a subnormal one loses digits when divided.
+normal_scores = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(baseline=baselines(), pooling=poolings, scale=st.floats(0.25, 4.0),
+       customers=st.lists(st.tuples(tenures, normal_scores, st.floats(0.0, 100.0)),
+                          min_size=1, max_size=20),
+       rate=st.sampled_from([0.0, 0.004]))
+def test_scaling_the_baseline_leaves_unclipped_customers_unchanged(
+        baseline, pooling, scale, customers, rate):
+    table = resolve(baseline, pooling)
+    t0, scores, margins = (np.array(column) for column in zip(*customers))
+    # A positive score over a vanishing hazard has no alpha (DegenerateBaseline).
+    scores = np.where(lookup(table, t0) > 1e-300, scores, 0.0)
+    base = _project(table, scores, t0, margins, rate)
+    scaled = _project(table * scale, scores, t0, margins, rate)
+    for i, start in enumerate(np.minimum(t0, len(table) - 1).tolist()):
+        path, scaled_path = base[0][i] * table[start:], scaled[0][i] * (table * scale)[start:]
+        highest = max(path.max(), scaled_path.max())
+        if highest >= 1.0:
+            continue  # clipped
+        assert np.allclose(scaled_path, path, rtol=1e-12, atol=0.0), i
+        assert scaled[3][i] == base[3][i]
+        # The hazards differ by a few roundings, which 1 - h magnifies by
+        # h / (1 - h) in each month's survival factor; a month's survival
+        # falls by 1 - h, so these add up to at most about 14 / (1 - h) at
+        # eps = 1e-6.
+        tolerance = 1e-12 / (1.0 - highest)
+        assert math.isclose(scaled[1][i], base[1][i], rel_tol=tolerance), i
+        assert math.isclose(scaled[2][i], base[2][i], rel_tol=tolerance), i
+
+
+@settings(max_examples=200, deadline=None)
+@given(baseline=baselines(), pooling=poolings, t0=tenures,
+       scores=st.lists(normal_scores, min_size=2, max_size=20),
+       margin=st.floats(0.0, 100.0),
+       annual=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=5))
+def test_ert_and_clv_fall_as_the_score_or_the_discount_rate_rises(
+        baseline, pooling, t0, scores, margin, annual):
+    table = resolve(baseline, pooling)
+    assume(lookup(table, t0) > 1e-300)
+    scores = np.sort(scores)
+    tenure, margins = np.full(scores.size, t0), np.full(scores.size, margin)
+    _, ert, value, _ = _project(table, scores, tenure, margins)
+    assert (np.diff(ert) <= 0.0).all() and (np.diff(value) <= 0.0).all()
+    values = [_project(table, scores, tenure, margins, annual_to_monthly_rate(rate))[2]
+              for rate in sorted(annual)]
+    assert (np.diff(values, axis=0) <= 0.0).all()
 
 
 def test_score_over_vanishing_hazard_is_degenerate():
