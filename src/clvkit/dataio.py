@@ -12,50 +12,37 @@ Three row formats move through the pipeline:
 Files are UTF-8 CSV with a header row that must match the declared schema
 exactly (case-sensitive). Floats are written with six decimal places.
 
-Readers yield validated column batches: up to ``batch_size`` records at a
-time, parsed column by column into numpy arrays. A file (a regular file or
-a pipe) is read once, in order, from its raw bytes after a UTF-8 byte order
-mark, and tokenized in numpy as ``csv.reader`` reads a text file opened
-with ``newline=""`` (``_Lines``): a record ends at "\\n", "\\r\\n" or a
-lone "\\r", and a cell at a comma or a record end, outside quoted
-sections; a blank record is skipped but keeps its row number. A quote
-opens a section only at a field start or right after the quote that closed
-one (so ``""`` in a section reads ``"``), and any quote in a section closes
-it; any other quote, and NUL, is an ordinary character: ``a"b`` reads
-``a"b`` and ``"ab"c`` reads ``abc``. A cell quoted whole is narrowed to the
-bytes between its quotes; the quotes csv removes from any other cell are
-left out when its text is sliced out. Each block of whole records (about
-``_PARSE_ROWS``, or one batch if longer) is parsed by
-``fixedpoint.parse_lines``: plain fixed-point number cells and one-byte
-code cells (``cause``) to the values ``int`` and ``float`` give, and a
-column with any other cell as text, which is parsed cell by cell. The
-record readers (``read_calibration``, ``read_scoring``) are views over the
-same batches.
-Each schema is one table of rules in check order: the field count, the id
-(non-empty, and new across batches too), then each column's parse and
-range rules, with a rule over two columns (``churned`` with ``cause``,
-``score_v + score_inv <= 1``) after the columns it reads. Every rule gives
-a boolean mask over the batch's rows; a number column is parsed cell by
-cell only if it fails to parse as a whole. The error reported is that of the
-smallest failing row, and within that row of the first rule it breaks, so
-it names the row number (header = row 1, counting csv records), column
-and reason a row-by-row reader would, at any batch size. An error
-surfaces when its batch is read, before any record of that batch is
-consumed. Text that is not UTF-8, or a cell past csv's field size limit,
-is ``InvalidDocument`` naming the file, raised after the records before it
-have been checked. For bytes that do not decode, those are the records of
-the lines before the line that holds the first such byte: no UTF-8
-character holds a byte below 128, so each block decodes on its own.
+Readers yield validated column batches of up to ``batch_size`` records. A
+file (a regular file or a pipe) is read once, in order, from its raw bytes
+after a UTF-8 byte order mark, and tokenized in numpy as the ``csv`` module
+reads a text file opened with ``newline=""`` (``_Lines``, ``_records``): a
+record ends at "\\n", "\\r\\n" or a lone "\\r", and a cell at a comma or
+a record end, outside quoted sections; a blank record is skipped but keeps
+its row number. A quote opens a section only at a field start or right
+after the quote that closed one (so ``""`` in a section reads ``"``), and
+any quote in a section closes it; any other quote, and NUL, is an ordinary
+character: ``a"b`` reads ``a"b`` and ``"ab"c`` reads ``abc``. Each block
+of ``_PARSE_ROWS`` records is parsed by ``fixedpoint.parse_lines``: plain
+fixed-point number cells and one-byte code cells (``cause``) to the values
+``int`` and ``float`` give, and a column with a quoted or any other cell as
+text, which is parsed cell by cell. Each schema is one table of rules in
+check order (the field count, the id, each column's parse and range rules,
+then rules over two columns), evaluated as masks over a batch; the error
+reported is that of the smallest failing row, and within that row of the
+first rule it breaks, so it names the row number (header = row 1, counting
+csv records), column and reason a row-by-row reader would, at any batch
+size, before any record of its batch is consumed. Text that is not UTF-8,
+or a cell past csv's field size limit, is ``InvalidDocument`` naming the
+file, raised after the records before it (for bytes that do not decode,
+those before the line that holds the first such byte) have been checked.
 
 Every writer (projections, and the simulator's calibration, scoring and
 truth files) formats each batch through one line template and quotes ids
-as ``csv.writer`` does, all in ``_write_rows``. Record inputs are converted
-to batches first. A template of an id and ``%.6f`` and ``%d`` fields over
-array columns is printed by ``fixedpoint.format_lines`` in slices of
-``_FORMAT_ROWS`` rows from the batch's ids joined once, byte for byte as
-the template prints; a batch whose
-ids csv may quote, and a slice that ``format_lines`` does not print (a
-non-finite float, say), go through the template line by line. The
+as ``csv.writer`` does, all in ``_write_rows``. A template of an id and
+``%.6f`` and ``%d`` fields over array columns is printed by
+``fixedpoint.format_lines`` byte for byte as the template prints; a batch
+whose ids csv may quote, and a slice that ``format_lines`` does not print
+(a non-finite float, say), go through the template line by line. The
 projection writer writes to a temporary file that replaces the output only
 once every batch is written.
 """
@@ -84,15 +71,10 @@ CAUSES = (CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY)
 
 PROJECTION_COLUMNS = ["customer_id", "alpha", "ert_months", "clv", "truncated_at"]
 
-# Records tokenized as one block (or one batch, if longer): as many as
-# fixedpoint.parse_lines reads at a time.
+# Records tokenized and parsed as one block.
 _PARSE_ROWS = 2048
-# Rows per batch. A calibration batch is one parse block, so that its rules,
-# its batch and its counting step run once per block: against 512-row
-# batches this saves 9-21 ms of reading and counting the benchmark's panel
-# file (100k rows), 36-46 ms on its competing file (200k rows, two causes)
-# and 2-11 ms on its longtail file (100k rows), for at most 0.2 MB more
-# peak memory.
+# Rows per batch. A calibration batch is one block: 2-46 ms less than 512-row
+# batches on the benchmark's calibration files, for at most 0.2 MB more peak memory.
 CALIBRATION_BATCH_SIZE = _PARSE_ROWS
 SCORING_BATCH_SIZE = 8192
 # Bytes read from a file at a time (at least). Reads of 256 KiB raised
@@ -489,8 +471,8 @@ def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: lis
     """One batch's columns by name, parsed; raises the error of its first failing row.
 
     ``numbers`` are the rows' numbers in the file, ``columns`` their cells
-    by column and ``fields`` their numbers of fields if some row has
-    another number than ``names`` (its cells then cut or padded with "").
+    by column, cut or padded with "" to ``names``, and ``fields`` their
+    numbers of fields (None if every row has as many as ``names``).
     """
     n = len(numbers)
     c = dict(zip(names, columns))
@@ -511,8 +493,8 @@ def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: lis
         cells = [column[i].item() if isinstance(column, np.ndarray) else column[i]
                  for column in columns][:None if fields is None else fields[i]]
         if callable(rule.reason):
-            raise rule.reason(numbers[i], cells)
-        raise InvalidValue(numbers[i], rule.column,
+            raise rule.reason(int(numbers[i]), cells)
+        raise InvalidValue(int(numbers[i]), rule.column,
                            rule.reason.format(cells[names.index(rule.column)]))
     return c
 
@@ -532,25 +514,18 @@ def _scoring_batch(c: dict, names: list[str]) -> ScoringBatch:
 _LF, _CR, _QUOTE, _COMMA = 10, 13, 34, 44
 
 
-def _quotes(data: bytes, a: np.ndarray) -> np.ndarray:
-    """The offsets of the quotes of ``data`` (``a``, its bytes as uint8,
-    from a record start on) that act as csv's quote character: outside a
-    quoted section, one at a field start or right after the quote that
-    closed one (an escaped ``""``) opens it; inside, every quote closes it.
-    Whether all quotes pair up so is checked in numpy; if not, they are
-    walked one by one."""
+def _quotes(a: np.ndarray) -> np.ndarray:
+    """The offsets of the quotes of ``a`` (bytes as uint8, from a record
+    start on) that act as csv's quote character: outside a quoted section,
+    one at a field start or right after the quote that closed one (an
+    escaped ``""``) opens it; inside, every quote closes it."""
     quotes = np.flatnonzero(a == _QUOTE)
-    opens = quotes[::2]
-    before = a[opens - 1]
-    ok = (before == _COMMA) | (before == _LF) | (before == _CR) | (opens == 0)
-    ok[1:] |= opens[1:] == quotes[1::2][:len(opens) - 1] + 1
-    if ok.all():
-        return quotes
-    acting: list[int] = []
-    for p in quotes.tolist():
-        if (len(acting) % 2 or p == 0 or data[p - 1] in b",\r\n"
-                or (acting and acting[-1] == p - 1)):
+    starts = np.isin(a[quotes - 1], (_COMMA, _LF, _CR)) | (quotes == 0)
+    acting, inside, last = [], False, -2
+    for p, start in zip(quotes.tolist(), starts.tolist()):
+        if inside or start or p == last + 1:
             acting.append(p)
+            inside, last = not inside, p
     return np.array(acting, dtype=np.intp)
 
 
@@ -558,37 +533,9 @@ def _outside(offsets: np.ndarray, quotes: np.ndarray) -> np.ndarray:
     """The sorted ``offsets`` that are not from an opening quote of ``quotes``
     (those that act) to the one that closes it, or to the end."""
     bounds = np.append(np.searchsorted(offsets, quotes), offsets.size)
-    opens, closes = bounds[0:-1:2], bounds[1::2]
-    if not (closes > opens).any():
-        return offsets
-    edges = np.bincount(opens, minlength=offsets.size + 1)
-    edges -= np.bincount(closes, minlength=offsets.size + 1)
+    edges = np.bincount(bounds[0:-1:2], minlength=offsets.size + 1)
+    edges -= np.bincount(bounds[1::2], minlength=offsets.size + 1)
     return offsets[np.cumsum(edges)[:-1] == 0]
-
-
-def _separators(data: bytes, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The offsets of the commas and line ends of ``data`` (``a``, its bytes
-    as uint8, from a record start on) outside quoted sections, of the line
-    ends alone, and of the quotes that act (``_quotes``). A line ends at a
-    "\\n", a "\\r\\n" (at its "\\n") or another "\\r", as in a text file
-    opened with ``newline=""``.
-    """
-    cr = b"\r" in data
-    found = a == _LF
-    if cr:
-        found |= a == _CR
-    breaks = np.flatnonzero(found)
-    found |= a == _COMMA
-    separators = np.flatnonzero(found)
-    del found
-    quotes = _quotes(data, a) if b'"' in data else breaks[:0]
-    if quotes.size:
-        separators, breaks = _outside(separators, quotes), _outside(breaks, quotes)
-    if cr:  # the "\r" of a "\r\n" ends no line: its "\n" does
-        crlf = breaks[(a[breaks] == _CR) & (a[np.minimum(breaks + 1, a.size - 1)] == _LF)]
-        separators = np.delete(separators, np.searchsorted(separators, crlf))
-        breaks = np.delete(breaks, np.searchsorted(breaks, crlf))
-    return separators, breaks, quotes
 
 
 class _Records(NamedTuple):
@@ -596,97 +543,80 @@ class _Records(NamedTuple):
 
     starts: np.ndarray  # each cell's first byte, and
     stops: np.ndarray  # the byte after its last, in order
-    counts: np.ndarray  # each record's number of cells
+    first: np.ndarray  # each record's first cell, and
+    last: np.ndarray  # its last
     index: np.ndarray  # the records, of the first ``count``, that are not blank
     count: int  # the records read: all, or those before the one ``error`` names
-    escaped: np.ndarray  # the cells with quotes other than two around them, whose
-    dropped: np.ndarray | None  # quotes that csv removes are marked here
+    quoted: np.ndarray | None  # the cells with a quote that acts (and one after)
+    dropped: np.ndarray | None  # the bytes csv removes: those quotes but escaped ones
     error: str | None
 
 
-def _text(data: bytes, records: _Records, cell: int) -> str:
-    """The text of one cell, without the quotes csv removes."""
-    start, stop = records.starts[cell], records.stops[cell]
-    if records.dropped is None:
-        return data[start:stop].decode()
-    kept = np.frombuffer(data, np.uint8)[start:stop][~records.dropped[start:stop]]
-    return kept.tobytes().decode()
-
-
-def _records(data: bytes, separators: np.ndarray, breaks: np.ndarray,
-             quotes: np.ndarray) -> _Records:
-    """The cells of ``data``, a block of whole records, as ``csv.reader``
-    reads them, given its ``_separators``. The last record ends at the end of
-    the block if no line end does, in a quoted section too (a quote left open
-    at the end of a file). A blank record has one empty cell, with no quotes.
-    A cell quoted whole is narrowed to the bytes between its quotes; the
-    quotes csv removes from any other cell are marked in ``dropped``. A cell
-    longer than csv's field size limit ends the records before its record.
-    """
+def _records(data: bytes, ends: np.ndarray, quotes: np.ndarray) -> _Records:
+    """The cells of ``data``, a block of whole records, as the ``csv`` module
+    reads them, given its line ends and the quotes that act (``_Lines``); the
+    last record ends at the end of the block if no line end does (a quote
+    left open at the end of a file runs to it). A cell of more characters
+    than csv's field size limit ends the records before its record."""
     a = np.frombuffer(data, np.uint8)
-    # Each record's last cell: found by a stride if every record has as many.
-    width = max(1, separators.size // max(1, breaks.size))
-    last = np.arange(width - 1, separators.size, width)
-    if last.size != breaks.size or (separators[last] != breaks).any():
-        last = np.searchsorted(separators, breaks)
+    found = a == _COMMA
+    found[ends] = True
+    separators = np.flatnonzero(found).astype(np.int32 if a.size < 2**31 - 64 else np.intp)
+    if quotes.size:
+        separators = _outside(separators, quotes)
     stops = separators
     if b"\r" in data:  # a "\r\n" ends its line's last cell at its "\r"
         stops = separators.copy()
-        stops[last] -= (a[breaks] == _LF) & (a[breaks - 1] == _CR) & (breaks > 0)
-    if not (breaks.size and breaks[-1] == a.size - 1):
-        last = np.append(last, separators.size)
+        stops[np.searchsorted(separators, ends)] -= (
+            (a[ends] == _LF) & (a[ends - 1] == _CR) & (ends > 0))
+    if not (ends.size and ends[-1] == a.size - 1):
+        ends = np.append(ends, a.size)
         separators, stops = np.append(separators, a.size), np.append(stops, a.size)
-    starts = np.concatenate(([0], separators[:-1] + 1))
-    counts = np.diff(last, prepend=-1)
-    blank = (counts == 1) & (stops[last] == starts[last])
-    escaped, dropped = last[:0], None
+    last = np.searchsorted(separators, ends)  # each record's last cell
+    starts = np.empty_like(separators)
+    starts[0], starts[1:] = 0, separators[:-1] + 1
+    first = np.empty_like(last)
+    first[0], first[1:] = 0, last[:-1] + 1
+    index = np.flatnonzero(stops[last] > starts[first])  # the records that are not blank
+    quoted = dropped = None
     if quotes.size:
-        cell = np.searchsorted(separators, quotes)  # the cell each quote is in
-        held = np.bincount(cell, minlength=starts.size)
-        closing = cell[1::2]
-        whole = closing[(held[closing] == 2) & (starts[closing] == quotes[0:-1:2])
-                        & (stops[closing] == quotes[1::2] + 1)]
-        if 2 * whole.size < quotes.size:
-            escaped = held > 0
-            escaped[whole] = False
-            escaped = np.flatnonzero(escaped)
-            # Every quote but one that opens a section right after one closed
-            # (the quote an escaped "" reads) is left out of the cell's text.
-            kept = np.zeros(quotes.size, dtype=bool)
-            kept[2::2] = quotes[2::2] == quotes[1:-1:2] + 1
-            dropped = np.zeros(a.size + 1, dtype=bool)
-            dropped[quotes[~kept]] = True
-        starts[whole] += 1
-        stops = stops.copy()
-        stops[whole] -= 1
-    records = _Records(starts, stops, counts, np.flatnonzero(~blank), last.size, escaped,
-                       dropped, None)
+        quoted = np.zeros(starts.size + 1, dtype=bool)
+        quoted[np.searchsorted(separators, quotes)] = True
+        # The quote an escaped "" reads opens a section right after one closed.
+        escaped = np.zeros(quotes.size, dtype=bool)
+        escaped[2::2] = quotes[2::2] == quotes[1:-1:2] + 1
+        dropped = np.zeros(a.size + 1, dtype=bool)
+        dropped[quotes[~escaped]] = True
+    records = _Records(starts, stops, first, last, index, last.size, quoted, dropped, None)
     limit = csv.field_size_limit()
     for cell in np.flatnonzero(stops - starts > limit).tolist() if a.size > limit else ():
-        if len(_text(data, records, cell)) > limit:
+        span = slice(starts[cell], stops[cell])
+        kept = (a[span] & 0xC0) != 0x80  # the bytes that start a character
+        if dropped is not None:
+            kept &= ~dropped[span]
+        if np.count_nonzero(kept) > limit:
             count = int(np.searchsorted(last, cell))
-            return records._replace(index=records.index[records.index < count], count=count,
+            return records._replace(index=index[index < count], count=count,
                                     error=f"field larger than field limit ({limit})")
     return records
 
 
 class _Lines:
     """The records of an unbuffered binary file (a regular file or a pipe),
-    read once from its start after a UTF-8 byte order mark, ``_READ_BYTES``
-    or more at a time, their separators and quotes found (``_separators``)
-    as the bytes come. The records end before the first line that holds a
-    byte that does not decode as UTF-8, whose error is kept in ``error``; no
-    UTF-8 character holds a byte below 128, so a block decodes on its own.
-    """
+    read once after a UTF-8 byte order mark, ``_READ_BYTES`` or more at a
+    time, their quotes that act (``_quotes``) and line ends found as the
+    bytes come: a "\\n", a "\\r\\n" (at its "\\n") or another "\\r", as
+    ``newline=""`` ends lines, outside quoted sections. The records end
+    before the first line with a byte that does not decode as UTF-8 (its
+    error is ``error``); no UTF-8 character holds a byte below 128, so a
+    block decodes on its own."""
 
     def __init__(self, fh):
         self.fh = fh
         self.error: UnicodeDecodeError | None = None
         self.data = b""  # bytes read and not yet taken
         self.eof = False
-        # The offsets in ``data`` of the separators, line ends and quotes that
-        # act of the records found.
-        self.separators = self.breaks = self.quotes = np.zeros(0, dtype=np.intp)
+        self.ends = self.quotes = np.zeros(0, dtype=np.intp)  # of the records found, in data
         while len(self.data) < len(codecs.BOM_UTF8) and not self.eof:
             self._read()
         self.data = self.data.removeprefix(codecs.BOM_UTF8)
@@ -698,28 +628,29 @@ class _Lines:
         self.data += chunk
 
     def _scan(self) -> None:
-        """Find the records after the last one found; at the end of the
-        file, the last record runs to it."""
-        start = int(self.breaks[-1]) + 1 if self.breaks.size else 0
-        data = self.data[start:]
-        a = np.frombuffer(data, np.uint8)
-        found = _separators(data, a)
-        breaks = found[1]
-        if breaks.size and breaks[-1] == a.size - 1 and a[-1] == _CR and not self.eof:
-            breaks = breaks[:-1]  # the "\n" of a "\r\n" may come in the next read
-        end = a.size if self.eof else int(breaks[-1]) + 1 if breaks.size else 0
-        for name, offsets in zip(("separators", "breaks", "quotes"), found):
-            setattr(self, name, np.concatenate(
-                [getattr(self, name), offsets[:np.searchsorted(offsets, end)] + start]))
+        """Find the records after those found (at the end of the file, up to it)."""
+        start = int(self.ends[-1]) + 1 if self.ends.size else 0
+        a = np.frombuffer(self.data, np.uint8)[start:]
+        quotes = _quotes(a) if self.data.find(b'"', start) >= 0 else self.quotes[:0]
+        cr = self.data.find(b"\r", start) >= 0
+        ends = np.flatnonzero((a == _LF) | (a == _CR) if cr else a == _LF)
+        if quotes.size:
+            ends = _outside(ends, quotes)
+        if cr:  # the "\n" of a "\r\n" ends its line, and may come in the next read
+            ends = ends[~((a[ends] == _CR) & (a[np.minimum(ends + 1, a.size - 1)] == _LF)
+                          | (ends == a.size - 1) & (a[ends] == _CR) & (not self.eof))]
+        if not self.eof:  # the last record may run on in the next read
+            quotes = quotes[:np.searchsorted(quotes, ends[-1] if ends.size else 0)]
+        self.ends = np.concatenate([self.ends, ends + start])
+        self.quotes = np.concatenate([self.quotes, quotes + start])
 
     def take(self, records: int) -> tuple[bytes, _Records]:
-        """The next ``records`` records as one block of bytes, and its cells
-        (``_records``): fewer records at the end of the file or before a line
-        that does not decode, none past them."""
-        while len(self.breaks) < records and not self.eof:
+        """The next ``records`` records as one block of bytes and its cells
+        (``_records``): fewer at the end or before a line that does not decode."""
+        while self.ends.size < records and not self.eof:
             self._read()
             self._scan()
-        cut = int(self.breaks[records - 1]) + 1 if len(self.breaks) >= records else len(self.data)
+        cut = int(self.ends[records - 1]) + 1 if self.ends.size >= records else len(self.data)
         data = self.data[:cut]
         if not data.isascii():
             try:
@@ -729,24 +660,11 @@ class _Lines:
                 cut = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
                 data = data[:cut]
         self.data = self.data[cut:]
-        taken = []
-        for name in ("separators", "breaks", "quotes"):
-            found = getattr(self, name)
-            at = np.searchsorted(found, cut)
-            taken.append(found[:at])
-            setattr(self, name, found[:0] if self.error else found[at:] - cut)
-        return data, _records(data, *taken)
-
-
-def _header(lines: _Lines, path: str | Path) -> list[str] | None:
-    """The cells of the file's first record; None if the file holds none."""
-    data, records = lines.take(1)
-    if not data:
-        return None
-    if records.error is not None:
-        raise InvalidDocument(path, f"row 1: {records.error}")
-    return [_text(data, records, cell)
-            for cell in range(records.counts[0] if records.index.size else 0)]
+        ends, quotes = (found[:np.searchsorted(found, cut)] for found in (self.ends, self.quotes))
+        self.ends, self.quotes = self.ends[ends.size:] - cut, self.quotes[quotes.size:] - cut
+        if self.error is not None:  # no record follows
+            self.ends, self.quotes = ends[:0], quotes[:0]
+        return data, _records(data, ends, quotes)
 
 
 def _byte_kinds(names: list[str], rules: list[_Rule]) -> str:
@@ -759,58 +677,85 @@ def _byte_kinds(names: list[str], rules: list[_Rule]) -> str:
 
 
 def _columns(data: bytes, records: _Records, width: int, kinds: str):
-    """The columns of the non-blank records of a block (``parse_lines``; a
-    column with an ``escaped`` cell as text), and their field counts if
-    one has another number than ``width``, its missing cells empty and extra
-    ones dropped (else None)."""
+    """The columns of the non-blank records of a block (``parse_lines``, a
+    text column as a tuple; a column with a ``quoted`` cell as text), their
+    missing cells empty and extra ones dropped, and their numbers of cells."""
     from .fixedpoint import parse_lines  # loaded on the first read
 
-    counts = records.counts[records.index]
+    first = records.first[records.index]
+    counts = records.last[records.index] - first + 1
     starts, stops = records.starts, records.stops
-    fields = None
     if counts.size * width == starts.size and (counts == width).all():  # every cell, in order
-        cells = np.arange(starts.size).reshape(-1, width)
+        cells = np.arange(starts.size, dtype=starts.dtype).reshape(-1, width)
         starts, stops = starts.reshape(cells.shape), stops.reshape(cells.shape)
     else:
-        first = np.cumsum(records.counts) - records.counts  # each record's first cell
-        cells = first[records.index, None] + np.arange(width)
-        if not (counts == width).all():
-            fields = counts
-            cells = np.where(np.arange(width) < counts[:, None], cells, starts.size)
-            starts, stops = np.append(starts, 0), np.append(stops, 0)  # an empty cell
-        starts, stops = starts[cells], stops[cells]
-    if records.escaped.size:
-        text = set(np.flatnonzero(np.isin(cells, records.escaped).any(axis=0)).tolist())
+        cells = np.where(np.arange(width) < counts[:, None], first[:, None] + np.arange(width),
+                         starts.size)  # an empty cell after the last
+        starts, stops = np.append(starts, 0)[cells], np.append(stops, 0)[cells]
+    if records.quoted is not None:
+        text = set(np.flatnonzero(records.quoted[cells].any(axis=0)).tolist())
         kinds = "".join("s" if j in text else kind for j, kind in enumerate(kinds))
     del cells
-    return parse_lines(data, starts.T, stops.T, kinds, records.dropped), fields
+    return [c if isinstance(c, np.ndarray) else tuple(c)
+            for c in parse_lines(data, starts.T, stops.T, kinds, records.dropped)], counts
+
+
+def _header(lines: _Lines, path: str | Path) -> list[str] | None:
+    """The cells of the file's first record; None if the file holds none."""
+    data, records = lines.take(1)
+    if not data:
+        return None
+    if records.error is not None:
+        raise InvalidDocument(path, f"row 1: {records.error}")
+    width = int(records.last[0] - records.first[0] + 1) if records.index.size else 0
+    return [column[0] for column in _columns(data, records, width, "s" * width)[0]]
 
 
 def _batches(lines: _Lines, path: str | Path, width: int, kinds: str, size: int):
     """The row numbers, columns and field counts (``_columns``) of each batch
-    of at most ``size`` records after the header, blank ones left out, read a
-    block of whole batches (about ``_PARSE_ROWS``, or one batch) at a time.
-    A record csv cannot read ends the records, and its error is raised."""
-    block = size * max(1, _PARSE_ROWS // size)
-    first = 2  # the row number of the block's first record
-    while True:
-        data, records = lines.take(block)
+    of ``size`` records after the header, blank ones left out, joined from
+    its records in each block of ``_PARSE_ROWS``. A record csv cannot read
+    ends the records; its error is raised after the batch of those before it."""
+    first, error = 2, None  # the row number of the block's first record
+    pieces, left = [], size  # the batch's pieces so far, and the records it still takes
+    while error is None:
+        data, records = lines.take(_PARSE_ROWS)
         if not data:
-            return
-        columns, fields = ([], None) if not records.index.size else _columns(
-            data, records, width, kinds)
+            break
+        columns, fields = _columns(data, records, width, kinds) if records.index.size else ([], [])
         index, count, error = records.index, records.count, records.error
         del data, records  # free the bounds before the batches are read
-        numbers = range(first, first + count) if index.size == count else (first + index).tolist()
-        for start in range(0, count, size):
-            rows = slice(*np.searchsorted(index, (start, start + size)).tolist())
+        numbers = first + index
+        start = 0
+        while start < count:
+            stop = min(count, start + left)
+            rows = slice(*np.searchsorted(index, (start, stop)).tolist())
             if rows.start < rows.stop:
-                yield (numbers[rows], [c[rows] if isinstance(c, np.ndarray) else tuple(c[rows])
-                                       for c in columns], None if fields is None else fields[rows])
-        del columns
-        if error is not None:
-            raise InvalidDocument(path, f"row {first + count}: {error}")
+                pieces.append((numbers[rows], [c[rows] for c in columns], fields[rows]))
+            left, start = left - (stop - start), stop
+            if not left:
+                if pieces:
+                    yield _joined(pieces)
+                pieces, left = [], size
         first += count
+    if pieces:
+        yield _joined(pieces)
+    if error is not None:
+        raise InvalidDocument(path, f"row {first}: {error}")
+
+
+def _joined(pieces: list) -> tuple:
+    """The row numbers, columns and field counts of consecutive ``pieces`` as
+    one. A column read from the bytes in one piece and as text in another is
+    text: values as ``str`` prints them, which parse back to the same values."""
+    if len(pieces) == 1:
+        return pieces[0]
+    numbers, columns, fields = zip(*pieces)
+    return np.concatenate(numbers), [
+        np.concatenate(parts) if all(isinstance(part, np.ndarray) for part in parts)
+        else tuple(chain.from_iterable(map(str, part.tolist()) if isinstance(part, np.ndarray)
+                                       else part for part in parts)) for parts in zip(*columns)
+    ], np.concatenate(fields)
 
 
 def _read_batches(path: str | Path, schema, batch_of, size: int):

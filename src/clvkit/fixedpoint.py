@@ -20,25 +20,24 @@ of 4-digit groups and of the fraction, and NUL bytes pad the words. The
 lines are the non-NUL bytes in order, so an id holding a NUL (or a comma,
 which marks where ids end) is not printed either.
 
-``parse_lines`` reads the cells of a block of records, given their bounds,
-from their UTF-8 bytes, with no Python object per number. A number cell is
-read only if it matches ``-?[0-9]+(\\.[0-9]+)?`` with at most 15 digits.
-Its digits then form an integer N < 2**53, exact in a double as every
-power 10**k used is, and IEEE division is correctly rounded: ``N / 10**k``
-is the double nearest the decimal, which is what ``float`` returns. The
-sign is applied after dividing, so ``-0.000000`` reads -0.0 as ``float``
-reads it. An integer cell is ``±N``, and a flag cell the one byte ``0`` or
-``1``. A code cell is empty or one ASCII byte other than NUL, and a code
-column comes as a one-character numpy str column (``U1``). A column with
-any other cell (``+1``, ``.5``, ``1e3``, ``nan``, `` 1``, a non-ASCII
-digit, 16 digits or more; a longer code) comes as text.
+``parse_lines`` reads cells, given their bounds, from their UTF-8 bytes,
+with no Python object per number. A number cell is read only if it
+matches ``-?[0-9]+(\\.[0-9]+)?`` with at most 15 digits. Its digits then
+form an integer N < 2**53, exact in a double as every power 10**k used
+is, and IEEE division is correctly rounded: ``N / 10**k`` is the double
+nearest the decimal, which is what ``float`` returns. The sign is applied
+after dividing, so ``-0.000000`` reads -0.0 as ``float`` reads it. An
+integer cell is ``±N``, and a flag cell the one byte ``0`` or ``1``. A
+code cell is empty or one ASCII byte other than NUL, and a code column
+comes as a one-character numpy str column (``U1``). A column with any
+other cell (``+1``, ``.5``, ``1e3``, ``nan``, `` 1``, a non-ASCII digit,
+16 digits or more; a longer code) comes as text.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from itertools import chain
 
 import numpy as np
 
@@ -186,32 +185,29 @@ def format_lines(kinds: str, ids, columns) -> bytes | None:
 _CELL_BYTES = 17
 # Powers of ten, exact as doubles, to divide by.
 _POW10 = 10.0 ** np.arange(16)
-# Zero bytes in front of a block's text, as many as the widest window of a
-# number cell (see ``_number_cells``), so that every window starts in it.
+# Zero bytes in front of a block's bytes, as many as the widest window of a
+# number cell (see ``_number_cells``), so that every window starts in them.
 _PAD = bytes(_CELL_BYTES // 4 * 4 + 4)
-# Rows read at a time, so that the byte matrices stay small (about 1.7 MB at
-# most for 2048 rows of 11 cells).
-_PARSE_ROWS = 2048
 
 
 def _text_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                 dropped: np.ndarray | None) -> list[str]:
     """The cells from ``starts`` to ``ends`` (exclusive) of ``text``, as str,
-    without the bytes marked in ``dropped`` (offsets in ``text`` after
-    ``_PAD``), sliced out together, then decoded and split once (split by
-    their byte offsets if a cell holds a newline)."""
+    without the bytes ``dropped`` marks, sliced out together, decoded and split once (at byte offsets if one holds a "\\n")."""
     lengths = ends - starts + 1  # each cell and a newline
     stops = np.cumsum(lengths)
     index = np.arange(stops[-1]) + np.repeat(starts - stops + lengths, lengths)
     picked = text[index]
     picked[stops - 1] = 10
     if dropped is not None:
-        kept = ~dropped[index - len(_PAD)]
+        kept = ~dropped[index]
         kept[stops - 1] = True
-        picked, stops = picked[kept], np.cumsum(kept)[stops - 1]
+        picked = picked[kept]
     cells = picked.tobytes().decode().split("\n")[:-1]
     if len(cells) == len(starts):
         return cells
+    if dropped is not None:
+        stops = np.cumsum(kept)[stops - 1]
     picked = picked.tobytes()
     return [picked[a:b - 1].decode() for a, b in zip([0, *stops[:-1].tolist()], stops.tolist())]
 
@@ -232,10 +228,10 @@ def _code_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
 
 def _number_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
                   kinds: list[str]) -> list[np.ndarray | None]:
-    """The number cells from ``starts`` to ``ends`` of ``text``, (columns,
-    rows) arrays of cells of at most ``_CELL_BYTES``, as one array per column
-    of ``kinds`` (see ``parse_lines``), or None for a column with a cell that
-    is not read.
+    """The number cells from ``starts`` to ``ends`` of the bytes after
+    ``_PAD`` in ``text``, (columns, rows) arrays of cells of at most
+    ``_CELL_BYTES``, as one array per column of ``kinds`` (see
+    ``parse_lines``), or None for a column with a cell that is not read.
 
     Each cell is right-aligned in a window longer than the longest cell, so
     that a byte's place (the bytes after it in its cell) is given by its row
@@ -246,7 +242,7 @@ def _number_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     span = longest // 4 * 4 + 4  # whole groups of 4 places
     windows = np.ndarray((text.size - span + 1,), f"V{span}", text, strides=(1,))
     digit = np.ascontiguousarray(
-        windows[ends.ravel() - span].view(np.uint8).reshape(-1, span).T)
+        windows[ends.ravel() + (len(_PAD) - span)].view(np.uint8).reshape(-1, span).T)
     place = np.arange(span - 1, -1, -1, dtype=np.uint8)[:, None]
     digit *= place < lengths.ravel().astype(np.uint8)  # zero the bytes before each cell
     is_point = digit == 46
@@ -257,15 +253,15 @@ def _number_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     point_places = np.multiply(is_point, place, out=is_point.view(np.uint8))
     fraction = point_places.sum(0, dtype=np.uint8).reshape(lengths.shape)
     del is_point, point_places
-    negative = text[starts] == 45
+    negative = text[len(_PAD):][starts] == 45
     floats = np.array([kind == "f" for kind in kinds])
-    flags = np.array([kind == "b" for kind in kinds])
+    flags = [j for j, kind in enumerate(kinds) if kind == "b"]
     # Every byte a digit or the point, but a leading minus; 1 to 15 digits;
     # a point only in a float, with a digit on each side; a flag 0 or 1.
     ok = ((digits + points + negative == lengths) & (digits - np.uint8(1) < 15)  # wraps
           & ((points == 0) | (floats[:, None] & (points == 1) & (fraction >= 1)
                               & (fraction < lengths - 1 - negative))))
-    ok &= ~flags[:, None] | ((lengths == 1) & (digit[-1].reshape(lengths.shape) <= 1))
+    ok[flags] &= (lengths[flags] == 1) & (digit[-1].reshape(lengths.shape)[flags] <= 1)
     read = ok.all(axis=1)
     digit *= is_digit
     del is_digit
@@ -298,36 +294,22 @@ def _number_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 def parse_lines(data: bytes, starts: np.ndarray, ends: np.ndarray, kinds: str,
                 dropped: np.ndarray | None = None) -> list:
     """The cells of a block of records from their UTF-8 bytes ``data``,
-    column by column, ``_PARSE_ROWS`` rows at a time.
-
-    ``starts`` and ``ends`` are (columns, rows) arrays of each cell's
-    offsets in ``data``: its first byte, and the byte after its last (at
-    most ``len(data)``). ``kinds`` holds each column's kind: ``s`` text,
-    ``c`` a code (a ``U1`` array), ``d`` an integer or ``b`` a 0 or 1 flag
-    (int64 arrays), ``f`` a float (a float64 array). A text column, and a
-    number or code column with a cell that is not read (see the module
-    docstring), comes as a list of str, without the bytes of ``data`` that
-    ``dropped`` (a bool array, one longer than ``data``) marks.
-    """
-    text = np.frombuffer(b"".join((_PAD, data, b"\n")), np.uint8)
-    if text.size < 2**31:  # offsets in half the bytes
-        starts, ends = starts.astype(np.int32), ends.astype(np.int32)
-    parts = [slice(i, i + _PARSE_ROWS) for i in range(0, starts.shape[1], _PARSE_ROWS)]
+    column by column, given (columns, rows) arrays of each cell's first
+    byte and the byte after its last (at most ``len(data)``); its byte
+    matrices take about 1.7 MB for 2048 rows of 11 cells. ``kinds`` holds
+    each column's kind: ``s`` text, ``c`` a code (a ``U1`` array), ``d`` an
+    integer or ``b`` a 0 or 1 flag (int64 arrays), ``f`` a float (float64).
+    A text column, and a number or code column with a cell that is not read
+    (see the module docstring), comes as a list of str, without the bytes
+    that ``dropped`` (a bool array, one longer than ``data``) marks."""
+    padded = np.frombuffer(b"".join((_PAD, data, b"\n")), np.uint8)
+    text = padded[len(_PAD):]  # the block and a newline
     numeric = [j for j, kind in enumerate(kinds) if kind in "dbf"]
-    read = {j: [] for j, kind in enumerate(kinds) if kind != "s"}
-    for rows in parts:
-        first, last = starts[:, rows] + len(_PAD), ends[:, rows] + len(_PAD)
-        fit = [j for j, longest in zip(numeric, (last[numeric] - first[numeric]).max(axis=1))
-               if longest <= _CELL_BYTES]
-        found = dict(zip(fit, _number_cells(text, first[fit], last[fit], [kinds[j] for j in fit])
-                         if fit else ()))
-        for j in numeric:
-            read[j].append(found.get(j))
-        for j in (j for j, kind in enumerate(kinds) if kind == "c"):
-            read[j].append(_code_cells(text, first[j], last[j]))
-    return [(read[j][0] if len(parts) == 1 else np.concatenate(read[j]))
-            if j in read and all(c is not None for c in read[j])
-            else list(chain.from_iterable(_text_cells(text, starts[j, rows] + len(_PAD),
-                                                      ends[j, rows] + len(_PAD), dropped)
-                                          for rows in parts))
-            for j in range(len(kinds))]
+    longest = (ends[numeric] - starts[numeric]).max(axis=1, initial=0).tolist()
+    fit = [j for j, n in zip(numeric, longest) if n <= _CELL_BYTES]
+    columns = dict(zip(fit, _number_cells(padded, starts[fit], ends[fit],
+                                          [kinds[j] for j in fit]) if fit else ()))
+    for j in (j for j, kind in enumerate(kinds) if kind == "c"):
+        columns[j] = _code_cells(text, starts[j], ends[j])
+    return [_text_cells(text, starts[j], ends[j], dropped) if columns.get(j) is None
+            else columns[j] for j in range(len(kinds))]

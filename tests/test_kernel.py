@@ -470,7 +470,11 @@ def _project(table, scores, t0, margins, rate=0.0):
                                  ProjectionConfig())
 
 
-# Scores of 0, or normal floats: a subnormal one loses digits when divided.
+# Scores of 0, or normal floats. A subnormal score holds fewer than 53
+# significant bits, so its alpha under a scaled baseline can differ by far
+# more than the few roundings the invariance test below allows for; a
+# normal score of at least 1e-300 over a hazard of at most 1 keeps alpha
+# normal too.
 normal_scores = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
 
 
@@ -494,10 +498,17 @@ def test_scaling_the_baseline_leaves_unclipped_customers_unchanged(
             continue  # clipped
         assert np.allclose(scaled_path, path, rtol=1e-12, atol=0.0), i
         assert scaled[3][i] == base[3][i]
-        # The hazards differ by a few roundings, which 1 - h magnifies by
-        # h / (1 - h) in each month's survival factor; a month's survival
-        # falls by 1 - h, so these add up to at most about 14 / (1 - h) at
-        # eps = 1e-6.
+        # With u = 2**-53: each run's hazard is alpha * entry rounded, with
+        # alpha = score / entry at t0 rounded and the scaled entries c * entry
+        # rounded, so the two hazards differ by at most 6u relative. A
+        # month's factor 1 - h then differs by at most 6u * h / (1 - h), and
+        # while survival stays above eps = 1e-6 the hazards add up to at most
+        # ln(1e6) < 14: the survivals, and ERT and CLV, differ by at most
+        # 6u * 14 / (1 - h) < 1e-14 / (1 - h) from that. Each run's own
+        # roundings put a survival at most 2u a month (the factor and the
+        # product) and a sum at most u a term from exact: 3u * 1200 over the
+        # 1200-month horizon, under 8e-13 between the two runs. Both add up
+        # to less than 1e-12 / (1 - h).
         tolerance = 1e-12 / (1.0 - highest)
         assert math.isclose(scaled[1][i], base[1][i], rel_tol=tolerance), i
         assert math.isclose(scaled[2][i], base[2][i], rel_tol=tolerance), i
