@@ -63,8 +63,7 @@ _EXPORTS = {
         "save_model",
     ),
     "pipeline": (
-        "score_batches",
-        "score_batches_competing",
+        "score_causes",
         "score_stream",
         "score_stream_competing",
     ),

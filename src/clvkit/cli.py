@@ -144,7 +144,9 @@ def _read_json(path: str, what: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; RecursionError
+        # is a document nested too deep to parse.
+        except (ValueError, RecursionError) as exc:
             raise UsageError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
@@ -326,7 +328,8 @@ COMMANDS: dict[str, tuple] = {
         Option("--competing", bool, False),
         Option("--baseline-inv", help="involuntary baseline JSON (competing mode)"),
         Option("--chunk-size", int, dataio.SCORING_BATCH_SIZE, minimum=1,
-               help="customers scored per batch (1 = sequential)"),
+               help="customers scored per batch (1 = sequential); a batch of 2048 or "
+                    "more is read and tokenized at once, so read memory grows with it"),
     ]),
     "curve": (run_curve, "emit one scaled hazard curve as plot data", [
         Option("--baseline", required=True, help="baseline JSON path"),

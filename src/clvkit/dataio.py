@@ -21,20 +21,23 @@ a record end, outside quoted sections; a blank record is skipped but keeps
 its row number. A quote opens a section only at a field start or right
 after the quote that closed one (so ``""`` in a section reads ``"``), and
 any quote in a section closes it; any other quote, and NUL, is an ordinary
-character: ``a"b`` reads ``a"b`` and ``"ab"c`` reads ``abc``. Each block
-of ``_PARSE_ROWS`` records is parsed by ``fixedpoint.parse_lines``: plain
-fixed-point number cells and one-byte code cells (``cause``) to the values
-``int`` and ``float`` give, and a column with a quoted or any other cell as
-text, which is parsed cell by cell. Each schema is one table of rules in
-check order (the field count, the id, each column's parse and range rules,
-then rules over two columns), evaluated as masks over a batch; the error
-reported is that of the smallest failing row, and within that row of the
-first rule it breaks, so it names the row number (header = row 1, counting
-csv records), column and reason a row-by-row reader would, at any batch
-size, before any record of its batch is consumed. Text that is not UTF-8,
-or a cell past csv's field size limit, is ``InvalidDocument`` naming the
-file, raised after the records before it (for bytes that do not decode,
-those before the line that holds the first such byte) have been checked.
+character: ``a"b`` reads ``a"b`` and ``"ab"c`` reads ``abc``. A batch is
+a slice of one block: a batch of ``_PARSE_ROWS`` records or more is a block
+of its own, and a smaller one is cut from a block of the fewest whole
+batches that hold ``_PARSE_ROWS`` records. Each block is parsed by one
+``fixedpoint.parse_lines`` call: plain fixed-point number cells and
+one-byte code cells (``cause``) to the values ``int`` and ``float`` give,
+and a column with a quoted or any other cell as text, which is parsed cell
+by cell. Each schema is one table of rules in check order (the field count,
+the id, each column's parse and range rules, then rules over two columns),
+evaluated as masks over a batch; the error reported is that of the smallest
+failing row, and within that row of the first rule it breaks, so it names
+the row number (header = row 1, counting csv records), column and reason a
+row-by-row reader would, at any batch size, before any record of its batch
+is consumed. Text that is not UTF-8, or a cell past csv's field size limit,
+is ``InvalidDocument`` naming the file, raised after the records before it
+(for bytes that do not decode, those before the line that holds the first
+such byte) have been checked.
 
 Every writer (projections, and the simulator's calibration, scoring and
 truth files) formats each batch through one line template and quotes ids
@@ -71,7 +74,7 @@ CAUSES = (CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY)
 
 PROJECTION_COLUMNS = ["customer_id", "alpha", "ert_months", "clv", "truncated_at"]
 
-# Records tokenized and parsed as one block.
+# Records tokenized and parsed as one block, at least: a larger batch is one block.
 _PARSE_ROWS = 2048
 # Rows per batch. A calibration batch is one block: 2-46 ms less than 512-row
 # batches on the benchmark's calibration files, for at most 0.2 MB more peak memory.
@@ -713,49 +716,27 @@ def _header(lines: _Lines, path: str | Path) -> list[str] | None:
 
 def _batches(lines: _Lines, path: str | Path, width: int, kinds: str, size: int):
     """The row numbers, columns and field counts (``_columns``) of each batch
-    of ``size`` records after the header, blank ones left out, joined from
-    its records in each block of ``_PARSE_ROWS``. A record csv cannot read
-    ends the records; its error is raised after the batch of those before it."""
+    of ``size`` records after the header, blank ones left out: slices of a
+    block of ``size * ceil(_PARSE_ROWS / size)`` records, tokenized and
+    parsed at once. A record csv cannot read ends the records; its error is
+    raised after the batches of those before it."""
+    block = size * -(-_PARSE_ROWS // size)
     first, error = 2, None  # the row number of the block's first record
-    pieces, left = [], size  # the batch's pieces so far, and the records it still takes
     while error is None:
-        data, records = lines.take(_PARSE_ROWS)
+        data, records = lines.take(block)
         if not data:
             break
         columns, fields = _columns(data, records, width, kinds) if records.index.size else ([], [])
         index, count, error = records.index, records.count, records.error
         del data, records  # free the bounds before the batches are read
         numbers = first + index
-        start = 0
-        while start < count:
-            stop = min(count, start + left)
-            rows = slice(*np.searchsorted(index, (start, stop)).tolist())
+        for start in range(0, count, size):
+            rows = slice(*np.searchsorted(index, (start, start + size)).tolist())
             if rows.start < rows.stop:
-                pieces.append((numbers[rows], [c[rows] for c in columns], fields[rows]))
-            left, start = left - (stop - start), stop
-            if not left:
-                if pieces:
-                    yield _joined(pieces)
-                pieces, left = [], size
+                yield numbers[rows], [c[rows] for c in columns], fields[rows]
         first += count
-    if pieces:
-        yield _joined(pieces)
     if error is not None:
         raise InvalidDocument(path, f"row {first}: {error}")
-
-
-def _joined(pieces: list) -> tuple:
-    """The row numbers, columns and field counts of consecutive ``pieces`` as
-    one. A column read from the bytes in one piece and as text in another is
-    text: values as ``str`` prints them, which parse back to the same values."""
-    if len(pieces) == 1:
-        return pieces[0]
-    numbers, columns, fields = zip(*pieces)
-    return np.concatenate(numbers), [
-        np.concatenate(parts) if all(isinstance(part, np.ndarray) for part in parts)
-        else tuple(chain.from_iterable(map(str, part.tolist()) if isinstance(part, np.ndarray)
-                                       else part for part in parts)) for parts in zip(*columns)
-    ], np.concatenate(fields)
 
 
 def _read_batches(path: str | Path, schema, batch_of, size: int):

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dataio import json_number
 from .errors import (
     BaselineMismatch,
     EmptyCalibration,
@@ -341,7 +342,7 @@ def model_from_dict(doc: dict) -> OddsModel:
         beta=np.asarray(doc["beta"], dtype=np.float64),
         ridge=float(doc["ridge"]),
         log_likelihood=float(doc["log_likelihood"]),
-        iterations=int(doc["iterations"]),
+        iterations=json_number(doc["iterations"], "iterations", int),
         converged=bool(doc["converged"]),
         baseline_sha=str(doc["baseline_sha"]),
     )
@@ -358,5 +359,7 @@ def load_model(path: str | Path) -> OddsModel:
     with open(path, encoding="utf-8") as fh:
         try:
             return model_from_dict(json.load(fh))
-        except (ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        # JSONDecodeError is a ValueError; RecursionError is a document nested
+        # too deep to parse.
+        except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
             raise InvalidDocument(path, f"not a valid model document: {exc}") from None

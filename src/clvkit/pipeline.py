@@ -56,32 +56,6 @@ def score_causes(batches: Iterable[ScoringBatch], causes: Sequence[Cause], *,
         yield ProjectionBatch(batch.ids, alpha, ert, clv, truncated)
 
 
-def score_batches(batches: Iterable[ScoringBatch], baseline: BaselineHazard, *,
-                  config: ProjectionConfig | None = None,
-                  discount: DiscountSpec | None = None,
-                  pooling: PoolingConfig | None = None) -> Iterator[ProjectionBatch]:
-    """Score single-risk column batches, one projection batch per input batch."""
-    return score_causes(batches, [("churn_score", baseline, pooling)], config=config,
-                        discount=discount)
-
-
-def score_batches_competing(batches: Iterable[ScoringBatch],
-                            baseline_v: BaselineHazard, baseline_inv: BaselineHazard, *,
-                            config: ProjectionConfig | None = None,
-                            discount: DiscountSpec | None = None,
-                            pooling_v: PoolingConfig | None = None,
-                            pooling_inv: PoolingConfig | None = None,
-                            ) -> Iterator[ProjectionBatch]:
-    """Score competing-risks column batches against cause-specific baselines.
-
-    The reported alpha is the combined coefficient at the current tenure:
-    total score over total baseline hazard.
-    """
-    return score_causes(batches, [("score_v", baseline_v, pooling_v),
-                                  ("score_inv", baseline_inv, pooling_inv)],
-                        config=config, discount=discount)
-
-
 def _rows(records: Iterable[ScoringRecord], causes: Sequence[Cause],
           config: ProjectionConfig | None, discount: DiscountSpec | None,
           chunk_size: int) -> Iterator[ProjectionRow]:
@@ -106,7 +80,11 @@ def score_stream_competing(records: Iterable[ScoringRecord],
                            pooling_v: PoolingConfig | None = None,
                            pooling_inv: PoolingConfig | None = None,
                            chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[ProjectionRow]:
-    """Score competing-risks customers (see ``score_batches_competing``)."""
+    """Score competing-risks customers against cause-specific baselines.
+
+    The reported alpha is the combined coefficient at the current tenure:
+    total score over total baseline hazard.
+    """
     return _rows(records, [("score_v", baseline_v, pooling_v),
                            ("score_inv", baseline_inv, pooling_inv)],
                  config, discount, chunk_size)

@@ -32,6 +32,7 @@ from .dataio import (
     CalibrationBatch,
     CalibrationRecord,
     chunks,
+    json_number,
 )
 from .errors import (
     EmptyCalibration,
@@ -532,17 +533,19 @@ def baseline_from_dict(doc: dict) -> LoadedBaseline:
     if doc["version"] != BASELINE_SCHEMA_VERSION:
         raise ValueError(f"unsupported baseline version {doc['version']!r}")
     hazards = np.array([np.nan if h is None else float(h) for h in doc["hazards"]])
+    exposures, events = (np.array([json_number(n, key, int) for n in doc[key]], dtype=np.int64)
+                         for key in ("exposures", "events"))
     baseline = BaselineHazard(
         hazards=hazards,
-        exposures=np.asarray(doc["exposures"], dtype=np.int64),
-        events=np.asarray(doc["events"], dtype=np.int64),
-        tail_start=int(doc["tail_start"]),
+        exposures=exposures,
+        events=events,
+        tail_start=json_number(doc["tail_start"], "tail_start", int),
         tail_rate=float(doc["tail_rate"]),
         smoothing=str(doc["smoothing"]),
     )
     min_events = doc.get("min_events")
     if min_events is not None:
-        min_events = PoolingConfig(int(min_events)).min_events
+        min_events = PoolingConfig(json_number(min_events, "min_events", int)).min_events
     return LoadedBaseline(baseline, min_events)
 
 
@@ -561,5 +564,7 @@ def load_baseline(path: str | Path) -> LoadedBaseline:
     with open(path, encoding="utf-8") as fh:
         try:
             return baseline_from_dict(json.load(fh))
-        except (ValueError, TypeError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        # JSONDecodeError is a ValueError; OverflowError is a count past int64,
+        # RecursionError a document nested too deep to parse.
+        except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
             raise InvalidDocument(path, f"not a valid baseline document: {exc}") from None

@@ -879,7 +879,8 @@ def test_undecodable_byte_ends_the_rows_where_csv_does(tmp_path, offset):
 
 @pytest.mark.parametrize("kept,at_end", [(3, False), (1, False), (2, False), (2, True)])
 def test_character_across_a_decode_chunk_boundary(tmp_path, kept, at_end):
-    # Line 2048 (the first of a block at batch sizes 1, 512 and 2048) holds
+    # Line 2048 (the first of a block at batch sizes 1, 512 and 2048, whose
+    # blocks are 2048 records; at batch size 7 a block is 2051) holds
     # the first ``kept`` bytes of a 3-byte character, from the last byte
     # before an 8192-byte boundary on; with at_end, they end the file.
     lines = _filler(5_000).splitlines(keepends=True)
@@ -1017,6 +1018,21 @@ def _spy_byte_parser():
     return rows, text, mock.patch.object(fixedpoint, "parse_lines", spy)
 
 
+def test_a_batch_is_one_block(tmp_path):
+    # A batch of 2048 records or more is tokenized and parsed at once, and a
+    # smaller one is cut from a block of whole batches.
+    n = 3 * 8192 + 100
+    path = tmp_path / "in.csv"
+    path.write_text("customer_id,tenure,churn_score,margin\n" + _filler(n), encoding="utf-8")
+    for size, blocks in [(dataio.SCORING_BATCH_SIZE, [8192, 8192, 8192, 100]),
+                         (3000, [3000] * 8 + [676]), (7, [2051] * 12 + [64])]:
+        parsed, text, spy = _spy_byte_parser()
+        with spy:
+            batches = list(dataio.read_scoring_batches(path, "single", size))
+        assert parsed == blocks and not text, size
+        assert [len(b.ids) for b in batches] == [size] * (n // size) + [n % size], size
+
+
 def test_the_writers_files_are_read_from_bytes(tmp_path):
     rng = np.random.default_rng(8)
     n = 5_000
@@ -1148,7 +1164,8 @@ def test_a_pipe_reads_as_the_file(tmp_path, newline):
 
 @pytest.mark.parametrize("kept", [1, 2])
 def test_quoted_id_after_a_character_across_a_read(tmp_path, kept):
-    # Line 2048 starts the block (at batch sizes 1, 512 and 2048) that holds
+    # Line 2048 starts the block (at batch sizes 1, 512 and 2048, whose blocks
+    # are 2048 records) that holds
     # a quoted id. Line 2047 starts with a 3-byte character across an
     # 8192-byte boundary, ``kept`` of its bytes before it.
     head = "customer_id,tenure,churn_score,margin\n"
@@ -1214,8 +1231,10 @@ def _corpus_lines(n=2_100):
 
 
 # The rows where a corpus file differs from a plain one: the first, each side
-# of the cuts between blocks (2044 lines at batch size 7, else 2048), the last.
-_CORPUS_ROWS = (1, 2044, 2045, 2048, 2049, 2100)
+# of a cut between batches of 7 (after record 2044), of the cut between
+# blocks at batch sizes 1, 512 and 2048 (after record 2048) and of the one at
+# batch size 7 (after record 2051, 293 batches), and the last.
+_CORPUS_ROWS = (1, 2044, 2045, 2048, 2049, 2051, 2052, 2100)
 
 
 def _with_ids(form, rows=_CORPUS_ROWS):

@@ -307,6 +307,17 @@ class TestLoadModelErrors:
         path.write_text(json.dumps({**self.GOOD, "version": 2}), encoding="utf-8")
         self.check(path)
 
+    @pytest.mark.parametrize("text", ["[" * 200_000, json.dumps({**GOOD, "iterations": 2.5}),
+                                      json.dumps({**GOOD, "iterations": True}),
+                                      json.dumps({**GOOD, "iterations": "@"}).replace(
+                                          '"@"', "1e999"),
+                                      json.dumps({**GOOD, "beta": [2**1100]})],
+                             ids=["nested", "fraction", "bool", "infinite", "huge beta"])
+    def test_unreadable_values(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        self.check(path)
+
 
 class TestLogisticFunctions:
     """The module's own logit/expit against scipy.special as the oracle."""
