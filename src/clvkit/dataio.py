@@ -34,10 +34,14 @@ evaluated as masks over a batch; the error reported is that of the smallest
 failing row, and within that row of the first rule it breaks, so it names
 the row number (header = row 1, counting csv records), column and reason a
 row-by-row reader would, at any batch size, before any record of its batch
-is consumed. Text that is not UTF-8, or a cell past csv's field size limit,
-is ``InvalidDocument`` naming the file, raised after the records before it
-(for bytes that do not decode, those before the line that holds the first
-such byte) have been checked.
+is consumed. A repeated id is found by an index of the ids read
+(``idindex.IdIndex``) that holds no str per id: each batch's ids joined into
+one str, and each id's hash and number as one int64 key, in sorted runs
+behind a bit filter; every match of hashes is confirmed on the text. Text
+that is not UTF-8, or a cell past csv's field size limit, is
+``InvalidDocument`` naming the file, raised after the records before it (for
+bytes that do not decode, those before the line that holds the first such
+byte) have been checked.
 
 Every writer (projections, and the simulator's calibration, scoring and
 truth files) formats each batch through one line template and quotes ids
@@ -61,11 +65,14 @@ import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ClvkitError, DuplicateCustomerId, InvalidDocument, InvalidValue, MissingColumn
+
+if TYPE_CHECKING:
+    from .idindex import IdIndex
 
 CAUSE_VOLUNTARY = "V"
 CAUSE_INVOLUNTARY = "I"
@@ -251,13 +258,13 @@ def chunks(items: Iterable, size: int) -> Iterator[list]:
 def json_number(value, name: str, kind: type = float):
     """``value``, from a JSON document or a command-line flag, as a finite ``kind``.
 
-    ``kind`` is int or float. A bool is not a number, and an int loses no
-    fraction: 1000.0 is 1000, 2.5 is an error. Errors are ValueErrors whose
-    message starts with ``name``.
+    ``kind`` is int or float. A bool or a string is not a number, and an int
+    loses no fraction: 1000.0 is 1000, 2.5 is an error. Errors are
+    ValueErrors whose message starts with ``name``.
     """
     noun = "an integer" if kind is int else "a number"
     try:
-        if isinstance(value, bool) or (
+        if isinstance(value, (bool, str)) or (
                 kind is int and isinstance(value, float) and not value.is_integer()):
             raise TypeError
         number = kind(value)
@@ -267,6 +274,13 @@ def json_number(value, name: str, kind: type = float):
     if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def json_string(value, name: str) -> str:
+    """``value``, from a JSON document, if it is a string; else a ValueError naming ``name``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _calibration_header(mode: str, covariate_count: int) -> list[str]:
@@ -311,10 +325,11 @@ def _validate_header(header: list[str] | None, required: list[str]) -> int:
 # smallest failing row. A rule with a parser parses its column, for itself
 # and the rules after it, and is broken where a cell does not parse. A
 # rule's test gives the mask of rows that break it from ``c``: each column's
-# cells or parsed values by name, "fields" the rows' field counts and "seen"
-# the ids of earlier batches. ``reason`` is formatted with the row's cell in
-# ``column``, or is a function that builds the whole error from the row
-# number and cells (the field count rule names no one column). A column
+# cells or parsed values by name, "fields" the rows' field counts and
+# "earlier" the index of the ids of earlier batches (``idindex.IdIndex``),
+# which the id rule adds the batch's ids to. ``reason`` is formatted with the
+# row's cell in ``column``, or is a function that builds the whole error from
+# the row number and cells (the field count rule names no one column). A column
 # whose first rule has a parser may come parsed from the line bytes, and
 # then gives that parser no cell to refuse and later rules its values as
 # cells.
@@ -357,21 +372,6 @@ def _empty(cells: tuple[str, ...]) -> np.ndarray:
     return np.fromiter(map("".__eq__, cells), bool, n)
 
 
-def _repeated(ids: tuple[str, ...], seen: set[str]) -> np.ndarray:
-    """Rows whose id is in ``seen`` or on an earlier row; ``ids`` join ``seen``."""
-    n = len(ids)
-    repeated = np.zeros(n, dtype=bool)
-    if not seen.isdisjoint(ids):
-        repeated = np.fromiter(map(seen.__contains__, ids), bool, n)
-    count = len(seen)
-    seen.update(ids)
-    if len(seen) - count < n:
-        later = np.ones(n, dtype=bool)
-        later[np.unique(ids, return_index=True)[1]] = False
-        repeated |= later
-    return repeated
-
-
 def _field_count_error(names: list[str]) -> Callable[[int, list[str]], InvalidValue]:
     def error(row: int, cells: list[str]) -> InvalidValue:
         if len(cells) < len(names):
@@ -403,7 +403,7 @@ def _leading_rules(names: list[str]) -> list[_Rule]:
     return [
         _Rule("", None, lambda c: c["fields"] != len(names), _field_count_error(names)),
         _Rule("customer_id", None, lambda c: _empty(c["customer_id"]), "must be non-empty"),
-        _Rule("customer_id", None, lambda c: _repeated(c["customer_id"], c["seen"]),
+        _Rule("customer_id", None, lambda c: c["earlier"].repeated(c["customer_id"]),
               lambda row, cells: DuplicateCustomerId(cells[0], row)),
         _Rule("tenure", _INTEGER, None, "{!r} is not an integer"),
         _Rule("tenure", None, lambda c: c["tenure"] < 0, "must be >= 0"),
@@ -470,7 +470,7 @@ def _parsed(cells: tuple[str, ...], parser: _Parser) -> tuple[np.ndarray, np.nda
 
 
 def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: list,
-                     fields: np.ndarray | None, seen: set[str]) -> dict:
+                     fields: np.ndarray | None, earlier: IdIndex) -> dict:
     """One batch's columns by name, parsed; raises the error of its first failing row.
 
     ``numbers`` are the rows' numbers in the file, ``columns`` their cells
@@ -480,7 +480,7 @@ def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: lis
     n = len(numbers)
     c = dict(zip(names, columns))
     c["fields"] = np.full(n, len(names)) if fields is None else fields
-    c["seen"] = seen
+    c["earlier"] = earlier
     masks = []
     for rule in rules:
         mask = np.zeros(n, dtype=bool)
@@ -747,9 +747,11 @@ def _read_batches(path: str | Path, schema, batch_of, size: int):
     the checked columns. Text that is not UTF-8, or a record csv cannot
     read, is InvalidDocument naming the file.
     """
+    from .idindex import IdIndex  # loaded on the first read
+
     if size < 1:
         raise ValueError("batch_size must be >= 1")
-    seen: set[str] = set()
+    earlier = IdIndex()
     with open(path, "rb", buffering=0) as fh:
         lines = _Lines(fh)
         header = _header(lines, path)
@@ -757,7 +759,7 @@ def _read_batches(path: str | Path, schema, batch_of, size: int):
             names, rules = schema(header)
             for numbers, columns, fields in _batches(lines, path, len(names),
                                                      _byte_kinds(names, rules), size):
-                c = _checked_columns(rules, names, numbers, columns, fields, seen)
+                c = _checked_columns(rules, names, numbers, columns, fields, earlier)
                 del columns  # free the cells before the next batch is read
                 batch = batch_of(c, names)
                 del c
@@ -791,8 +793,9 @@ def read_scoring_batches(path: str | Path, mode: str = "single",
                          batch_size: int = SCORING_BATCH_SIZE) -> Iterator[ScoringBatch]:
     """Stream validated scoring rows from ``path`` as column batches.
 
-    Memory stays flat in the file length apart from the id set used for
-    duplicate detection.
+    Memory stays flat in the file length apart from the index of ids read
+    (``idindex.IdIndex``), which keeps each id's text and 11 to 17 bytes
+    more to find duplicates.
     """
     _check_mode(mode)
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataio import json_number
+from .dataio import json_number, json_string
 from .errors import (
     BaselineMismatch,
     EmptyCalibration,
@@ -338,13 +338,15 @@ def model_from_dict(doc: dict) -> OddsModel:
         raise ValueError(f"model document must have exactly keys {sorted(required)}")
     if doc["version"] != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model version {doc['version']!r}")
+    if not isinstance(doc["converged"], bool):
+        raise ValueError(f"converged must be true or false, got {doc['converged']!r}")
     return OddsModel(
-        beta=np.asarray(doc["beta"], dtype=np.float64),
-        ridge=float(doc["ridge"]),
-        log_likelihood=float(doc["log_likelihood"]),
+        beta=np.array([json_number(b, "beta") for b in doc["beta"]], dtype=np.float64),
+        ridge=json_number(doc["ridge"], "ridge"),
+        log_likelihood=json_number(doc["log_likelihood"], "log_likelihood"),
         iterations=json_number(doc["iterations"], "iterations", int),
-        converged=bool(doc["converged"]),
-        baseline_sha=str(doc["baseline_sha"]),
+        converged=doc["converged"],
+        baseline_sha=json_string(doc["baseline_sha"], "baseline_sha"),
     )
 
 

@@ -33,6 +33,7 @@ from .dataio import (
     CalibrationRecord,
     chunks,
     json_number,
+    json_string,
 )
 from .errors import (
     EmptyCalibration,
@@ -532,7 +533,8 @@ def baseline_from_dict(doc: dict) -> LoadedBaseline:
         raise ValueError(f"baseline document missing keys: {sorted(missing)}")
     if doc["version"] != BASELINE_SCHEMA_VERSION:
         raise ValueError(f"unsupported baseline version {doc['version']!r}")
-    hazards = np.array([np.nan if h is None else float(h) for h in doc["hazards"]])
+    hazards = np.array([np.nan if h is None else json_number(h, "hazards")
+                        for h in doc["hazards"]])
     exposures, events = (np.array([json_number(n, key, int) for n in doc[key]], dtype=np.int64)
                          for key in ("exposures", "events"))
     baseline = BaselineHazard(
@@ -540,8 +542,8 @@ def baseline_from_dict(doc: dict) -> LoadedBaseline:
         exposures=exposures,
         events=events,
         tail_start=json_number(doc["tail_start"], "tail_start", int),
-        tail_rate=float(doc["tail_rate"]),
-        smoothing=str(doc["smoothing"]),
+        tail_rate=json_number(doc["tail_rate"], "tail_rate"),
+        smoothing=json_string(doc["smoothing"], "smoothing"),
     )
     min_events = doc.get("min_events")
     if min_events is not None:

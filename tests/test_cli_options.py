@@ -140,10 +140,12 @@ _CONTENT = {"not UTF-8": b'{"a": "\xff"}', "malformed JSON": b'{"eps": ',
             "nested JSON": b"[" * 200_000}
 
 # Baseline document edits that are data errors: a key and the JSON text of
-# its value (for a count list, of its last count).
+# its value (for a list, of its last entry).
 _DOCUMENT_EDITS = [("tail_start", "1e999"), ("tail_start", str(2**63)), ("tail_start", "1.5"),
                    ("tail_start", "true"), ("min_events", "2.5"), ("min_events", "1e999"),
-                   ("exposures", str(2**64)), ("events", "1e999"), ("exposures", "1.5")]
+                   ("exposures", str(2**64)), ("events", "1e999"), ("exposures", "1.5"),
+                   ("hazards", '"0.1"'), ("hazards", "true"), ("tail_rate", '"0.02"'),
+                   ("smoothing", "1")]
 
 
 def _faults():
@@ -197,7 +199,7 @@ def _inputs(tmp):
 
 
 def _edited_document(baseline, key, text):
-    if key in ("exposures", "events"):
+    if key in ("hazards", "exposures", "events"):
         text = "[" + ",".join([*map(str, baseline[key][:-1]), text]) + "]"
     return json.dumps({**baseline, key: "@"}).replace('"@"', text)
 
@@ -263,6 +265,14 @@ _FLAGS = st.sets(st.sampled_from(sorted({f for _, f, *_ in OPTIONS})))
 @example(fault=("score", "document", "--baseline", ("tail_start", "true")), moved=set(),
          doubled=set())
 @example(fault=("score", "document", "--baseline", ("min_events", "2.5")), moved=set(),
+         doubled=set())
+@example(fault=("score", "document", "--baseline", ("hazards", '"0.1"')), moved=set(),
+         doubled=set())
+@example(fault=("curve", "document", "--baseline", ("hazards", "true")), moved=set(),
+         doubled=set())
+@example(fault=("fit-odds", "document", "--baseline", ("tail_rate", '"0.02"')), moved=set(),
+         doubled=set())
+@example(fault=("score", "document", "--baseline", ("smoothing", "1")), moved=set(),
          doubled=set())
 @example(fault=("score", "directory", "--out", None), moved=set(), doubled=set())
 @example(fault=("score", "retype", "--chunk-size", None), moved={"--chunk-size"},

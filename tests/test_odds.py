@@ -311,8 +311,16 @@ class TestLoadModelErrors:
                                       json.dumps({**GOOD, "iterations": True}),
                                       json.dumps({**GOOD, "iterations": "@"}).replace(
                                           '"@"', "1e999"),
-                                      json.dumps({**GOOD, "beta": [2**1100]})],
-                             ids=["nested", "fraction", "bool", "infinite", "huge beta"])
+                                      json.dumps({**GOOD, "beta": [2**1100]}),
+                                      json.dumps({**GOOD, "beta": ["0.1"]}),
+                                      json.dumps({**GOOD, "ridge": "0"}),
+                                      json.dumps({**GOOD, "log_likelihood": "-1"}),
+                                      json.dumps({**GOOD, "converged": "false"}),
+                                      json.dumps({**GOOD, "converged": 1}),
+                                      json.dumps({**GOOD, "baseline_sha": 5})],
+                             ids=["nested", "fraction", "bool", "infinite", "huge beta",
+                                  "string beta", "string ridge", "string log-likelihood",
+                                  "string converged", "number converged", "number sha"])
     def test_unreadable_values(self, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text, encoding="utf-8")
