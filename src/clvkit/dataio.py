@@ -794,7 +794,7 @@ def read_scoring_batches(path: str | Path, mode: str = "single",
     """Stream validated scoring rows from ``path`` as column batches.
 
     Memory stays flat in the file length apart from the index of ids read
-    (``idindex.IdIndex``), which keeps each id's text and 11 to 17 bytes
+    (``idindex.IdIndex``), which keeps each id's text and 14 to 20 bytes
     more to find duplicates.
     """
     _check_mode(mode)

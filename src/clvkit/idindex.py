@@ -2,14 +2,17 @@
 
 The CSV readers reject a repeated id (``dataio._read_batches``). A set of
 the ids would keep one Python str per row alive until the file ends, about
-107 bytes per id; ``IdIndex`` keeps about 11 to 17 bytes besides each id's
+107 bytes per id; ``IdIndex`` keeps about 14 to 20 bytes besides each id's
 text, and is loaded on the first read, so commands that read no CSV never
 compile it.
 
-Each batch's ids are kept as their text, joined by NULs into one str, and
-as int64 keys: each id's Python hash with its low 32 bits replaced by the
-id's number in the file (from 0), modulo 2**32. Python's str hash is keyed
-per process, so no file can be made to collide on purpose. The keys sit in
+Each batch's ids are kept as their text, joined into one str with each id's
+end offset, and as int64 keys: each id's Python hash with its low 32 bits
+replaced by the id's number in the file (from 0), modulo 2**32, so a key
+keeps 32 bits of the hash. Python's str hash is keyed per process unless
+PYTHONHASHSEED fixes it, so with a random seed no file can be made to
+collide on purpose; with a fixed seed, ids that share those 32 bits can be
+found, and each is confirmed against every earlier one. The keys sit in
 sorted runs: a new batch's run merges with the last run while that is no
 bigger, so there are about log2(batches) runs. A filter of 16 to 64 bits per
 id (one bit per key, from its hash bits) passes every key that a run may
@@ -42,12 +45,11 @@ class IdIndex:
 
     def __init__(self):
         self.count = 0  # the ids added
-        # Per batch: the number of its first id, its ids joined by NULs, and
-        # their lengths if an id holds a NUL (else None: the NULs end the
-        # ids, and no len() per id is taken).
+        # Per batch: the number of its first id, its ids joined, and where
+        # each id ends in that text.
         self.firsts: list[int] = []
         self.texts: list[str] = []
-        self.lengths: list[np.ndarray | None] = []
+        self.ends: list[np.ndarray] = []
         self.runs: list[np.ndarray] = []  # sorted keys, the largest run first
         self.filter = np.zeros(16, dtype=np.uint64)
 
@@ -87,24 +89,20 @@ class IdIndex:
         for number in range(low, self.count, 1 << 32):
             batch = bisect.bisect_right(self.firsts, number) - 1
             row = number - self.firsts[batch]
-            text, lengths = self.texts[batch], self.lengths[batch]
-            if lengths is None:
-                held = text.split("\0", row + 1)[row]
-            else:
-                start = int(lengths[:row].sum()) + row
-                held = text[start:start + int(lengths[row])]
-            if held == cell:
+            ends = self.ends[batch]
+            start = int(ends[row - 1]) if row else 0
+            if self.texts[batch][start:int(ends[row])] == cell:
                 return True
         return False
 
     def _add(self, ids: tuple[str, ...], keys: np.ndarray) -> None:
         """Keep the batch ``ids`` and their sorted ``keys``, whose bits are set."""
         n = len(ids)
-        text = "\0".join(ids)
+        text = "".join(ids)
+        offset = np.int32 if len(text) < 1 << 31 else np.int64
         self.firsts.append(self.count)
         self.texts.append(text)
-        self.lengths.append(None if text.count("\0") == n - 1
-                            else np.fromiter(map(len, ids), np.int64, n))
+        self.ends.append(np.fromiter(map(len, ids), offset, n).cumsum(dtype=offset))
         self.count += n
         while self.runs and self.runs[-1].size <= keys.size:
             keys = np.concatenate([self.runs.pop(), keys])

@@ -485,12 +485,11 @@ normal_scores = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
        rate=st.sampled_from([0.0, 0.004]))
 def test_scaling_the_baseline_leaves_unclipped_customers_unchanged(
         baseline, pooling, scale, customers, rate):
-    # Hazards of 0, or normal floats, for the reason scores are: a subnormal
-    # hazard such as 5e-324 times 0.5 underflows to 0, so the scaled table
-    # would not be a scaled copy of the table. Entries of at least 1e-300
-    # times a scale of at least 0.25 stay normal.
+    # A hazard that a scale of 0.25 or more can take below the smallest
+    # normal float, such as 5e-324 times 0.5 (which underflows to 0), is set
+    # to 0: its scaled copy is not exact, so the invariance does not hold.
     table = resolve(baseline, pooling)
-    table = np.where(table < 1e-300, 0.0, table)
+    table = np.where(table < np.finfo(float).tiny / 0.25, 0.0, table)
     t0, scores, margins = (np.array(column) for column in zip(*customers))
     # A positive score over a vanishing hazard has no alpha (DegenerateBaseline).
     scores = np.where(lookup(table, t0) > 1e-300, scores, 0.0)

@@ -9,6 +9,7 @@ unequal ids share hashes, and that the memory it keeps per id stays small.
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 from unittest import mock
 
@@ -96,6 +97,23 @@ def test_reader_names_the_first_repeated_row(id_hash, tmp_path_factory, ids):
         with mock.patch.object(idindex, "_id_hash", id_hash):
             outcome = _outcome(path, size)
         assert (type(outcome), str(outcome)) == (type(expected), str(expected)), size
+
+
+def test_a_file_read_twice_fails_at_its_second_half_in_linear_time(tmp_path):
+    """Every row of the second batch repeats one of the first, so each is
+    confirmed on the text of an earlier batch. Each confirmation takes the id
+    by its offsets; a split of the batch's text up to the row would make
+    about 1.25e9 strs here, minutes of work instead of a fraction of a second."""
+    n = 50_000
+    rows = "".join(f"c{i:07d},{i % 97},0.5,10\n" for i in range(n))
+    path = tmp_path / "s.csv"
+    path.write_text("customer_id,tenure,churn_score,margin\n" + rows + rows, encoding="ascii")
+    start = time.process_time()
+    with pytest.raises(DuplicateCustomerId) as raised:
+        for _ in dataio.read_scoring_batches(path, batch_size=n):
+            pass
+    assert str(raised.value) == str(DuplicateCustomerId("c0000000", n + 2))
+    assert time.process_time() - start < 5.0
 
 
 def test_memory_per_id_read(tmp_path):
