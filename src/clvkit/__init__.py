@@ -93,7 +93,6 @@ _EXPORTS = {
     "survival": (
         "BaselineHazard",
         "EventHistory",
-        "PoolingConfig",
         "detect_tail_start",
         "estimate_cause_specific",
         "estimate_cause_specific_from_batches",

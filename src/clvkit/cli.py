@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -37,7 +38,6 @@ from . import dataio  # noqa: E402
 from .errors import ClvkitError, MissingColumn  # noqa: E402
 from .survival import (  # noqa: E402
     BaselineHazard,
-    PoolingConfig,
     detect_tail_start,
     estimate_causes,
     extrapolate_tail,
@@ -157,10 +157,7 @@ def _suffixed(path: str, suffix: str) -> Path:
     return Path(f"{p}_{suffix}")
 
 
-def _with_tail(baseline: BaselineHazard, tail_start, auto_tail: bool,
-               path: Path) -> BaselineHazard:
-    if tail_start is not None and auto_tail:
-        raise UsageError("--tail-start and --auto-tail are mutually exclusive")
+def _with_tail(baseline: BaselineHazard, tail_start, path: Path) -> BaselineHazard:
     if tail_start is None:
         tail_start = detect_tail_start(baseline, name=str(path))
         log.info("detected tail start at tenure %d", tail_start)
@@ -170,15 +167,17 @@ def _with_tail(baseline: BaselineHazard, tail_start, auto_tail: bool,
         raise UsageError(f"--tail-start: {exc}") from None
 
 
-def _warn_sparse(baseline: BaselineHazard, min_events: int) -> None:
-    _, _, pooled = pooling_windows(baseline, PoolingConfig(min_events))
+def _warn_sparse(baseline: BaselineHazard) -> None:
+    _, _, pooled = pooling_windows(baseline)
     if pooled.any():
         log.warning("%d tenure bins hold fewer than %d events or no exposure; lookups "
-                    "there will pool neighboring bins", int(pooled.sum()), min_events)
+                    "there will pool neighboring bins", int(pooled.sum()),
+                    baseline.pooling_threshold)
 
 
 def run_baseline(args: argparse.Namespace) -> int:
-    min_events = PoolingConfig().min_events if args.min_events is None else args.min_events
+    if args.tail_start is not None and args.auto_tail:
+        raise UsageError("--tail-start and --auto-tail are mutually exclusive")
     if args.competing:
         mode, causes = "competing", dataio.CAUSES
         paths = [_suffixed(args.out, "v"), _suffixed(args.out, "inv")]
@@ -186,9 +185,10 @@ def run_baseline(args: argparse.Namespace) -> int:
         mode, causes, paths = "single", (), [Path(args.out)]
     batches = dataio.read_calibration_batches(args.calibration, mode)
     for path, baseline in zip(paths, estimate_causes(batches, causes, args.smoothing)):
-        baseline = _with_tail(baseline, args.tail_start, args.auto_tail, path)
-        _warn_sparse(baseline, min_events)
-        save_baseline(path, baseline, min_events=args.min_events)
+        baseline = replace(_with_tail(baseline, args.tail_start, path),
+                           min_events=args.min_events)
+        _warn_sparse(baseline)
+        save_baseline(path, baseline)
         log.info("wrote baseline with %d tenure bins, tail rate %.6f from tenure %d: %s",
                  baseline.t_max + 1, baseline.tail_rate, baseline.tail_start, path)
     return 0
@@ -221,8 +221,7 @@ def run_score(args: argparse.Namespace) -> int:
         mode, paths = "competing", [args.baseline, args.baseline_inv]
     else:
         mode, paths = "single", [args.baseline]
-    causes = [(column, loaded.baseline, loaded.pooling) for column, loaded
-              in zip(dataio.score_columns(mode), map(load_baseline, paths))]
+    causes = list(zip(dataio.score_columns(mode), map(load_baseline, paths)))
     batches = dataio.read_scoring_batches(args.scoring, mode, args.chunk_size)
     count = dataio.write_projection_batches(
         args.out, score_causes(batches, causes, config=config, discount=discount))
@@ -233,8 +232,8 @@ def run_score(args: argparse.Namespace) -> int:
 def run_curve(args: argparse.Namespace) -> int:
     from .projection import project_hazard
 
-    loaded = load_baseline(args.baseline)
-    base, scaled = (project_hazard(alpha, loaded.baseline, args.t0, args.horizon, loaded.pooling)
+    baseline = load_baseline(args.baseline)
+    base, scaled = (project_hazard(alpha, baseline, args.t0, args.horizon)
                     for alpha in (1.0, args.alpha))
     survival = hazard_to_survival(scaled)
     # Full-precision floats: this file feeds plots and numeric checks, so it
@@ -257,7 +256,7 @@ def _stack(parts: list[np.ndarray], empty_shape: tuple[int, ...]) -> np.ndarray:
 def run_fit_odds(args: argparse.Namespace) -> int:
     from .odds import fit_odds_columns, save_model
 
-    loaded = load_baseline(args.baseline)
+    baseline = load_baseline(args.baseline)
     tenure, churned, covariates = [], [], []
     for batch in dataio.read_calibration_batches(args.calibration, "single"):
         if batch.covariates is None:
@@ -267,8 +266,8 @@ def run_fit_odds(args: argparse.Namespace) -> int:
         covariates.append(batch.covariates)
     rows = sum(map(len, tenure))
     model = fit_odds_columns(_stack(tenure, (0,)), _stack(churned, (0,)),
-                             _stack(covariates, (0, 0)), loaded.baseline, ridge=args.ridge,
-                             tol=args.tol, max_iter=args.max_iter, pooling=loaded.pooling)
+                             _stack(covariates, (0, 0)), baseline, ridge=args.ridge,
+                             tol=args.tol, max_iter=args.max_iter)
     save_model(args.out, model)
     log.info("fit %d coefficients on %d rows in %d iterations "
              "(converged=%s, log-likelihood %.4f): %s",

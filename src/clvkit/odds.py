@@ -29,7 +29,7 @@ from .errors import (
     OffsetUndefined,
 )
 from .projection import CustomerProjection, ProjectionConfig, fold_path
-from .survival import BaselineHazard, PoolingConfig, hazard_at, jeffreys_view, lookup, resolve
+from .survival import BaselineHazard, hazard_at, jeffreys_view, lookup, resolve
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -107,7 +107,7 @@ def _log_odds(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _design(tenure: np.ndarray, outcome: np.ndarray, covariates: np.ndarray,
-            widths: np.ndarray | None, view: BaselineHazard, pooling: PoolingConfig | None):
+            widths: np.ndarray | None, view: BaselineHazard):
     """Response and offsets for the design matrix ``covariates``, checked row by row.
 
     ``widths`` holds each record's covariate count when the matrix was built
@@ -120,7 +120,7 @@ def _design(tenure: np.ndarray, outcome: np.ndarray, covariates: np.ndarray,
         raise EmptyCalibration("no person-period rows")
     if m < 1:
         raise InvalidRecord(0, "at least one covariate required")
-    log_odds, defined = _log_odds(resolve(view, pooling))
+    log_odds, defined = _log_odds(resolve(view))
     bad_outcome = ~((outcome == 0) | (outcome == 1))
     bad_width = np.zeros(n, dtype=bool) if widths is None else widths != m
     negative = tenure < 0
@@ -177,8 +177,7 @@ def score_vector(beta: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 
 def fit_odds_model(rows: Sequence[PersonPeriodRow], baseline: BaselineHazard,
-                   ridge: float = 1e-6, tol: float = 1e-8, max_iter: int = 50,
-                   pooling: PoolingConfig | None = None) -> OddsModel:
+                   ridge: float = 1e-6, tol: float = 1e-8, max_iter: int = 50) -> OddsModel:
     """Fit covariate coefficients by penalized maximum likelihood.
 
     The baseline enters as a fixed per-row offset of its hazard log-odds,
@@ -192,29 +191,29 @@ def fit_odds_model(rows: Sequence[PersonPeriodRow], baseline: BaselineHazard,
     numerically equal to the outcomes, under which no finite maximizer
     exists).
     """
-    return _fit(*_record_columns(list(rows)), baseline, ridge, tol, max_iter, pooling)
+    return _fit(*_record_columns(list(rows)), baseline, ridge, tol, max_iter)
 
 
 def fit_odds_columns(tenure: np.ndarray, outcome: np.ndarray, covariates: np.ndarray,
                      baseline: BaselineHazard, ridge: float = 1e-6, tol: float = 1e-8,
-                     max_iter: int = 50, pooling: PoolingConfig | None = None) -> OddsModel:
+                     max_iter: int = 50) -> OddsModel:
     """``fit_odds_model`` over columns: one row per customer-month.
 
     ``covariates`` is the (rows, m) design matrix; keep it C-contiguous, as
     a transposed layout changes the BLAS summation order and with it the
     last bits of the fit.
     """
-    return _fit(tenure, outcome, covariates, None, baseline, ridge, tol, max_iter, pooling)
+    return _fit(tenure, outcome, covariates, None, baseline, ridge, tol, max_iter)
 
 
 def _fit(tenure, outcome, X, widths, baseline: BaselineHazard, ridge: float, tol: float,
-         max_iter: int, pooling: PoolingConfig | None) -> OddsModel:
+         max_iter: int) -> OddsModel:
     if ridge < 0.0:
         raise ValueError("ridge must be >= 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     view = jeffreys_view(baseline)
-    y, offsets = _design(tenure, outcome, X, widths, view, pooling)
+    y, offsets = _design(tenure, outcome, X, widths, view)
     m = X.shape[1]
 
     beta = np.zeros(m)
@@ -275,8 +274,7 @@ def _fit(tenure, outcome, X, widths, baseline: BaselineHazard, ridge: float, tol
 
 
 def predict_hazard_odds(model: OddsModel, covariates: Sequence[float],
-                        baseline: BaselineHazard, t: int,
-                        pooling: PoolingConfig | None = None) -> float:
+                        baseline: BaselineHazard, t: int) -> float:
     """Predicted monthly churn hazard at tenure ``t``, strictly in (0, 1).
 
     Applies the fitted coefficients to the Jeffreys-smoothed view of the
@@ -285,7 +283,7 @@ def predict_hazard_odds(model: OddsModel, covariates: Sequence[float],
     x = np.asarray(covariates, dtype=np.float64)
     if x.shape != model.beta.shape:
         raise ValueError(f"expected {model.beta.size} covariates, got {x.size}")
-    h0 = hazard_at(jeffreys_view(baseline), t, pooling)
+    h0 = hazard_at(jeffreys_view(baseline), t)
     if not 0.0 < h0 < 1.0:
         raise OffsetUndefined(t)
     lin = float(model.beta @ x)
@@ -299,7 +297,6 @@ def predict_hazard_odds(model: OddsModel, covariates: Sequence[float],
 def project_with_odds_model(model: OddsModel, covariates: Sequence[float],
                             baseline: BaselineHazard, t0: int,
                             config: ProjectionConfig | None = None,
-                            pooling: PoolingConfig | None = None,
                             ) -> CustomerProjection:
     """Project survival and expected remaining tenure under the odds model.
 
@@ -316,7 +313,7 @@ def project_with_odds_model(model: OddsModel, covariates: Sequence[float],
     sha = baseline.content_sha()
     if sha != model.baseline_sha:
         raise BaselineMismatch(model.baseline_sha, sha)
-    table = resolve(jeffreys_view(baseline), pooling)
+    table = resolve(jeffreys_view(baseline))
     log_odds, defined = _log_odds(table)
     lin = float(model.beta @ x)
     # As in predict_hazard_odds, a zero linear predictor keeps the baseline.
@@ -340,13 +337,26 @@ def model_from_dict(doc: dict) -> OddsModel:
         raise ValueError(f"unsupported model version {doc['version']!r}")
     if not isinstance(doc["converged"], bool):
         raise ValueError(f"converged must be true or false, got {doc['converged']!r}")
+    # Values no fit produces: a Bernoulli log-likelihood is at most 0.
+    ridge = json_number(doc["ridge"], "ridge")
+    if ridge < 0.0:
+        raise ValueError(f"ridge must be >= 0, got {ridge!r}")
+    log_likelihood = json_number(doc["log_likelihood"], "log_likelihood")
+    if log_likelihood > 0.0:
+        raise ValueError(f"log_likelihood must be <= 0, got {log_likelihood!r}")
+    iterations = json_number(doc["iterations"], "iterations", int)
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations!r}")
+    baseline_sha = json_string(doc["baseline_sha"], "baseline_sha")
+    if not baseline_sha:
+        raise ValueError("baseline_sha must not be empty")
     return OddsModel(
         beta=np.array([json_number(b, "beta") for b in doc["beta"]], dtype=np.float64),
-        ridge=json_number(doc["ridge"], "ridge"),
-        log_likelihood=json_number(doc["log_likelihood"], "log_likelihood"),
-        iterations=json_number(doc["iterations"], "iterations", int),
+        ridge=ridge,
+        log_likelihood=log_likelihood,
+        iterations=iterations,
         converged=doc["converged"],
-        baseline_sha=json_string(doc["baseline_sha"], "baseline_sha"),
+        baseline_sha=baseline_sha,
     )
 
 

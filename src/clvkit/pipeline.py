@@ -22,14 +22,14 @@ from .dataio import (
     chunks,
 )
 from .projection import ProjectionConfig, coefficients, project_batch
-from .survival import BaselineHazard, PoolingConfig, lookup, resolve
+from .survival import BaselineHazard, lookup, resolve
 from .valuation import DiscountSpec
 
 # Customers scored per batch; the CLI reads scoring files in batches of this size.
 DEFAULT_CHUNK_SIZE = SCORING_BATCH_SIZE
 
-# One cause of churn: the scoring column of its score, its baseline and its pooling.
-Cause = tuple[str, BaselineHazard, PoolingConfig | None]
+# One cause of churn: the scoring column of its score and its baseline.
+Cause = tuple[str, BaselineHazard]
 
 
 def score_causes(batches: Iterable[ScoringBatch], causes: Sequence[Cause], *,
@@ -43,8 +43,8 @@ def score_causes(batches: Iterable[ScoringBatch], causes: Sequence[Cause], *,
     """
     config = config or ProjectionConfig()
     discount = discount or DiscountSpec()
-    columns = [column for column, _, _ in causes]
-    tables = [resolve(baseline, pooling) for _, baseline, pooling in causes]
+    columns = [column for column, _ in causes]
+    tables = [resolve(baseline) for _, baseline in causes]
     for batch in batches:
         scores = [getattr(batch, column) for column in columns]
         if any(score is None for score in scores):
@@ -67,24 +67,20 @@ def _rows(records: Iterable[ScoringRecord], causes: Sequence[Cause],
 def score_stream(records: Iterable[ScoringRecord], baseline: BaselineHazard, *,
                  config: ProjectionConfig | None = None,
                  discount: DiscountSpec | None = None,
-                 pooling: PoolingConfig | None = None,
                  chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[ProjectionRow]:
     """Score single-risk customers, preserving input order."""
-    return _rows(records, [("churn_score", baseline, pooling)], config, discount, chunk_size)
+    return _rows(records, [("churn_score", baseline)], config, discount, chunk_size)
 
 
 def score_stream_competing(records: Iterable[ScoringRecord],
                            baseline_v: BaselineHazard, baseline_inv: BaselineHazard, *,
                            config: ProjectionConfig | None = None,
                            discount: DiscountSpec | None = None,
-                           pooling_v: PoolingConfig | None = None,
-                           pooling_inv: PoolingConfig | None = None,
                            chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[ProjectionRow]:
     """Score competing-risks customers against cause-specific baselines.
 
     The reported alpha is the combined coefficient at the current tenure:
     total score over total baseline hazard.
     """
-    return _rows(records, [("score_v", baseline_v, pooling_v),
-                           ("score_inv", baseline_inv, pooling_inv)],
+    return _rows(records, [("score_v", baseline_v), ("score_inv", baseline_inv)],
                  config, discount, chunk_size)

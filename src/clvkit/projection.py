@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateBaseline
-from .survival import BaselineHazard, PoolingConfig, lookup, resolve
+from .survival import BaselineHazard, lookup, resolve
 from .valuation import DiscountSpec
 
 
@@ -127,10 +127,9 @@ def _customer_coefficients(scores: Sequence[float], tables: Sequence[np.ndarray]
     return [alpha.item() for alpha in alphas], combined.item()
 
 
-def compute_alpha(score: float, baseline: BaselineHazard, t0: int,
-                  pooling: PoolingConfig | None = None) -> float:
+def compute_alpha(score: float, baseline: BaselineHazard, t0: int) -> float:
     """Proportionality coefficient: churn score over baseline hazard at t0 (``coefficients``)."""
-    return _customer_coefficients((score,), (resolve(baseline, pooling),), t0)[0][0]
+    return _customer_coefficients((score,), (resolve(baseline),), t0)[0][0]
 
 
 def _hazard(tables: Sequence[np.ndarray], alphas: Sequence, t) -> np.ndarray:
@@ -157,11 +156,11 @@ def _path(tables: Sequence[np.ndarray], alphas: Sequence[float], t0: int,
 
 
 def project_hazard(alpha: float, baseline: BaselineHazard, t0: int,
-                   horizon: int, pooling: PoolingConfig | None = None) -> np.ndarray:
+                   horizon: int) -> np.ndarray:
     """Scaled hazard path from t0: min(1, alpha * baseline hazard), per month."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _path((resolve(baseline, pooling),), (alpha,), t0, horizon)
+    return _path((resolve(baseline),), (alpha,), t0, horizon)
 
 
 def fold_path(tables: Sequence[np.ndarray], alphas: Sequence[float], t0: int,
@@ -186,41 +185,38 @@ def fold_path(tables: Sequence[np.ndarray], alphas: Sequence[float], t0: int,
 
 def expected_remaining_tenure(alpha: float, baseline: BaselineHazard, t0: int,
                               config: ProjectionConfig | None = None,
-                              pooling: PoolingConfig | None = None,
                               ) -> tuple[float, np.ndarray, int]:
     """Expected remaining tenure in months for a customer at tenure t0.
 
     Returns ``(ert_months, survival_path, truncated_at)``; the path starts
     one month ahead of t0 and is already truncated per ``config``.
     """
-    p = fold_path((resolve(baseline, pooling),), (alpha,), t0, config or ProjectionConfig(),
+    p = fold_path((resolve(baseline),), (alpha,), t0, config or ProjectionConfig(),
                   alpha=alpha)
     return p.ert_months, p.survival_path, p.truncated_at
 
 
 def _project(scores: Sequence[float], baselines: Sequence[BaselineHazard], t0: int,
-             config: ProjectionConfig | None, pooling: PoolingConfig | None,
+             config: ProjectionConfig | None,
              cause_fields: Sequence[str] = ()) -> CustomerProjection:
     """One customer's projection from one score and baseline per cause; ``alpha`` is
     the combined coefficient, and ``cause_fields`` name the causes' own."""
-    tables = [resolve(baseline, pooling) for baseline in baselines]
+    tables = [resolve(baseline) for baseline in baselines]
     alphas, alpha = _customer_coefficients(scores, tables, t0)
     return fold_path(tables, alphas, t0, config or ProjectionConfig(), alpha=alpha,
                      **dict(zip(cause_fields, alphas)))
 
 
 def project_customer(score: float, baseline: BaselineHazard, t0: int,
-                     config: ProjectionConfig | None = None,
-                     pooling: PoolingConfig | None = None) -> CustomerProjection:
+                     config: ProjectionConfig | None = None) -> CustomerProjection:
     """Full single-risk projection: alpha, paths, and expected remaining tenure."""
-    return _project((score,), (baseline,), t0, config, pooling)
+    return _project((score,), (baseline,), t0, config)
 
 
 def project_competing(score_v: float, score_inv: float,
                       baseline_v: BaselineHazard, baseline_inv: BaselineHazard,
                       t0: int,
-                      config: ProjectionConfig | None = None,
-                      pooling: PoolingConfig | None = None) -> CustomerProjection:
+                      config: ProjectionConfig | None = None) -> CustomerProjection:
     """Competing-risks projection from cause-specific scores and baselines.
 
     Each cause gets its own coefficient against its own sub-baseline; the
@@ -229,7 +225,7 @@ def project_competing(score_v: float, score_inv: float,
     hide a combined rate above 1). Both sub-baselines must come from the
     same snapshot so their sub-hazards share exposure denominators.
     """
-    return _project((score_v, score_inv), (baseline_v, baseline_inv), t0, config, pooling,
+    return _project((score_v, score_inv), (baseline_v, baseline_inv), t0, config,
                     ("alpha_v", "alpha_inv"))
 
 

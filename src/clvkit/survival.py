@@ -7,10 +7,13 @@ tenure) or from full histories via the product-limit (Kaplan-Meier)
 estimator. Beyond the point where the curve stabilizes, a single pooled
 tail rate extrapolates it to arbitrary tenures.
 
-Below the tail, a bin with too few events or no exposure takes the rate of
-a window of neighbors: ``pooling_windows`` picks the windows from prefix
-sums, ``resolve`` tabulates the hazard at every tenure from the counts'
-``window_sums``, and ``hazard_at`` reads one entry (total for all t >= 0).
+Below the tail, a bin with fewer events than the baseline's own pooling
+threshold, or with no exposure, takes the rate of a window of neighbors:
+``pooling_windows`` picks the windows from prefix sums, ``resolve``
+tabulates the hazard at every tenure from the counts' ``window_sums``, and
+``hazard_at`` reads one entry (total for all t >= 0). The threshold is part
+of the baseline, as the hazard below the tail depends on it: it is saved
+with the baseline document and read back with it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,26 +55,14 @@ SMOOTHING_JEFFREYS = "jeffreys"
 
 BASELINE_SCHEMA_VERSION = 1
 
+# The pooling threshold of a baseline that was built without one.
+DEFAULT_MIN_EVENTS = 5
+
 # Keys of the versioned baseline JSON document. "min_events" is optional and
 # carries the pooling threshold chosen when the file was built.
 _BASELINE_KEYS = {"version", "hazards", "exposures", "events", "tail_start",
                   "tail_rate", "smoothing"}
 _BASELINE_OPTIONAL_KEYS = {"min_events"}
-
-
-@dataclass(frozen=True)
-class PoolingConfig:
-    """Sparse-bin handling for hazard lookups.
-
-    A tenure bin with fewer than ``min_events`` churn events, or with no
-    exposure, pools symmetrically expanding neighbor bins (``pooling_windows``).
-    """
-
-    min_events: int = 5
-
-    def __post_init__(self):
-        if self.min_events < 0:
-            raise ValueError("min_events must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,11 @@ class BaselineHazard:
     ``hazards[t]`` is the churn rate of customers at tenure ``t`` over the
     following month; bins with zero exposure hold NaN (absent, filled at
     lookup time by pooling). ``tail_rate`` applies to every tenure at or
-    beyond ``tail_start``.
+    beyond ``tail_start``. ``min_events`` is the pooling threshold chosen
+    when the baseline was built, or None where none was, in which case
+    lookups pool at ``DEFAULT_MIN_EVENTS`` (``pooling_threshold``). The
+    document saves it only when chosen; ``to_dict`` and ``content_sha``
+    leave it out.
     """
 
     hazards: np.ndarray
@@ -106,6 +101,7 @@ class BaselineHazard:
     tail_start: int
     tail_rate: float
     smoothing: str = SMOOTHING_NONE
+    min_events: int | None = None
 
     def __post_init__(self):
         hazards = np.asarray(self.hazards, dtype=np.float64)
@@ -126,6 +122,10 @@ class BaselineHazard:
         if not (math.isfinite(self.tail_rate) and 0.0 <= self.tail_rate <= 1.0):
             raise ValueError("tail_rate must be a rate in [0, 1]")
         _check_smoothing(self.smoothing)
+        if self.min_events is not None:
+            if self.min_events < 0:
+                raise ValueError("min_events must be >= 0")
+            object.__setattr__(self, "min_events", int(self.min_events))
         for arr in (hazards, exposures, events):
             arr.setflags(write=False)
         object.__setattr__(self, "hazards", hazards)
@@ -138,6 +138,11 @@ class BaselineHazard:
     def t_max(self) -> int:
         """Largest tenure with an observed bin."""
         return len(self.hazards) - 1
+
+    @property
+    def pooling_threshold(self) -> int:
+        """Events a bin below the tail needs to keep its own rate."""
+        return DEFAULT_MIN_EVENTS if self.min_events is None else self.min_events
 
     def to_dict(self) -> dict:
         hazards = [None if math.isnan(h) else h for h in self.hazards.tolist()]
@@ -157,16 +162,6 @@ class BaselineHazard:
 
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-class LoadedBaseline(NamedTuple):
-    baseline: BaselineHazard
-    min_events: int | None
-
-    @property
-    def pooling(self) -> PoolingConfig:
-        """Pooling at the stored threshold, or the default one."""
-        return PoolingConfig() if self.min_events is None else PoolingConfig(self.min_events)
 
 
 def _smoothed_rate(events, exposure, smoothing: str):
@@ -446,17 +441,16 @@ def window_sums(counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return prefix[hi + 1] - prefix[lo]
 
 
-def pooling_windows(baseline: BaselineHazard, pooling: PoolingConfig | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pooling_windows(baseline: BaselineHazard) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The window ``lo..hi`` of each tenure below the tail, and which tenures pool.
 
-    A tenure pools when its bin holds fewer than ``pooling.min_events``
-    events or no exposure. Its window is ``[t-k, t+k]``, cut at the observed
-    range, for the smallest ``k`` that holds at least ``min_events`` events
-    and some exposure, or that covers the whole range. An unpooled tenure's
-    window is the tenure itself.
+    A tenure pools when its bin holds fewer than ``min_events``, the
+    baseline's ``pooling_threshold``, events or no exposure. Its window is
+    ``[t-k, t+k]``, cut at the observed range, for the smallest ``k`` that
+    holds at least ``min_events`` events and some exposure, or that covers
+    the whole range. An unpooled tenure's window is the tenure itself.
     """
-    min_events = (pooling or PoolingConfig()).min_events
+    min_events = baseline.pooling_threshold
     events, exposures, t_max = baseline.events, baseline.exposures, baseline.t_max
     t = np.arange(baseline.tail_start)
     pooled = (events[t] < min_events) | (exposures[t] == 0)
@@ -471,26 +465,27 @@ def pooling_windows(baseline: BaselineHazard, pooling: PoolingConfig | None = No
     return np.maximum(t - k, 0), np.minimum(t + k, t_max), pooled
 
 
-def hazard_at(baseline: BaselineHazard, t: int,
-              pooling: PoolingConfig | None = None) -> float:
-    """Hazard at any tenure ``t >= 0``: the tail rate from ``tail_start`` on, else ``resolve``'s."""
+def hazard_at(baseline: BaselineHazard, t: int) -> float:
+    """Hazard at any tenure ``t >= 0``: the tail rate from ``tail_start`` on, else
+    ``resolve``'s, pooled at the baseline's own threshold."""
     if t < 0:
         raise ValueError("tenure must be >= 0")
     if t >= baseline.tail_start:
         return baseline.tail_rate
-    return float(resolve(baseline, pooling)[t])
+    return float(resolve(baseline)[t])
 
 
-def resolve(baseline: BaselineHazard, pooling: PoolingConfig | None = None) -> np.ndarray:
+def resolve(baseline: BaselineHazard) -> np.ndarray:
     """Dense hazard table ``h[0..tail_start]`` with pooling applied.
 
-    A bin with at least ``pooling.min_events`` events and some exposure
-    keeps its own rate; any other takes the rate of its ``pooling_windows``
-    window under the baseline's own smoothing, or the tail rate if the whole
-    range has no exposure. The last entry is the tail rate, so the hazard at
-    any tenure ``t`` is ``h[min(t, tail_start)]`` (see ``lookup``).
+    A bin with at least the baseline's ``pooling_threshold`` events and some
+    exposure keeps its own rate; any other takes the rate of its
+    ``pooling_windows`` window under the baseline's own smoothing, or the
+    tail rate if the whole range has no exposure. The last entry is the tail
+    rate, so the hazard at any tenure ``t`` is ``h[min(t, tail_start)]``
+    (see ``lookup``).
     """
-    lo, hi, pooled = pooling_windows(baseline, pooling)
+    lo, hi, pooled = pooling_windows(baseline)
     events, exposures = (window_sums(c, lo, hi) for c in (baseline.events, baseline.exposures))
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = np.where(exposures > 0, _smoothed_rate(events, exposures, baseline.smoothing),
@@ -509,7 +504,8 @@ def jeffreys_view(baseline: BaselineHazard) -> BaselineHazard:
     Every observed bin gets (events + 0.5) / (exposure + 1), which is
     strictly inside (0, 1); the tail rate is re-pooled the same way when the
     tail region holds any exposure. Idempotent, since it recomputes from
-    counts rather than from the stored rates.
+    counts rather than from the stored rates. The pooling threshold carries
+    over.
     """
     tail_start = baseline.tail_start
     tail_n = int(baseline.exposures[tail_start:].sum())
@@ -518,10 +514,10 @@ def jeffreys_view(baseline: BaselineHazard) -> BaselineHazard:
         tail_e = int(baseline.events[tail_start:].sum())
         tail_rate = _smoothed_rate(tail_e, tail_n, SMOOTHING_JEFFREYS)
     return replace(_from_counts(baseline.events, baseline.exposures, SMOOTHING_JEFFREYS),
-                   tail_start=tail_start, tail_rate=tail_rate)
+                   tail_start=tail_start, tail_rate=tail_rate, min_events=baseline.min_events)
 
 
-def baseline_from_dict(doc: dict) -> LoadedBaseline:
+def baseline_from_dict(doc: dict) -> BaselineHazard:
     if not isinstance(doc, dict):
         raise ValueError("baseline document must be a JSON object")
     keys = set(doc)
@@ -537,31 +533,29 @@ def baseline_from_dict(doc: dict) -> LoadedBaseline:
                         for h in doc["hazards"]])
     exposures, events = (np.array([json_number(n, key, int) for n in doc[key]], dtype=np.int64)
                          for key in ("exposures", "events"))
-    baseline = BaselineHazard(
+    min_events = doc.get("min_events")
+    return BaselineHazard(
         hazards=hazards,
         exposures=exposures,
         events=events,
         tail_start=json_number(doc["tail_start"], "tail_start", int),
         tail_rate=json_number(doc["tail_rate"], "tail_rate"),
         smoothing=json_string(doc["smoothing"], "smoothing"),
+        min_events=None if min_events is None else json_number(min_events, "min_events", int),
     )
-    min_events = doc.get("min_events")
-    if min_events is not None:
-        min_events = PoolingConfig(json_number(min_events, "min_events", int)).min_events
-    return LoadedBaseline(baseline, min_events)
 
 
-def save_baseline(path: str | Path, baseline: BaselineHazard,
-                  min_events: int | None = None) -> None:
+def save_baseline(path: str | Path, baseline: BaselineHazard) -> None:
+    """Write the baseline document, with ``"min_events"`` when a threshold was chosen."""
     doc = baseline.to_dict()
-    if min_events is not None:
-        doc["min_events"] = int(min_events)
+    if baseline.min_events is not None:
+        doc["min_events"] = baseline.min_events
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
-def load_baseline(path: str | Path) -> LoadedBaseline:
+def load_baseline(path: str | Path) -> BaselineHazard:
     """Read a baseline document; a malformed one raises InvalidDocument."""
     with open(path, encoding="utf-8") as fh:
         try:

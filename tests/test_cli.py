@@ -142,8 +142,8 @@ class TestBaselineCommand:
                      "--out", str(out), "--tail-start", "12"])
         assert code == 0
         loaded = load_baseline(out)
-        assert loaded.baseline.tail_start == 12
-        assert loaded.baseline.t_max == 19
+        assert loaded.tail_start == 12
+        assert loaded.t_max == 19
         assert loaded.min_events is None
 
     def test_min_events_persisted(self, cohort_dir, tmp_path):
@@ -152,10 +152,13 @@ class TestBaselineCommand:
                      "--out", str(out), "--tail-start", "10", "--min-events", "8"]) == 0
         assert load_baseline(out).min_events == 8
 
-    def test_tail_flags_mutually_exclusive(self, cohort_dir, tmp_path):
-        code = main(["baseline", "--calibration", str(cohort_dir / "calibration.csv"),
-                     "--out", str(tmp_path / "b.json"), "--tail-start", "5", "--auto-tail"])
-        assert code == 2
+    def test_tail_flags_mutually_exclusive(self, cohort_dir, tmp_path, capsys):
+        # A usage error, found before the calibration file is opened.
+        for calibration in (cohort_dir / "calibration.csv", tmp_path / "missing.csv"):
+            code = main(["baseline", "--calibration", str(calibration),
+                         "--out", str(tmp_path / "b.json"), "--tail-start", "5", "--auto-tail"])
+            assert_one_line_error(capsys, code, 2, "mutually exclusive")
+        assert not (tmp_path / "b.json").exists()
 
     def test_missing_file_is_validation_error(self, tmp_path):
         code = main(["baseline", "--calibration", str(tmp_path / "nope.csv"),
@@ -185,10 +188,10 @@ class TestBaselineCommand:
         if warned:
             assert len(warnings) == 1, warnings
             assert "90th-percentile observed tenure 20" in warnings[0]
-            assert load_baseline(out).baseline.tail_start == 20
+            assert load_baseline(out).tail_start == 20
         else:
             assert warnings == []
-            assert load_baseline(out).baseline.tail_start == 0
+            assert load_baseline(out).tail_start == 0
 
     def test_competing_tail_fallbacks_name_their_output(self, tmp_path, caplog):
         # Both causes' hazards keep falling (5 V and 5 I churns of 10 (t + 1)
@@ -223,8 +226,7 @@ class TestBaselineCommand:
         assert len(warnings) == 1, warnings
         assert warnings[0].startswith(f"{pooled} tenure bins hold fewer than {min_events} "
                                       "events or no exposure")
-        loaded = load_baseline(out)
-        assert hazard_at(loaded.baseline, 1, loaded.pooling) == 30 / 200
+        assert hazard_at(load_baseline(out), 1) == 30 / 200
 
     def test_competing_writes_two_files(self, tmp_path):
         spec = dict(SIM_SPEC)
@@ -238,8 +240,8 @@ class TestBaselineCommand:
         assert code == 0
         assert (tmp_path / "base_v.json").exists()
         assert (tmp_path / "base_inv.json").exists()
-        bv = load_baseline(tmp_path / "base_v.json").baseline
-        bi = load_baseline(tmp_path / "base_inv.json").baseline
+        bv = load_baseline(tmp_path / "base_v.json")
+        bi = load_baseline(tmp_path / "base_inv.json")
         assert np.array_equal(bv.exposures, bi.exposures)
         assert np.array_equal(bv.events + bi.events <= bv.exposures,
                               np.ones(len(bv.events), dtype=bool))
@@ -265,7 +267,7 @@ class TestBaselineCommand:
                          "--out", str(tmp_path / f"{path.stem}.json"), *flags]) == 0
         written = (tmp_path / "calibration.json").read_bytes()
         assert written == (tmp_path / "stripped.json").read_bytes()
-        assert load_baseline(tmp_path / "calibration.json").baseline.events.sum() > 0
+        assert load_baseline(tmp_path / "calibration.json").events.sum() > 0
 
     @pytest.mark.parametrize("row, reason", [
         ("c2,4,1,X", "must be V or I for churners"),

@@ -143,6 +143,7 @@ _CONTENT = {"not UTF-8": b'{"a": "\xff"}', "malformed JSON": b'{"eps": ',
 # its value (for a list, of its last entry).
 _DOCUMENT_EDITS = [("tail_start", "1e999"), ("tail_start", str(2**63)), ("tail_start", "1.5"),
                    ("tail_start", "true"), ("min_events", "2.5"), ("min_events", "1e999"),
+                   ("min_events", "-1"),
                    ("exposures", str(2**64)), ("events", "1e999"), ("exposures", "1.5"),
                    ("hazards", '"0.1"'), ("hazards", "true"), ("tail_rate", '"0.02"'),
                    ("smoothing", "1")]
@@ -265,6 +266,8 @@ _FLAGS = st.sets(st.sampled_from(sorted({f for _, f, *_ in OPTIONS})))
 @example(fault=("score", "document", "--baseline", ("tail_start", "true")), moved=set(),
          doubled=set())
 @example(fault=("score", "document", "--baseline", ("min_events", "2.5")), moved=set(),
+         doubled=set())
+@example(fault=("curve", "document", "--baseline", ("min_events", "-1")), moved=set(),
          doubled=set())
 @example(fault=("score", "document", "--baseline", ("hazards", '"0.1"')), moved=set(),
          doubled=set())

@@ -25,9 +25,10 @@ from hypothesis import strategies as st
 
 from clvkit import dataio
 from clvkit.cli import main
-from clvkit.dataio import ScoringRecord
+from clvkit.dataio import ScoringBatch, ScoringRecord
 from clvkit.errors import DegenerateBaseline, OffsetUndefined
 from clvkit.odds import OddsModel, expit, logit, project_with_odds_model
+from clvkit.pipeline import score_causes, score_stream_competing
 from clvkit.projection import (
     ProjectionConfig,
     coefficients,
@@ -49,7 +50,6 @@ from clvkit.simulate import (
 )
 from clvkit.survival import (
     BaselineHazard,
-    PoolingConfig,
     hazard_at,
     jeffreys_view,
     lookup,
@@ -244,13 +244,13 @@ def test_shuffled_batch_equals_one_customer_calls_bitwise(causes, seed, n, confi
 
 def test_resolve_matches_hazard_at():
     rates = [0.2, 0.1, 0.05, 0.02, 0.0, 0.0, 0.01, 0.03]
-    baseline = baseline_from_rates(rates, exposure=100, tail_start=6)
     for min_events in (0, 5, 50):
-        pooling = PoolingConfig(min_events)
-        table = resolve(baseline, pooling)
+        baseline = replace(baseline_from_rates(rates, exposure=100, tail_start=6),
+                           min_events=min_events)
+        table = resolve(baseline)
         assert len(table) == baseline.tail_start + 1
         for t in range(20):
-            assert table[min(t, baseline.tail_start)] == hazard_at(baseline, t, pooling)
+            assert table[min(t, baseline.tail_start)] == hazard_at(baseline, t)
 
 
 def test_chunk_size_one_equals_batched_with_mixed_switch_months(tmp_path):
@@ -317,8 +317,9 @@ def test_simulator_truth_matches_month_stepping_for_every_shape():
 
 
 # Single-customer APIs against the batch kernel, on baselines drawn from
-# counts: empty and sparse bins pool, tail starts anywhere in the observed
-# range, and rates up to 1 make large alphas clip.
+# counts: empty and sparse bins pool at any of several thresholds, tail
+# starts anywhere in the observed range, and rates up to 1 make large alphas
+# clip.
 
 @st.composite
 def baselines(draw):
@@ -331,10 +332,9 @@ def baselines(draw):
     return BaselineHazard(hazards, exposures, events,
                           tail_start=draw(st.integers(0, exposures.size)),
                           tail_rate=draw(st.one_of(st.sampled_from([0.0, 1.0]),
-                                                   st.floats(0.0, 1.0))))
+                                                   st.floats(0.0, 1.0))),
+                          min_events=draw(st.sampled_from([0, 1, 5, 50])))
 
-
-poolings = st.sampled_from([0, 1, 5, 50]).map(PoolingConfig)
 configs = st.builds(ProjectionConfig, eps=st.floats(1e-9, 0.5),
                     max_horizon=st.integers(1, 1500))
 tenures = st.integers(0, 60)
@@ -351,18 +351,18 @@ def assert_agrees_with_kernel(ert, path, truncated, tables, alphas, t0, config):
 
 
 @settings(max_examples=200, deadline=None)
-@given(baseline=baselines(), pooling=poolings, t0=tenures, config=configs,
+@given(baseline=baselines(), t0=tenures, config=configs,
        alpha=st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(5.0, 500.0)))
-def test_expected_remaining_tenure_agrees_with_kernel(baseline, pooling, t0, config, alpha):
-    ert, path, truncated = expected_remaining_tenure(alpha, baseline, t0, config, pooling)
-    assert_agrees_with_kernel(ert, path, truncated, (resolve(baseline, pooling),),
+def test_expected_remaining_tenure_agrees_with_kernel(baseline, t0, config, alpha):
+    ert, path, truncated = expected_remaining_tenure(alpha, baseline, t0, config)
+    assert_agrees_with_kernel(ert, path, truncated, (resolve(baseline),),
                               (alpha,), t0, config)
 
 
-def scaled_alpha(score, baseline, t0, pooling):
+def scaled_alpha(score, baseline, t0):
     # A score with no finite coefficient raises DegenerateBaseline, which
     # test_score_over_vanishing_hazard_is_degenerate covers.
-    h0 = hazard_at(baseline, t0, pooling)
+    h0 = hazard_at(baseline, t0)
     assume(h0 > 0.0 or score == 0.0)
     alpha = score / h0 if h0 > 0.0 else 0.0
     assume(math.isfinite(alpha))
@@ -370,68 +370,68 @@ def scaled_alpha(score, baseline, t0, pooling):
 
 
 @settings(max_examples=200, deadline=None)
-@given(baseline=baselines(), pooling=poolings, t0=tenures, config=configs,
+@given(baseline=baselines(), t0=tenures, config=configs,
        score=st.floats(0.0, 1.0))
-def test_project_customer_agrees_with_kernel(baseline, pooling, t0, config, score):
-    alpha = scaled_alpha(score, baseline, t0, pooling)
-    projection = project_customer(score, baseline, t0, config, pooling)
+def test_project_customer_agrees_with_kernel(baseline, t0, config, score):
+    alpha = scaled_alpha(score, baseline, t0)
+    projection = project_customer(score, baseline, t0, config)
     assert projection.alpha == alpha
     assert_agrees_with_kernel(projection.ert_months, projection.survival_path,
-                              projection.truncated_at, (resolve(baseline, pooling),),
+                              projection.truncated_at, (resolve(baseline),),
                               (alpha,), t0, config)
 
 
 @settings(max_examples=200, deadline=None)
-@given(baseline_v=baselines(), baseline_inv=baselines(), pooling=poolings, t0=tenures,
+@given(baseline_v=baselines(), baseline_inv=baselines(), t0=tenures,
        config=configs, score_v=st.floats(0.0, 1.0), score_inv=st.floats(0.0, 1.0))
-def test_project_competing_agrees_with_kernel(baseline_v, baseline_inv, pooling, t0,
+def test_project_competing_agrees_with_kernel(baseline_v, baseline_inv, t0,
                                               config, score_v, score_inv):
-    alphas = (scaled_alpha(score_v, baseline_v, t0, pooling),
-              scaled_alpha(score_inv, baseline_inv, t0, pooling))
+    alphas = (scaled_alpha(score_v, baseline_v, t0),
+              scaled_alpha(score_inv, baseline_inv, t0))
     projection = project_competing(score_v, score_inv, baseline_v, baseline_inv, t0,
-                                   config, pooling)
+                                   config)
     assert (projection.alpha_v, projection.alpha_inv) == alphas
-    tables = (resolve(baseline_v, pooling), resolve(baseline_inv, pooling))
+    tables = (resolve(baseline_v), resolve(baseline_inv))
     assert_agrees_with_kernel(projection.ert_months, projection.survival_path,
                               projection.truncated_at, tables, alphas, t0, config)
 
 
 @settings(max_examples=200, deadline=None)
-@given(baseline=baselines(), pooling=poolings, t0=tenures, config=configs)
+@given(baseline=baselines(), t0=tenures, config=configs)
 def test_odds_projection_at_zero_beta_is_unit_alpha_on_jeffreys_view(
-        baseline, pooling, t0, config):
+        baseline, t0, config):
     model = OddsModel(beta=np.zeros(2), ridge=0.0, log_likelihood=0.0, iterations=1,
                       converged=True, baseline_sha=baseline.content_sha())
     view = jeffreys_view(baseline)
-    ert, path, truncated = expected_remaining_tenure(1.0, view, t0, config, pooling)
+    ert, path, truncated = expected_remaining_tenure(1.0, view, t0, config)
     # The odds model has no log-odds offset where the view's hazard is 0 or 1;
     # it must fail at the first such tenure the projection reaches.
     undefined = [t0 + j for j in range(truncated + 1)
-                 if not 0.0 < hazard_at(view, t0 + j, pooling) < 1.0]
+                 if not 0.0 < hazard_at(view, t0 + j) < 1.0]
     if undefined:
         with pytest.raises(OffsetUndefined) as err:
-            project_with_odds_model(model, [0.7, -1.2], baseline, t0, config, pooling)
+            project_with_odds_model(model, [0.7, -1.2], baseline, t0, config)
         assert err.value.tenure == undefined[0]
         return
-    projection = project_with_odds_model(model, [0.7, -1.2], baseline, t0, config, pooling)
+    projection = project_with_odds_model(model, [0.7, -1.2], baseline, t0, config)
     assert projection.ert_months == ert
     assert np.array_equal(projection.survival_path, path)
     assert projection.truncated_at == truncated
 
 
 @settings(max_examples=200, deadline=None)
-@given(baseline=baselines(), pooling=poolings, t0=tenures, config=configs,
+@given(baseline=baselines(), t0=tenures, config=configs,
        beta=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=2, max_size=2))
-def test_odds_projection_equals_kernel_on_odds_table(baseline, pooling, t0, config, beta):
+def test_odds_projection_equals_kernel_on_odds_table(baseline, t0, config, beta):
     model = OddsModel(beta=np.array(beta), ridge=0.0, log_likelihood=0.0, iterations=1,
                       converged=True, baseline_sha=baseline.content_sha())
     x = np.array([0.7, -1.2])
     try:
-        projection = project_with_odds_model(model, x, baseline, t0, config, pooling)
+        projection = project_with_odds_model(model, x, baseline, t0, config)
     except OffsetUndefined:
         return  # where it must fail is pinned by the zero-beta test above
     # The odds transform of every entry of the resolved Jeffreys table, at unit alpha.
-    table = resolve(jeffreys_view(baseline), pooling)
+    table = resolve(jeffreys_view(baseline))
     lin = float(model.beta @ x)
     defined = (table > 0.0) & (table < 1.0)
     hazards = (table if lin == 0.0
@@ -444,13 +444,13 @@ def test_odds_projection_equals_kernel_on_odds_table(baseline, pooling, t0, conf
 
 
 @settings(max_examples=200, deadline=None)
-@given(baseline=baselines(), pooling=poolings, t0=tenures, config=configs,
+@given(baseline=baselines(), t0=tenures, config=configs,
        alpha=st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(5.0, 500.0)))
-def test_survival_path_is_the_stepped_product(baseline, pooling, t0, config, alpha):
+def test_survival_path_is_the_stepped_product(baseline, t0, config, alpha):
     # np.cumprod multiplies in month order, as stepping does: the paths agree
     # bit for bit over the months both hold.
-    _, path, _ = expected_remaining_tenure(alpha, baseline, t0, config, pooling)
-    table = resolve(baseline, pooling)
+    _, path, _ = expected_remaining_tenure(alpha, baseline, t0, config)
+    table = resolve(baseline)
     _, _, stepped, _ = truncated_survival_sum(
         lambda j: min(1.0, alpha * float(table[min(t0 + j, len(table) - 1)])),
         config.eps, config.max_horizon)
@@ -479,16 +479,16 @@ normal_scores = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
 
 
 @settings(max_examples=200, deadline=None)
-@given(baseline=baselines(), pooling=poolings, scale=st.floats(0.25, 4.0),
+@given(baseline=baselines(), scale=st.floats(0.25, 4.0),
        customers=st.lists(st.tuples(tenures, normal_scores, st.floats(0.0, 100.0)),
                           min_size=1, max_size=20),
        rate=st.sampled_from([0.0, 0.004]))
 def test_scaling_the_baseline_leaves_unclipped_customers_unchanged(
-        baseline, pooling, scale, customers, rate):
+        baseline, scale, customers, rate):
     # A hazard that a scale of 0.25 or more can take below the smallest
     # normal float, such as 5e-324 times 0.5 (which underflows to 0), is set
     # to 0: its scaled copy is not exact, so the invariance does not hold.
-    table = resolve(baseline, pooling)
+    table = resolve(baseline)
     table = np.where(table < np.finfo(float).tiny / 0.25, 0.0, table)
     t0, scores, margins = (np.array(column) for column in zip(*customers))
     # A positive score over a vanishing hazard has no alpha (DegenerateBaseline).
@@ -519,13 +519,13 @@ def test_scaling_the_baseline_leaves_unclipped_customers_unchanged(
 
 
 @settings(max_examples=200, deadline=None)
-@given(baseline=baselines(), pooling=poolings, t0=tenures,
+@given(baseline=baselines(), t0=tenures,
        scores=st.lists(normal_scores, min_size=2, max_size=20),
        margin=st.floats(0.0, 100.0),
        annual=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=5))
 def test_ert_and_clv_fall_as_the_score_or_the_discount_rate_rises(
-        baseline, pooling, t0, scores, margin, annual):
-    table = resolve(baseline, pooling)
+        baseline, t0, scores, margin, annual):
+    table = resolve(baseline)
     assume(lookup(table, t0) > 1e-300)
     scores = np.sort(scores)
     tenure, margins = np.full(scores.size, t0), np.full(scores.size, margin)
@@ -551,19 +551,19 @@ def test_curve_baseline_column_matches_hazard_at_on_pooled_bins(tmp_path):
     events = np.array([40, 2, 0, 1, 20, 1, 0, 0, 3, 9, 9, 9], dtype=np.int64)
     with np.errstate(invalid="ignore"):
         hazards = np.where(exposures > 0, events / np.maximum(exposures, 1), np.nan)
-    baseline = BaselineHazard(hazards, exposures, events, tail_start=9, tail_rate=0.03)
+    baseline = BaselineHazard(hazards, exposures, events, tail_start=9, tail_rate=0.03,
+                              min_events=8)
     path = tmp_path / "baseline.json"
-    save_baseline(path, baseline, min_events=8)
+    save_baseline(path, baseline)
     out = tmp_path / "curve.csv"
     assert main(["curve", "--baseline", str(path), "--alpha", "1.7", "--t0", "0",
                  "--horizon", "15", "--out", str(out)]) == 0
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    pooling = PoolingConfig(8)
     assert [float(r["baseline_hazard"]) for r in rows] == [
-        hazard_at(baseline, t, pooling) for t in range(15)]
+        hazard_at(baseline, t) for t in range(15)]
     pooled = [t for t in range(9) if np.isnan(hazards[t])
-              or hazard_at(baseline, t, pooling) != hazards[t]]
+              or hazard_at(baseline, t) != hazards[t]]
     assert len(pooled) >= 5
 
 
@@ -584,16 +584,16 @@ def _score_cli(argv: list[str]) -> tuple[int, str, bytes | None]:
 
 
 @settings(max_examples=60, deadline=None)
-@given(baseline=baselines(), pooling=poolings,
+@given(baseline=baselines(),
        customers=st.lists(st.tuples(tenures, st.floats(0.0, 1.0),
                                     st.floats(-100.0, 100.0)), min_size=1, max_size=12),
        discount=st.sampled_from([[], ["--discount-annual", "0.1"]]),
        chunk_size=st.sampled_from(["1", str(dataio.SCORING_BATCH_SIZE)]))
-def test_null_second_cause_is_single_risk_through_cli(baseline, pooling, customers,
+def test_null_second_cause_is_single_risk_through_cli(baseline, customers,
                                                       discount, chunk_size):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        save_baseline(tmp / "v.json", baseline, min_events=pooling.min_events)
+        save_baseline(tmp / "v.json", baseline)
         (tmp / "null.json").write_text(json.dumps(_NULL_CAUSE), encoding="utf-8")
         ids = [f"c{i}" for i in range(len(customers))]
         dataio.write_scoring(tmp / "single.csv", [
@@ -608,3 +608,40 @@ def test_null_second_cause_is_single_risk_through_cli(baseline, pooling, custome
                                 str(tmp / "null.json"), "--scoring", str(tmp / "competing.csv"),
                                 "--out", str(tmp / "competing_out.csv")])
     assert competing == single
+
+
+@settings(max_examples=40, deadline=None)
+@given(baseline_v=baselines(), baseline_inv=baselines(),
+       customers=st.lists(st.tuples(tenures, st.floats(0.0, 0.5), st.floats(0.0, 0.5),
+                                    st.floats(-100.0, 100.0)), min_size=1, max_size=12),
+       chunk_size=st.sampled_from([1, dataio.SCORING_BATCH_SIZE]))
+def test_score_stream_competing_is_the_scorer(baseline_v, baseline_inv, customers,
+                                              chunk_size):
+    # Each cause pools at its own baseline's threshold: the library's rows are
+    # score_causes' and, through each baseline's document, the CLI's.
+    assume(baseline_v.min_events != baseline_inv.min_events)
+    tables = (resolve(baseline_v), resolve(baseline_inv))
+    # A positive score over a vanishing hazard has no alpha (DegenerateBaseline).
+    records = [ScoringRecord(f"c{i}", t, m,
+                             score_v=s_v if lookup(tables[0], t) > 1e-300 else 0.0,
+                             score_inv=s_inv if lookup(tables[1], t) > 1e-300 else 0.0)
+               for i, (t, s_v, s_inv, m) in enumerate(customers)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_baseline(tmp / "v.json", baseline_v)
+        save_baseline(tmp / "inv.json", baseline_inv)
+        # Scored as the CLI reads them: the file rounds scores and margins.
+        dataio.write_scoring(tmp / "scoring.csv", records, mode="competing")
+        records = list(dataio.read_scoring(tmp / "scoring.csv", "competing"))
+        rows = list(score_stream_competing(records, baseline_v, baseline_inv,
+                                           chunk_size=chunk_size))
+        causes = [("score_v", baseline_v), ("score_inv", baseline_inv)]
+        assert rows == [row for batch in score_causes([ScoringBatch.from_records(records)],
+                                                      causes)
+                        for row in batch.rows()]
+        dataio.write_projections(tmp / "rows.csv", rows)
+        assert _score_cli(["--competing", "--baseline", str(tmp / "v.json"),
+                           "--baseline-inv", str(tmp / "inv.json"),
+                           "--scoring", str(tmp / "scoring.csv"),
+                           "--out", str(tmp / "out.csv")]) \
+            == (0, "", (tmp / "rows.csv").read_bytes())

@@ -317,10 +317,16 @@ class TestLoadModelErrors:
                                       json.dumps({**GOOD, "log_likelihood": "-1"}),
                                       json.dumps({**GOOD, "converged": "false"}),
                                       json.dumps({**GOOD, "converged": 1}),
-                                      json.dumps({**GOOD, "baseline_sha": 5})],
+                                      json.dumps({**GOOD, "baseline_sha": 5}),
+                                      json.dumps({**GOOD, "ridge": -5.0}),
+                                      json.dumps({**GOOD, "log_likelihood": 3.0}),
+                                      json.dumps({**GOOD, "iterations": -2}),
+                                      json.dumps({**GOOD, "baseline_sha": ""})],
                              ids=["nested", "fraction", "bool", "infinite", "huge beta",
                                   "string beta", "string ridge", "string log-likelihood",
-                                  "string converged", "number converged", "number sha"])
+                                  "string converged", "number converged", "number sha",
+                                  "negative ridge", "positive log-likelihood",
+                                  "negative iterations", "empty sha"])
     def test_unreadable_values(self, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text, encoding="utf-8")

@@ -20,7 +20,6 @@ from clvkit.projection import (
 from clvkit.simulate import FixedAlpha, SimSpec, StepShape, generate_cohort, true_ert
 from clvkit.survival import (
     BaselineHazard,
-    PoolingConfig,
     estimate_cause_specific,
     estimate_hazard_by_tenure,
     extrapolate_tail,

@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import csv
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clvkit.dataio import MAX_CALIBRATION_TENURE, CalibrationBatch, CalibrationRecord
+from clvkit.cli import main
+from clvkit.dataio import (
+    MAX_CALIBRATION_TENURE,
+    CalibrationBatch,
+    CalibrationRecord,
+    ScoringRecord,
+    write_scoring,
+)
 from clvkit.errors import (
     EmptyCalibration,
     EmptyTail,
@@ -14,11 +25,12 @@ from clvkit.errors import (
     InvalidRecord,
     NotMonotone,
 )
+from clvkit.odds import OddsModel, project_with_odds_model
+from clvkit.projection import project_customer, project_hazard
 from clvkit.simulate import FixedAlpha, FlatShape, SimSpec, StepShape, generate_cohort
 from clvkit.survival import (
     BaselineHazard,
     EventHistory,
-    PoolingConfig,
     baseline_from_dict,
     detect_tail_start,
     estimate_cause_specific,
@@ -336,20 +348,21 @@ class TestHazardAt:
     def test_unpooled_bin(self):
         exposures = np.array([500, 500], dtype=np.int64)
         events = np.array([25, 25], dtype=np.int64)
-        baseline = BaselineHazard(events / exposures, exposures, events, 2, 0.05)
-        assert hazard_at(baseline, 0, PoolingConfig(min_events=5)) == 0.05
+        baseline = BaselineHazard(events / exposures, exposures, events, 2, 0.05, min_events=5)
+        assert hazard_at(baseline, 0) == 0.05
 
     def test_sparse_bin_pools_neighbors(self):
         exposures = np.array([40, 10, 50], dtype=np.int64)
         events = np.array([4, 1, 5], dtype=np.int64)
-        baseline = BaselineHazard(events / exposures, exposures, events, 3, 0.1)
-        assert hazard_at(baseline, 1, PoolingConfig(min_events=5)) == (1 + 4 + 5) / (10 + 40 + 50)
+        baseline = BaselineHazard(events / exposures, exposures, events, 3, 0.1, min_events=5)
+        assert hazard_at(baseline, 1) == (1 + 4 + 5) / (10 + 40 + 50)
 
     def test_absent_bin_filled_by_pooling(self):
         exposures = np.array([100, 0, 100], dtype=np.int64)
         events = np.array([10, 0, 30], dtype=np.int64)
-        baseline = BaselineHazard(np.array([0.1, np.nan, 0.3]), exposures, events, 3, 0.2)
-        assert hazard_at(baseline, 1, PoolingConfig(min_events=0)) == 40 / 200
+        baseline = BaselineHazard(np.array([0.1, np.nan, 0.3]), exposures, events, 3, 0.2,
+                                  min_events=0)
+        assert hazard_at(baseline, 1) == 40 / 200
 
     def test_total_and_deterministic(self, fixture_baseline):
         sample = list(range(40)) + [100, 999, 10_000]
@@ -379,17 +392,23 @@ class TestJeffreysView:
         assert np.array_equal(once.hazards, twice.hazards)
         assert once.tail_rate == twice.tail_rate
 
+    @pytest.mark.parametrize("min_events", [None, 0, 8])
+    def test_keeps_the_pooling_threshold(self, min_events):
+        baseline = replace(baseline_from_rates([0.1, 0.0, 0.2], exposure=100, tail_start=2),
+                           min_events=min_events)
+        assert jeffreys_view(baseline).min_events == min_events
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path, fixture_baseline):
         path = tmp_path / "baseline.json"
-        save_baseline(path, fixture_baseline, min_events=3)
+        save_baseline(path, replace(fixture_baseline, min_events=3))
         loaded = load_baseline(path)
-        assert np.array_equal(loaded.baseline.hazards, fixture_baseline.hazards)
-        assert np.array_equal(loaded.baseline.exposures, fixture_baseline.exposures)
-        assert np.array_equal(loaded.baseline.events, fixture_baseline.events)
-        assert loaded.baseline.tail_start == fixture_baseline.tail_start
-        assert loaded.baseline.tail_rate == fixture_baseline.tail_rate
+        assert np.array_equal(loaded.hazards, fixture_baseline.hazards)
+        assert np.array_equal(loaded.exposures, fixture_baseline.exposures)
+        assert np.array_equal(loaded.events, fixture_baseline.events)
+        assert loaded.tail_start == fixture_baseline.tail_start
+        assert loaded.tail_rate == fixture_baseline.tail_rate
         assert loaded.min_events == 3
 
     def test_absent_bins_serialize_as_null(self, tmp_path):
@@ -400,7 +419,7 @@ class TestSerialization:
         save_baseline(path, baseline)
         assert '"hazards": [\n  0.1,\n  null\n ]' in path.read_text() or "null" in path.read_text()
         loaded = load_baseline(path)
-        assert np.isnan(loaded.baseline.hazards[1])
+        assert np.isnan(loaded.hazards[1])
         assert loaded.min_events is None
 
     def test_unknown_keys_rejected(self):
@@ -419,6 +438,70 @@ class TestSerialization:
         other = extrapolate_tail(fixture_baseline, 24)
         assert fixture_baseline.content_sha() == fixture_baseline.content_sha()
         assert fixture_baseline.content_sha() != other.content_sha()
+
+    def test_content_sha_leaves_out_the_pooling_threshold(self, fixture_baseline):
+        for min_events in (0, 5, 50):
+            assert replace(fixture_baseline, min_events=min_events).content_sha() \
+                == fixture_baseline.content_sha()
+
+
+class TestLoadedBaselineMatchesCli:
+    """A baseline read back from its document pools at its own threshold, so
+    the library's numbers for it are the ones the CLI writes for that file."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        # Jeffreys rates, so that the odds model's view is the baseline
+        # itself. Tenure 1 holds 1 event of 2: at threshold 0 it keeps its
+        # own rate, 0.5; at the default of 5 it would pool to 29.5 / 201.
+        exposures = np.array([99, 2, 99, 199], dtype=np.int64)
+        events = np.array([9, 1, 19, 19], dtype=np.int64)
+        counts = BaselineHazard(events / exposures, exposures, events, 3, 19 / 199)
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(jeffreys_view(counts).to_dict() | {"min_events": 0}),
+                        encoding="utf-8")
+        return path
+
+    def test_hazards_and_curve(self, saved, tmp_path):
+        loaded = load_baseline(saved)
+        assert isinstance(loaded, BaselineHazard)
+        assert hazard_at(loaded, 1) == 0.5
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--baseline", str(saved), "--alpha", "1.5", "--t0", "0",
+                     "--horizon", "6", "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["baseline_hazard"]) for r in rows] == [hazard_at(loaded, t)
+                                                               for t in range(6)]
+        assert [float(r["scaled_hazard"]) for r in rows] \
+            == project_hazard(1.5, loaded, 0, 6).tolist()
+        assert float(rows[1]["scaled_hazard"]) == 0.75
+
+    def test_projections_and_odds_model(self, saved, tmp_path):
+        loaded = load_baseline(saved)
+        customers = [("c1", 1, 0.5), ("c2", 0, 0.19), ("c3", 2, 0.039), ("c4", 7, 0.0975)]
+        scoring, out = tmp_path / "scoring.csv", tmp_path / "out.csv"
+        write_scoring(scoring, [ScoringRecord(cid, t, 10.0, churn_score=s)
+                                for cid, t, s in customers])
+        assert main(["score", "--baseline", str(saved), "--scoring", str(scoring),
+                     "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, (cid, t0, score) in zip(rows, customers, strict=True):
+            projection = project_customer(score, loaded, t0)
+            assert (row["customer_id"], row["alpha"], row["ert_months"], row["truncated_at"]) \
+                == (cid, f"{projection.alpha:.6f}", f"{projection.ert_months:.6f}",
+                    str(projection.truncated_at))
+        # Pooled at the default threshold, c1's alpha and ERT would differ.
+        assert rows[0]["alpha"] == "1.000000"
+        default = project_customer(0.5, replace(loaded, min_events=None), 1)
+        assert f"{default.ert_months:.6f}" != rows[0]["ert_months"]
+        # At beta 0 the odds projection is the unit-alpha one: c1's.
+        model = OddsModel(beta=np.zeros(1), ridge=0.0, log_likelihood=-1.0, iterations=1,
+                          converged=True, baseline_sha=loaded.content_sha())
+        odds = project_with_odds_model(model, [0.3], loaded, 1)
+        assert (f"{odds.ert_months:.6f}", str(odds.truncated_at)) \
+            == (rows[0]["ert_months"], rows[0]["truncated_at"])
 
 
 class TestSnapshotKaplanMeierEquivalence:
@@ -471,22 +554,21 @@ class TestSnapshotKaplanMeierEquivalence:
 # Reference implementations: the scalar expanding-window pooling loop and the
 # start-by-start tail scan that the array versions replaced. The array
 # versions must agree with them bit for bit.
-def reference_hazard_at(baseline, t, pooling=None):
+def reference_hazard_at(baseline, t):
     if t < 0:
         raise ValueError("tenure must be >= 0")
-    if pooling is None:
-        pooling = PoolingConfig()
+    min_events = 5 if baseline.min_events is None else baseline.min_events
     if t >= baseline.tail_start:
         return baseline.tail_rate
     events = baseline.events
     exposures = baseline.exposures
-    if events[t] >= pooling.min_events and exposures[t] > 0:
+    if events[t] >= min_events and exposures[t] > 0:
         return float(baseline.hazards[t])
     t_max = baseline.t_max
     lo = hi = t
     pooled_e = int(events[t])
     pooled_n = int(exposures[t])
-    while (pooled_e < pooling.min_events or pooled_n == 0) and (lo > 0 or hi < t_max):
+    while (pooled_e < min_events or pooled_n == 0) and (lo > 0 or hi < t_max):
         if lo > 0:
             lo -= 1
             pooled_e += int(events[lo])
@@ -560,14 +642,13 @@ class TestPoolingAgainstScalarLoop:
     @settings(max_examples=500, deadline=None)
     @given(baseline=count_baselines(), min_events=st.sampled_from([0, 1, 5, 50]))
     def test_resolve_and_hazard_at_match_the_loop_bitwise(self, baseline, min_events):
-        pooling = PoolingConfig(min_events)
-        want = [reference_hazard_at(baseline, t, pooling)
-                for t in range(baseline.t_max + 2)]
-        table = resolve(baseline, pooling)
+        baseline = replace(baseline, min_events=min_events)
+        want = [reference_hazard_at(baseline, t) for t in range(baseline.t_max + 2)]
+        table = resolve(baseline)
         assert len(table) == baseline.tail_start + 1
         assert [float(h).hex() for h in table[np.minimum(range(len(want)), len(table) - 1)]] \
             == [h.hex() for h in want]
-        assert [hazard_at(baseline, t, pooling).hex() for t in range(len(want))] \
+        assert [hazard_at(baseline, t).hex() for t in range(len(want))] \
             == [h.hex() for h in want]
 
     @settings(max_examples=100, deadline=None)
@@ -576,16 +657,17 @@ class TestPoolingAgainstScalarLoop:
         empty = BaselineHazard(np.full(baseline.t_max + 1, np.nan),
                                np.zeros(baseline.t_max + 1, dtype=np.int64),
                                np.zeros(baseline.t_max + 1, dtype=np.int64),
-                               baseline.tail_start, baseline.tail_rate, baseline.smoothing)
-        table = resolve(empty, PoolingConfig(min_events))
+                               baseline.tail_start, baseline.tail_rate, baseline.smoothing,
+                               min_events)
+        table = resolve(empty)
         assert np.all(table == empty.tail_rate)
-        assert all(reference_hazard_at(empty, t, PoolingConfig(min_events)) == empty.tail_rate
+        assert all(reference_hazard_at(empty, t) == empty.tail_rate
                    for t in range(empty.t_max + 2))
 
     @settings(max_examples=300, deadline=None)
     @given(baseline=count_baselines(), min_events=st.sampled_from([0, 1, 5, 50]))
     def test_windows_are_the_loops_windows(self, baseline, min_events):
-        lo, hi, pooled = pooling_windows(baseline, PoolingConfig(min_events))
+        lo, hi, pooled = pooling_windows(replace(baseline, min_events=min_events))
         t = np.arange(baseline.tail_start)
         assert np.array_equal(pooled, (baseline.events[t] < min_events)
                               | (baseline.exposures[t] == 0))
@@ -599,10 +681,11 @@ class TestPoolingAgainstScalarLoop:
     def test_zero_exposure_bin_pools_at_min_events_zero(self):
         exposures = np.array([100, 0, 100, 100], dtype=np.int64)
         events = np.array([10, 0, 20, 5], dtype=np.int64)
-        baseline = BaselineHazard(np.array([0.1, np.nan, 0.2, 0.05]), exposures, events, 4, 0.05)
-        _, _, pooled = pooling_windows(baseline, PoolingConfig(min_events=0))
+        baseline = BaselineHazard(np.array([0.1, np.nan, 0.2, 0.05]), exposures, events, 4, 0.05,
+                                  min_events=0)
+        _, _, pooled = pooling_windows(baseline)
         assert pooled.tolist() == [False, True, False, False]
-        assert hazard_at(baseline, 1, PoolingConfig(min_events=0)) == 30 / 200
+        assert hazard_at(baseline, 1) == 30 / 200
 
 
 class TestTailDetectionAgainstScan:
