@@ -95,16 +95,14 @@ _EXPORTS = {
         "EventHistory",
         "detect_tail_start",
         "estimate_cause_specific",
-        "estimate_cause_specific_from_batches",
+        "estimate_causes",
         "estimate_hazard_by_tenure",
-        "estimate_hazard_from_batches",
         "extrapolate_tail",
         "hazard_at",
         "hazard_to_survival",
         "jeffreys_view",
         "kaplan_meier",
         "load_baseline",
-        "resolve",
         "save_baseline",
         "survival_to_hazard",
     ),

@@ -29,7 +29,7 @@ from .errors import (
     OffsetUndefined,
 )
 from .projection import CustomerProjection, ProjectionConfig, fold_path
-from .survival import BaselineHazard, hazard_at, jeffreys_view, lookup, resolve
+from .survival import BaselineHazard, hazard_at, jeffreys_view, lookup
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -120,7 +120,7 @@ def _design(tenure: np.ndarray, outcome: np.ndarray, covariates: np.ndarray,
         raise EmptyCalibration("no person-period rows")
     if m < 1:
         raise InvalidRecord(0, "at least one covariate required")
-    log_odds, defined = _log_odds(resolve(view))
+    log_odds, defined = _log_odds(view.table)
     bad_outcome = ~((outcome == 0) | (outcome == 1))
     bad_width = np.zeros(n, dtype=bool) if widths is None else widths != m
     negative = tenure < 0
@@ -313,7 +313,7 @@ def project_with_odds_model(model: OddsModel, covariates: Sequence[float],
     sha = baseline.content_sha()
     if sha != model.baseline_sha:
         raise BaselineMismatch(model.baseline_sha, sha)
-    table = resolve(jeffreys_view(baseline))
+    table = jeffreys_view(baseline).table
     log_odds, defined = _log_odds(table)
     lin = float(model.beta @ x)
     # As in predict_hazard_odds, a zero linear predictor keeps the baseline.

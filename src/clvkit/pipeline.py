@@ -22,7 +22,7 @@ from .dataio import (
     chunks,
 )
 from .projection import ProjectionConfig, coefficients, project_batch
-from .survival import BaselineHazard, lookup, resolve
+from .survival import BaselineHazard
 from .valuation import DiscountSpec
 
 # Customers scored per batch; the CLI reads scoring files in batches of this size.
@@ -44,13 +44,12 @@ def score_causes(batches: Iterable[ScoringBatch], causes: Sequence[Cause], *,
     config = config or ProjectionConfig()
     discount = discount or DiscountSpec()
     columns = [column for column, _ in causes]
-    tables = [resolve(baseline) for _, baseline in causes]
+    tables = [baseline.table for _, baseline in causes]
     for batch in batches:
         scores = [getattr(batch, column) for column in columns]
         if any(score is None for score in scores):
             raise ValueError(f"records lack {'/'.join(columns)}")
-        h0 = [lookup(table, batch.tenure) for table in tables]
-        alphas, alpha = coefficients(scores, h0, batch.tenure, batch.ids)
+        alphas, alpha = coefficients(scores, tables, batch.tenure, batch.ids)
         ert, clv, truncated = project_batch(tables, alphas, batch.tenure, batch.margin,
                                             discount, config)
         yield ProjectionBatch(batch.ids, alpha, ert, clv, truncated)

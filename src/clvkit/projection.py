@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateBaseline
-from .survival import BaselineHazard, lookup, resolve
+from .survival import BaselineHazard, lookup
 from .valuation import DiscountSpec
 
 
@@ -82,15 +82,17 @@ class CustomerProjection:
         object.__setattr__(self, "survival_path", survival_path)
 
 
-def coefficients(scores: Sequence[np.ndarray], h0: Sequence[np.ndarray], tenure: np.ndarray,
-                 ids: Sequence[str] | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+def coefficients(scores: Sequence[np.ndarray], tables: Sequence[np.ndarray],
+                 tenure: np.ndarray, ids: Sequence[str] | None = None,
+                 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Each cause's coefficient ``score / h0`` and the combined ``sum(scores) / sum(h0)``.
 
-    ``scores`` and ``h0`` (the baseline hazards at ``tenure``) hold one array
-    per cause. A score outside [0, 1] (or NaN) or a negative tenure raises
-    ValueError. A zero score gives 0 even over a zero hazard; a positive one
-    over a hazard of 0, or so small that the ratio overflows, raises
-    DegenerateBaseline. Either error names, given ``ids``, the customer.
+    ``scores`` and ``tables`` (``BaselineHazard.table``) hold one array per
+    cause; ``h0`` is a table's hazard at ``tenure``, looked up only once the
+    tenures are checked. A score outside [0, 1] (or NaN) or a negative tenure
+    raises ValueError. A zero score gives 0 even over a zero hazard; a
+    positive one over a hazard of 0, or so small that the ratio overflows,
+    raises DegenerateBaseline. Either error names, given ``ids``, the customer.
     The combined coefficient is 0 where the hazards sum to 0.
     """
     def check(bad: np.ndarray, error: type, message) -> None:
@@ -102,6 +104,7 @@ def coefficients(scores: Sequence[np.ndarray], h0: Sequence[np.ndarray], tenure:
         check(~((score >= 0.0) & (score <= 1.0)), ValueError,
               lambda i: f"churn score must lie in [0, 1], got {float(score[i])!r}")
     check(tenure < 0, ValueError, lambda i: "tenure must be >= 0")
+    h0 = [lookup(table, tenure) for table in tables]
     alphas = []
     for score, h in zip(scores, h0):
         zero = h == 0.0
@@ -122,14 +125,13 @@ def _customer_coefficients(scores: Sequence[float], tables: Sequence[np.ndarray]
                            t0: int) -> tuple[list[float], float]:
     """``coefficients`` of one customer at tenure ``t0``, as floats."""
     t = np.array([t0])
-    alphas, combined = coefficients(np.array(scores, dtype=np.float64)[:, None],
-                                    [lookup(table, t) for table in tables], t)
+    alphas, combined = coefficients(np.array(scores, dtype=np.float64)[:, None], tables, t)
     return [alpha.item() for alpha in alphas], combined.item()
 
 
 def compute_alpha(score: float, baseline: BaselineHazard, t0: int) -> float:
     """Proportionality coefficient: churn score over baseline hazard at t0 (``coefficients``)."""
-    return _customer_coefficients((score,), (resolve(baseline),), t0)[0][0]
+    return _customer_coefficients((score,), (baseline.table,), t0)[0][0]
 
 
 def _hazard(tables: Sequence[np.ndarray], alphas: Sequence, t) -> np.ndarray:
@@ -160,7 +162,7 @@ def project_hazard(alpha: float, baseline: BaselineHazard, t0: int,
     """Scaled hazard path from t0: min(1, alpha * baseline hazard), per month."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _path((resolve(baseline),), (alpha,), t0, horizon)
+    return _path((baseline.table,), (alpha,), t0, horizon)
 
 
 def fold_path(tables: Sequence[np.ndarray], alphas: Sequence[float], t0: int,
@@ -191,7 +193,7 @@ def expected_remaining_tenure(alpha: float, baseline: BaselineHazard, t0: int,
     Returns ``(ert_months, survival_path, truncated_at)``; the path starts
     one month ahead of t0 and is already truncated per ``config``.
     """
-    p = fold_path((resolve(baseline),), (alpha,), t0, config or ProjectionConfig(),
+    p = fold_path((baseline.table,), (alpha,), t0, config or ProjectionConfig(),
                   alpha=alpha)
     return p.ert_months, p.survival_path, p.truncated_at
 
@@ -201,7 +203,7 @@ def _project(scores: Sequence[float], baselines: Sequence[BaselineHazard], t0: i
              cause_fields: Sequence[str] = ()) -> CustomerProjection:
     """One customer's projection from one score and baseline per cause; ``alpha`` is
     the combined coefficient, and ``cause_fields`` name the causes' own."""
-    tables = [resolve(baseline) for baseline in baselines]
+    tables = [baseline.table for baseline in baselines]
     alphas, alpha = _customer_coefficients(scores, tables, t0)
     return fold_path(tables, alphas, t0, config or ProjectionConfig(), alpha=alpha,
                      **dict(zip(cause_fields, alphas)))
@@ -260,8 +262,8 @@ def project_batch(tables: Sequence[np.ndarray], alphas: Sequence[np.ndarray],
     """Expected remaining tenure, CLV and truncation month for many customers.
 
     ``tables`` holds one resolved hazard table per cause (see
-    ``survival.resolve``: entry t is the hazard at tenure t, the last entry
-    holds from there on) and ``alphas`` the matching per-customer
+    ``BaselineHazard.table``: entry t is the hazard at tenure t, the last
+    entry holds from there on) and ``alphas`` the matching per-customer
     coefficients. Customer i's hazard at tenure t is
     ``min(1, sum_c alphas[c][i] * tables[c][min(t, len(tables[c]) - 1)])``;
     a single table is the single-risk case.
@@ -282,10 +284,12 @@ def project_batch(tables: Sequence[np.ndarray], alphas: Sequence[np.ndarray],
     until its last stepped month, masked out of every update, and the
     results are put back in input order.
 
-    Returns ``(ert, clv, truncated_at)``.
+    A negative tenure raises ValueError. Returns ``(ert, clv, truncated_at)``.
     """
     eps, horizon, rate = config.eps, config.max_horizon, discount.monthly_rate
     t0 = np.asarray(t0, dtype=np.int64)
+    if np.any(t0 < 0):
+        raise ValueError("tenure must be >= 0")
     tail_start = max(len(table) - 1 for table in tables)
     steps = np.clip(tail_start - t0, 0, horizon)
     order = np.argsort(-steps, kind="stable")

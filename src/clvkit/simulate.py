@@ -123,7 +123,7 @@ class DecayingShape:
 
 
 # A shape's ``table(limit)`` is its resolved hazard table, as
-# ``survival.resolve`` builds for a baseline: the rates at tenures 0..s for
+# ``BaselineHazard.table`` holds for a baseline: the rates at tenures 0..s for
 # some s <= limit, the last one holding from s on (decaying shapes never
 # settle, so theirs runs to the limit).
 BaselineShape = Union[FlatShape, StepShape, DecayingShape]

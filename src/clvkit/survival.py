@@ -9,11 +9,13 @@ tail rate extrapolates it to arbitrary tenures.
 
 Below the tail, a bin with fewer events than the baseline's own pooling
 threshold, or with no exposure, takes the rate of a window of neighbors:
-``pooling_windows`` picks the windows from prefix sums, ``resolve``
-tabulates the hazard at every tenure from the counts' ``window_sums``, and
-``hazard_at`` reads one entry (total for all t >= 0). The threshold is part
-of the baseline, as the hazard below the tail depends on it: it is saved
-with the baseline document and read back with it.
+``pooling_windows`` picks the windows from prefix sums, and
+``BaselineHazard.table`` tabulates the hazard at every tenure from the
+counts' ``window_sums``. The table is computed on first use, is read-only,
+and is kept for the baseline's life; ``hazard_at`` reads one entry of it
+(total for all t >= 0), and every projection indexes it. The threshold is
+part of the baseline, as the hazard below the tail depends on it: it is
+saved with the baseline document and read back with it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -92,7 +95,8 @@ class BaselineHazard:
     when the baseline was built, or None where none was, in which case
     lookups pool at ``DEFAULT_MIN_EVENTS`` (``pooling_threshold``). The
     document saves it only when chosen; ``to_dict`` and ``content_sha``
-    leave it out.
+    leave it out. ``table`` and the ``jeffreys_view`` are computed on first
+    use and kept, as the fields they derive from never change.
     """
 
     hazards: np.ndarray
@@ -143,6 +147,38 @@ class BaselineHazard:
     def pooling_threshold(self) -> int:
         """Events a bin below the tail needs to keep its own rate."""
         return DEFAULT_MIN_EVENTS if self.min_events is None else self.min_events
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Dense read-only hazard table ``h[0..tail_start]`` with pooling applied.
+
+        A bin with at least the baseline's ``pooling_threshold`` events and
+        some exposure keeps its own rate; any other takes the rate of its
+        ``pooling_windows`` window under the baseline's own smoothing, or the
+        tail rate if the whole range has no exposure. The last entry is the
+        tail rate, so the hazard at any tenure ``t`` is
+        ``h[min(t, tail_start)]`` (see ``lookup``).
+        """
+        lo, hi, pooled = pooling_windows(self)
+        events, exposures = (window_sums(c, lo, hi) for c in (self.events, self.exposures))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = np.where(exposures > 0, _smoothed_rate(events, exposures, self.smoothing),
+                             self.tail_rate)
+        table = np.append(np.where(pooled, rates, self.hazards[lo]), self.tail_rate)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def _jeffreys(self) -> BaselineHazard:
+        """``jeffreys_view`` of this baseline."""
+        tail_start = self.tail_start
+        tail_n = int(self.exposures[tail_start:].sum())
+        tail_rate = self.tail_rate
+        if tail_n > 0:
+            tail_e = int(self.events[tail_start:].sum())
+            tail_rate = _smoothed_rate(tail_e, tail_n, SMOOTHING_JEFFREYS)
+        return replace(_from_counts(self.events, self.exposures, SMOOTHING_JEFFREYS),
+                       tail_start=tail_start, tail_rate=tail_rate, min_events=self.min_events)
 
     def to_dict(self) -> dict:
         hazards = [None if math.isnan(h) else h for h in self.hazards.tolist()]
@@ -284,19 +320,6 @@ def estimate_causes(batches: Iterable[CalibrationBatch], causes: Sequence[str],
     return [_from_counts(e, exposures, smoothing) for e in events]
 
 
-def estimate_hazard_from_batches(batches: Iterable[CalibrationBatch],
-                                 smoothing: str = SMOOTHING_NONE) -> BaselineHazard:
-    """``estimate_hazard_by_tenure`` over column batches (``dataio.read_calibration_batches``)."""
-    return estimate_causes(batches, (), smoothing)[0]
-
-
-def estimate_cause_specific_from_batches(batches: Iterable[CalibrationBatch],
-                                         smoothing: str = SMOOTHING_NONE,
-                                         ) -> tuple[BaselineHazard, BaselineHazard]:
-    """``estimate_cause_specific`` over column batches (``dataio.read_calibration_batches``)."""
-    return tuple(estimate_causes(batches, CAUSES, smoothing))
-
-
 def estimate_hazard_by_tenure(records: Iterable[CalibrationRecord],
                               smoothing: str = SMOOTHING_NONE) -> BaselineHazard:
     """Estimate the baseline hazard curve from a one-month-ahead snapshot.
@@ -311,7 +334,7 @@ def estimate_hazard_by_tenure(records: Iterable[CalibrationRecord],
     tail rate (the pooled overall rate); call ``detect_tail_start`` and
     ``extrapolate_tail`` to fix the tail properly.
     """
-    return estimate_hazard_from_batches(_record_batches(records), smoothing)
+    return estimate_causes(_record_batches(records), (), smoothing)[0]
 
 
 def estimate_cause_specific(records: Iterable[CalibrationRecord],
@@ -324,7 +347,7 @@ def estimate_cause_specific(records: Iterable[CalibrationRecord],
     makes the two sub-hazards sum to the whole-base hazard.
     Returns ``(baseline_v, baseline_inv)``.
     """
-    return estimate_cause_specific_from_batches(_record_batches(records), smoothing)
+    return tuple(estimate_causes(_record_batches(records), CAUSES, smoothing))
 
 
 def kaplan_meier(histories: Iterable[EventHistory]) -> np.ndarray:
@@ -466,55 +489,29 @@ def pooling_windows(baseline: BaselineHazard) -> tuple[np.ndarray, np.ndarray, n
 
 
 def hazard_at(baseline: BaselineHazard, t: int) -> float:
-    """Hazard at any tenure ``t >= 0``: the tail rate from ``tail_start`` on, else
-    ``resolve``'s, pooled at the baseline's own threshold."""
+    """Hazard at any tenure ``t >= 0``: one entry of ``baseline.table``, the tail
+    rate from ``tail_start`` on."""
     if t < 0:
         raise ValueError("tenure must be >= 0")
-    if t >= baseline.tail_start:
-        return baseline.tail_rate
-    return float(resolve(baseline)[t])
-
-
-def resolve(baseline: BaselineHazard) -> np.ndarray:
-    """Dense hazard table ``h[0..tail_start]`` with pooling applied.
-
-    A bin with at least the baseline's ``pooling_threshold`` events and some
-    exposure keeps its own rate; any other takes the rate of its
-    ``pooling_windows`` window under the baseline's own smoothing, or the
-    tail rate if the whole range has no exposure. The last entry is the tail
-    rate, so the hazard at any tenure ``t`` is ``h[min(t, tail_start)]``
-    (see ``lookup``).
-    """
-    lo, hi, pooled = pooling_windows(baseline)
-    events, exposures = (window_sums(c, lo, hi) for c in (baseline.events, baseline.exposures))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rates = np.where(exposures > 0, _smoothed_rate(events, exposures, baseline.smoothing),
-                         baseline.tail_rate)
-    return np.append(np.where(pooled, rates, baseline.hazards[lo]), baseline.tail_rate)
+    return float(baseline.table[min(t, baseline.tail_start)])
 
 
 def lookup(table: np.ndarray, t):
-    """Hazard at tenure (or array of tenures) ``t >= 0`` from a ``resolve`` table."""
+    """Hazard at tenure (or array of tenures) ``t >= 0`` from a ``BaselineHazard.table``."""
     return table[np.minimum(t, len(table) - 1)]
 
 
 def jeffreys_view(baseline: BaselineHazard) -> BaselineHazard:
-    """Rebuild the baseline with Jeffreys-smoothed rates from its counts.
+    """The baseline with Jeffreys-smoothed rates from its counts, kept on it.
 
     Every observed bin gets (events + 0.5) / (exposure + 1), which is
     strictly inside (0, 1); the tail rate is re-pooled the same way when the
     tail region holds any exposure. Idempotent, since it recomputes from
     counts rather than from the stored rates. The pooling threshold carries
-    over.
+    over. The view is built once per baseline and kept on it, so its table
+    is resolved once too.
     """
-    tail_start = baseline.tail_start
-    tail_n = int(baseline.exposures[tail_start:].sum())
-    tail_rate = baseline.tail_rate
-    if tail_n > 0:
-        tail_e = int(baseline.events[tail_start:].sum())
-        tail_rate = _smoothed_rate(tail_e, tail_n, SMOOTHING_JEFFREYS)
-    return replace(_from_counts(baseline.events, baseline.exposures, SMOOTHING_JEFFREYS),
-                   tail_start=tail_start, tail_rate=tail_rate, min_events=baseline.min_events)
+    return baseline._jeffreys
 
 
 def baseline_from_dict(doc: dict) -> BaselineHazard:

@@ -53,7 +53,6 @@ from clvkit.survival import (
     hazard_at,
     jeffreys_view,
     lookup,
-    resolve,
     save_baseline,
 )
 from clvkit.valuation import DiscountSpec, MarginSpec, annual_to_monthly_rate, clv
@@ -247,7 +246,7 @@ def test_resolve_matches_hazard_at():
     for min_events in (0, 5, 50):
         baseline = replace(baseline_from_rates(rates, exposure=100, tail_start=6),
                            min_events=min_events)
-        table = resolve(baseline)
+        table = baseline.table
         assert len(table) == baseline.tail_start + 1
         for t in range(20):
             assert table[min(t, baseline.tail_start)] == hazard_at(baseline, t)
@@ -355,7 +354,7 @@ def assert_agrees_with_kernel(ert, path, truncated, tables, alphas, t0, config):
        alpha=st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(5.0, 500.0)))
 def test_expected_remaining_tenure_agrees_with_kernel(baseline, t0, config, alpha):
     ert, path, truncated = expected_remaining_tenure(alpha, baseline, t0, config)
-    assert_agrees_with_kernel(ert, path, truncated, (resolve(baseline),),
+    assert_agrees_with_kernel(ert, path, truncated, (baseline.table,),
                               (alpha,), t0, config)
 
 
@@ -377,7 +376,7 @@ def test_project_customer_agrees_with_kernel(baseline, t0, config, score):
     projection = project_customer(score, baseline, t0, config)
     assert projection.alpha == alpha
     assert_agrees_with_kernel(projection.ert_months, projection.survival_path,
-                              projection.truncated_at, (resolve(baseline),),
+                              projection.truncated_at, (baseline.table,),
                               (alpha,), t0, config)
 
 
@@ -391,7 +390,7 @@ def test_project_competing_agrees_with_kernel(baseline_v, baseline_inv, t0,
     projection = project_competing(score_v, score_inv, baseline_v, baseline_inv, t0,
                                    config)
     assert (projection.alpha_v, projection.alpha_inv) == alphas
-    tables = (resolve(baseline_v), resolve(baseline_inv))
+    tables = (baseline_v.table, baseline_inv.table)
     assert_agrees_with_kernel(projection.ert_months, projection.survival_path,
                               projection.truncated_at, tables, alphas, t0, config)
 
@@ -431,7 +430,7 @@ def test_odds_projection_equals_kernel_on_odds_table(baseline, t0, config, beta)
     except OffsetUndefined:
         return  # where it must fail is pinned by the zero-beta test above
     # The odds transform of every entry of the resolved Jeffreys table, at unit alpha.
-    table = resolve(jeffreys_view(baseline))
+    table = jeffreys_view(baseline).table
     lin = float(model.beta @ x)
     defined = (table > 0.0) & (table < 1.0)
     hazards = (table if lin == 0.0
@@ -450,7 +449,7 @@ def test_survival_path_is_the_stepped_product(baseline, t0, config, alpha):
     # np.cumprod multiplies in month order, as stepping does: the paths agree
     # bit for bit over the months both hold.
     _, path, _ = expected_remaining_tenure(alpha, baseline, t0, config)
-    table = resolve(baseline)
+    table = baseline.table
     _, _, stepped, _ = truncated_survival_sum(
         lambda j: min(1.0, alpha * float(table[min(t0 + j, len(table) - 1)])),
         config.eps, config.max_horizon)
@@ -465,7 +464,7 @@ def test_survival_path_is_the_stepped_product(baseline, t0, config, alpha):
 def _project(table, scores, t0, margins, rate=0.0):
     """Each customer's alpha and the kernel's (ert, clv, truncated_at), under
     the one alpha rule (``coefficients``) and the default truncation."""
-    (alpha,), _ = coefficients([scores], [lookup(table, t0)], t0)
+    (alpha,), _ = coefficients([scores], [table], t0)
     return alpha, *project_batch((table,), (alpha,), t0, margins, DiscountSpec(rate),
                                  ProjectionConfig())
 
@@ -488,7 +487,7 @@ def test_scaling_the_baseline_leaves_unclipped_customers_unchanged(
     # A hazard that a scale of 0.25 or more can take below the smallest
     # normal float, such as 5e-324 times 0.5 (which underflows to 0), is set
     # to 0: its scaled copy is not exact, so the invariance does not hold.
-    table = resolve(baseline)
+    table = baseline.table
     table = np.where(table < np.finfo(float).tiny / 0.25, 0.0, table)
     t0, scores, margins = (np.array(column) for column in zip(*customers))
     # A positive score over a vanishing hazard has no alpha (DegenerateBaseline).
@@ -525,7 +524,7 @@ def test_scaling_the_baseline_leaves_unclipped_customers_unchanged(
        annual=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=5))
 def test_ert_and_clv_fall_as_the_score_or_the_discount_rate_rises(
         baseline, t0, scores, margin, annual):
-    table = resolve(baseline)
+    table = baseline.table
     assume(lookup(table, t0) > 1e-300)
     scores = np.sort(scores)
     tenure, margins = np.full(scores.size, t0), np.full(scores.size, margin)
@@ -544,6 +543,16 @@ def test_score_over_vanishing_hazard_is_degenerate():
         project(0)
         with pytest.raises(DegenerateBaseline):
             project(3)
+
+
+def test_negative_tenure_is_rejected_by_the_kernel():
+    # Unchecked, t0 = -3 read the table through wrapped negative indices and
+    # returned a finite ERT.
+    table = np.array([0.2, 0.1, 0.05])
+    for t0 in ([-3], [4, 0, -1, 7]):
+        with pytest.raises(ValueError, match="^tenure must be >= 0$"):
+            project_batch((table,), (np.ones(len(t0)),), np.array(t0), np.zeros(len(t0)),
+                          DiscountSpec(), ProjectionConfig())
 
 
 def test_curve_baseline_column_matches_hazard_at_on_pooled_bins(tmp_path):
@@ -620,7 +629,7 @@ def test_score_stream_competing_is_the_scorer(baseline_v, baseline_inv, customer
     # Each cause pools at its own baseline's threshold: the library's rows are
     # score_causes' and, through each baseline's document, the CLI's.
     assume(baseline_v.min_events != baseline_inv.min_events)
-    tables = (resolve(baseline_v), resolve(baseline_inv))
+    tables = (baseline_v.table, baseline_inv.table)
     # A positive score over a vanishing hazard has no alpha (DegenerateBaseline).
     records = [ScoringRecord(f"c{i}", t, m,
                              score_v=s_v if lookup(tables[0], t) > 1e-300 else 0.0,

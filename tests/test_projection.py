@@ -76,6 +76,7 @@ class TestBatchScoringChecksInputs:
     # the table's last entry (alpha 2.0) and score 1.5 gave alpha 15.
     @pytest.mark.parametrize("tenure, score, message", [
         (-1, 0.1, "tenure must be >= 0"),
+        (-5, 0.1, "tenure must be >= 0"),
         (2, 1.5, "churn score must lie in [0, 1], got 1.5"),
         (2, float("nan"), "churn score must lie in [0, 1], got nan"),
     ])

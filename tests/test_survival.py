@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clvkit import survival
 from clvkit.cli import main
 from clvkit.dataio import (
+    CAUSES,
     MAX_CALIBRATION_TENURE,
     CalibrationBatch,
     CalibrationRecord,
@@ -25,8 +27,13 @@ from clvkit.errors import (
     InvalidRecord,
     NotMonotone,
 )
-from clvkit.odds import OddsModel, project_with_odds_model
-from clvkit.projection import project_customer, project_hazard
+from clvkit.odds import (
+    OddsModel,
+    fit_odds_columns,
+    predict_hazard_odds,
+    project_with_odds_model,
+)
+from clvkit.projection import compute_alpha, project_customer, project_hazard
 from clvkit.simulate import FixedAlpha, FlatShape, SimSpec, StepShape, generate_cohort
 from clvkit.survival import (
     BaselineHazard,
@@ -34,9 +41,8 @@ from clvkit.survival import (
     baseline_from_dict,
     detect_tail_start,
     estimate_cause_specific,
-    estimate_cause_specific_from_batches,
+    estimate_causes,
     estimate_hazard_by_tenure,
-    estimate_hazard_from_batches,
     extrapolate_tail,
     hazard_at,
     hazard_to_survival,
@@ -44,7 +50,6 @@ from clvkit.survival import (
     kaplan_meier,
     load_baseline,
     pooling_windows,
-    resolve,
     save_baseline,
     survival_to_hazard,
 )
@@ -114,7 +119,7 @@ class TestEstimateHazardByTenure:
             assert str(MAX_CALIBRATION_TENURE) in err.value.reason
             batch = CalibrationBatch(("a",), np.array([tenure]), np.array([0]), None, None)
             with pytest.raises(InvalidRecord):
-                estimate_hazard_from_batches([batch])
+                estimate_causes([batch], ())
 
     def test_recovers_known_constant_hazard(self):
         # Oracle: the generator's planted rate. 20k exposure per tenure bin
@@ -176,7 +181,7 @@ class TestCauseSpecific:
         # A churner must name its cause; a batch with no cause column names none.
         batch = CalibrationBatch(("a", "b"), np.array([0, 1]), np.array([0, 1]), None, None)
         with pytest.raises(InvalidRecord, match="record 1: churner needs cause V or I, got None"):
-            estimate_cause_specific_from_batches([batch])
+            estimate_causes([batch], CAUSES)
 
 
 class TestKaplanMeier:
@@ -397,6 +402,54 @@ class TestJeffreysView:
         baseline = replace(baseline_from_rates([0.1, 0.0, 0.2], exposure=100, tail_start=2),
                            min_events=min_events)
         assert jeffreys_view(baseline).min_events == min_events
+
+
+class TestTableIsResolvedOnce:
+    # The baseline owns its resolved table: the first lookup builds it and
+    # every later lookup, projection and odds call on that baseline reads it.
+    def test_repeated_calls_resolve_the_baseline_and_its_view_once(self, monkeypatch):
+        resolved = []
+
+        def counted(baseline):
+            resolved.append(baseline)
+            return pooling_windows(baseline)
+
+        monkeypatch.setattr(survival, "pooling_windows", counted)
+        baseline = baseline_from_rates([0.2, 0.1, 0.0, 0.05, 0.02, 0.03], exposure=100,
+                                       tail_start=4)
+        for t in range(8):
+            hazard_at(baseline, t)
+            compute_alpha(0.1, baseline, t)
+            project_customer(0.1, baseline, t)
+        assert len(resolved) == 1 and resolved[0] is baseline
+
+        rng = np.random.default_rng(3)
+        tenure = np.arange(60) % 6
+        outcome = (np.arange(60) % 5 == 0).astype(np.int64)
+        model = fit_odds_columns(tenure, outcome, rng.normal(size=(60, 2)), baseline)
+        for t in range(8):
+            predict_hazard_odds(model, [0.5, -0.2], baseline, t)
+            project_with_odds_model(model, [0.5, -0.2], baseline, t)
+        assert len(resolved) == 2 and resolved[1] is jeffreys_view(baseline)
+
+    def test_table_is_read_only(self, fixture_baseline):
+        with pytest.raises(ValueError):
+            fixture_baseline.table[0] = 0.5
+        with pytest.raises(AttributeError):
+            fixture_baseline.table = np.zeros(3)
+        assert hazard_at(fixture_baseline, 0) == fixture_baseline.hazards[0]
+
+    def test_replace_resolves_its_own_table(self):
+        baseline = BaselineHazard([0.2, 0.1, 0.0, 0.05, 0.02, 0.03], [100] * 6,
+                                  [20, 10, 0, 5, 2, 3], tail_start=5, tail_rate=0.03,
+                                  min_events=0)
+        before = baseline.table.copy()
+        moved = replace(baseline, tail_start=2)
+        assert len(moved.table) == 3 and moved.table[-1] == moved.tail_rate
+        sparse = replace(baseline, min_events=50)
+        assert sparse.table[2] != baseline.table[2] == 0.0
+        assert np.array_equal(baseline.table, before)
+        assert jeffreys_view(moved).tail_start == 2
 
 
 class TestSerialization:
@@ -644,7 +697,7 @@ class TestPoolingAgainstScalarLoop:
     def test_resolve_and_hazard_at_match_the_loop_bitwise(self, baseline, min_events):
         baseline = replace(baseline, min_events=min_events)
         want = [reference_hazard_at(baseline, t) for t in range(baseline.t_max + 2)]
-        table = resolve(baseline)
+        table = baseline.table
         assert len(table) == baseline.tail_start + 1
         assert [float(h).hex() for h in table[np.minimum(range(len(want)), len(table) - 1)]] \
             == [h.hex() for h in want]
@@ -659,7 +712,7 @@ class TestPoolingAgainstScalarLoop:
                                np.zeros(baseline.t_max + 1, dtype=np.int64),
                                baseline.tail_start, baseline.tail_rate, baseline.smoothing,
                                min_events)
-        table = resolve(empty)
+        table = empty.table
         assert np.all(table == empty.tail_rate)
         assert all(reference_hazard_at(empty, t) == empty.tail_rate
                    for t in range(empty.t_max + 2))
