@@ -55,6 +55,7 @@ _EXPORTS = {
     "odds": (
         "OddsModel",
         "PersonPeriodRow",
+        "fit_odds_batches",
         "fit_odds_columns",
         "fit_odds_model",
         "load_model",

@@ -31,9 +31,8 @@ from typing import NamedTuple, Sequence
 # the user set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np  # noqa: E402
-
-# Only what every command uses loads here; each runner imports the rest.
+# Only what every command uses loads here (dataio loads numpy); each runner
+# imports the rest.
 from . import dataio  # noqa: E402
 from .errors import ClvkitError, MissingColumn  # noqa: E402
 from .survival import (  # noqa: E402
@@ -248,26 +247,26 @@ def run_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stack(parts: list[np.ndarray], empty_shape: tuple[int, ...]) -> np.ndarray:
-    """Batch columns joined into one C-contiguous array (rows first)."""
-    return np.concatenate(parts) if parts else np.empty(empty_shape)
-
-
 def run_fit_odds(args: argparse.Namespace) -> int:
-    from .odds import fit_odds_columns, save_model
+    from .odds import fit_odds_batches, save_model
 
     baseline = load_baseline(args.baseline)
-    tenure, churned, covariates = [], [], []
-    for batch in dataio.read_calibration_batches(args.calibration, "single"):
-        if batch.covariates is None:
-            raise MissingColumn("x1")
-        tenure.append(batch.tenure)
-        churned.append(batch.churned)
-        covariates.append(batch.covariates)
-    rows = sum(map(len, tenure))
-    model = fit_odds_columns(_stack(tenure, (0,)), _stack(churned, (0,)),
-                             _stack(covariates, (0, 0)), baseline, ridge=args.ridge,
-                             tol=args.tol, max_iter=args.max_iter)
+    rows = 0
+
+    def batches():
+        nonlocal rows
+        for batch in dataio.read_calibration_batches(args.calibration, "single"):
+            if batch.covariates is None:
+                raise MissingColumn("x1")
+            rows += len(batch.tenure)
+            yield batch.tenure, batch.churned, batch.covariates
+
+    model = fit_odds_batches(batches(), baseline, ridge=args.ridge, tol=args.tol,
+                             max_iter=args.max_iter)
+    if not model.converged:
+        log.warning("fit did not converge in %d iterations (--max-iter %d); the "
+                    "coefficients are not a maximum of the likelihood",
+                    model.iterations, args.max_iter)
     save_model(args.out, model)
     log.info("fit %d coefficients on %d rows in %d iterations "
              "(converged=%s, log-likelihood %.4f): %s",

@@ -7,6 +7,14 @@ baseline term enters the likelihood as a fixed offset, so only the
 covariate coefficients are fitted, by Newton's method with step-halving.
 Predictions are always strictly inside (0, 1), so unlike the direct scaling
 model no clipping is ever needed.
+
+The fit holds its design once, as consecutive blocks of
+``dataio.CALIBRATION_BATCH_SIZE`` (2048) rows: the CLI's blocks are the
+calibration reader's batches, and the column and record APIs take views of
+their whole arrays. The log-likelihood, gradient and Hessian are summed
+block by block in row order, so no stacked copy of the design and no
+design-sized temporary is made. That fixed block size and order is what
+keeps the CLI's model byte-identical to the record API's.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataio import json_number, json_string
+from .dataio import CALIBRATION_BATCH_SIZE, json_number, json_string
 from .errors import (
     BaselineMismatch,
     EmptyCalibration,
@@ -34,6 +42,9 @@ from .survival import BaselineHazard, hazard_at, jeffreys_view, lookup
 MODEL_SCHEMA_VERSION = 1
 
 _MAX_HALVINGS = 30
+# Rows per block of the fit: the calibration reader's batch size, so that a
+# file's batches are the blocks as read.
+_BLOCK_ROWS = CALIBRATION_BATCH_SIZE
 # Fitted probabilities numerically indistinguishable from the outcomes mean
 # the likelihood has no finite maximizer (separation).
 _SEPARATION_ATOL = 1e-6
@@ -106,36 +117,63 @@ def _log_odds(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logit(np.where(defined, table, 0.5)), defined
 
 
-def _design(tenure: np.ndarray, outcome: np.ndarray, covariates: np.ndarray,
-            widths: np.ndarray | None, view: BaselineHazard):
-    """Response and offsets for the design matrix ``covariates``, checked row by row.
+def _design(block: tuple, log_odds: np.ndarray, defined: np.ndarray, first_row: int):
+    """Covariates, response and offsets of one block, checked row by row.
 
-    ``widths`` holds each record's covariate count when the matrix was built
-    from records (a ragged record is an error), else None. The first row
-    that breaks a rule, in input order, raises: its outcome, then its
-    covariate count, its tenure and its offset.
+    ``block`` is (tenure, outcome, covariates), plus each record's covariate
+    count when the block was built from records (a ragged record is an
+    error). The first row that breaks a rule, in input order, raises: its
+    outcome, then its covariate count, its tenure and its offset. Row
+    numbers count from ``first_row``, the block's first row in the whole
+    input.
     """
-    n, m = len(tenure), covariates.shape[1]
-    if n == 0:
-        raise EmptyCalibration("no person-period rows")
-    if m < 1:
-        raise InvalidRecord(0, "at least one covariate required")
-    log_odds, defined = _log_odds(view.table)
+    tenure, outcome, covariates, *widths = block
+    n, m = covariates.shape
     bad_outcome = ~((outcome == 0) | (outcome == 1))
-    bad_width = np.zeros(n, dtype=bool) if widths is None else widths != m
+    bad_width = widths[0] != m if widths else np.zeros(n, dtype=bool)
     negative = tenure < 0
     t = np.where(negative, 0, np.minimum(tenure, len(log_odds) - 1))
     bad = bad_outcome | bad_width | negative | ~defined[t]
     if bad.any():
         i = int(np.argmax(bad))
+        row = first_row + i
         if bad_outcome[i]:
-            raise InvalidRecord(i, f"outcome must be 0 or 1, got {outcome[i:i + 1].tolist()[0]!r}")
+            raise InvalidRecord(row, f"outcome must be 0 or 1, got {outcome[i:i + 1].tolist()[0]!r}")
         if bad_width[i]:
-            raise InvalidRecord(i, f"expected {m} covariates, got {widths[i]}")
+            raise InvalidRecord(row, f"expected {m} covariates, got {widths[0][i]}")
         if negative[i]:
-            raise InvalidRecord(i, "tenure must be >= 0")
+            raise InvalidRecord(row, "tenure must be >= 0")
         raise OffsetUndefined(int(tenure[i]))
-    return outcome.astype(np.float64), log_odds[t]
+    return covariates, outcome.astype(np.float64), log_odds[t]
+
+
+def _blocks(parts: Iterable[tuple]) -> list[tuple]:
+    """Consecutive parts, each a tuple of equally long columns, re-cut into
+    blocks of ``_BLOCK_ROWS`` rows in row order (the last may be shorter).
+
+    A block that lies inside one part is a view of it; only a block that
+    spans a seam between parts, after a short part, is copied.
+    """
+    blocks, pending, held = [], [], 0
+    for part in parts:
+        n, start = len(part[0]), 0
+        while start < n:
+            take = min(_BLOCK_ROWS - held, n - start)
+            pending.append(tuple(column[start:start + take] for column in part))
+            held += take
+            start += take
+            if held == _BLOCK_ROWS:
+                blocks.append(_joined(pending))
+                pending, held = [], 0
+    if pending:
+        blocks.append(_joined(pending))
+    return blocks
+
+
+def _joined(pieces: list[tuple]) -> tuple:
+    if len(pieces) == 1:
+        return pieces[0]
+    return tuple(np.concatenate(columns) for columns in zip(*pieces))
 
 
 def _record_columns(rows: Sequence[PersonPeriodRow]):
@@ -191,7 +229,7 @@ def fit_odds_model(rows: Sequence[PersonPeriodRow], baseline: BaselineHazard,
     numerically equal to the outcomes, under which no finite maximizer
     exists).
     """
-    return _fit(*_record_columns(list(rows)), baseline, ridge, tol, max_iter)
+    return _fit([_record_columns(list(rows))], baseline, ridge, tol, max_iter)
 
 
 def fit_odds_columns(tenure: np.ndarray, outcome: np.ndarray, covariates: np.ndarray,
@@ -199,38 +237,81 @@ def fit_odds_columns(tenure: np.ndarray, outcome: np.ndarray, covariates: np.nda
                      max_iter: int = 50) -> OddsModel:
     """``fit_odds_model`` over columns: one row per customer-month.
 
-    ``covariates`` is the (rows, m) design matrix; keep it C-contiguous, as
-    a transposed layout changes the BLAS summation order and with it the
-    last bits of the fit.
+    ``covariates`` is the (rows, m) design matrix, held once: the fit takes
+    views of it 2048 rows at a time and sums over them in row order, the
+    order that keeps the model byte-identical to ``fit_odds_model``'s and
+    ``fit_odds_batches``'. Keep it C-contiguous, as a transposed layout
+    changes the BLAS summation order and with it the last bits of the fit.
     """
-    return _fit(tenure, outcome, covariates, None, baseline, ridge, tol, max_iter)
+    return _fit([(tenure, outcome, covariates)], baseline, ridge, tol, max_iter)
 
 
-def _fit(tenure, outcome, X, widths, baseline: BaselineHazard, ridge: float, tol: float,
+def fit_odds_batches(batches: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                     baseline: BaselineHazard, ridge: float = 1e-6, tol: float = 1e-8,
+                     max_iter: int = 50) -> OddsModel:
+    """``fit_odds_columns`` over consecutive row batches (tenure, outcome, covariates).
+
+    Every batch is read before any row is checked. Batches of 2048 rows, as
+    the calibration reader yields them, are fitted as they are; shorter ones
+    are re-cut into 2048-row blocks, so the model never depends on how the
+    rows were batched.
+    """
+    return _fit(batches, baseline, ridge, tol, max_iter)
+
+
+def _objective(blocks: list[tuple], beta: np.ndarray, ridge: float) -> tuple[float, float]:
+    """Log-likelihood at ``beta``, summed over the blocks in row order, and
+    that less the ridge penalty."""
+    total = 0.0
+    for X, y, offsets in blocks:
+        total += log_likelihood(beta, X, y, offsets)
+    return total, total - 0.5 * ridge * float(beta @ beta)
+
+
+def _fitted(blocks: list[tuple], beta: np.ndarray) -> tuple[list[np.ndarray], float]:
+    """Each block's fitted probabilities at ``beta``, and the largest |y - h|."""
+    fitted = [expit(offsets + X @ beta) for X, _, offsets in blocks]
+    gap = np.max([np.max(np.abs(y - h)) for (_, y, _), h in zip(blocks, fitted)])
+    return fitted, float(gap)
+
+
+def _fit(parts: Iterable[tuple], baseline: BaselineHazard, ridge: float, tol: float,
          max_iter: int) -> OddsModel:
     if ridge < 0.0:
         raise ValueError("ridge must be >= 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    view = jeffreys_view(baseline)
-    y, offsets = _design(tenure, outcome, X, widths, view)
-    m = X.shape[1]
+    blocks = _blocks(parts)
+    if not blocks:
+        raise EmptyCalibration("no person-period rows")
+    m = blocks[0][2].shape[1]
+    if m < 1:
+        raise InvalidRecord(0, "at least one covariate required")
+    log_odds, defined = _log_odds(jeffreys_view(baseline).table)
+    first_row = 0
+    for i, block in enumerate(blocks):
+        # In place, so that each block's tenure and outcome go as it is done.
+        blocks[i] = _design(block, log_odds, defined, first_row)
+        first_row += len(block[0])
 
     beta = np.zeros(m)
-    objective = log_likelihood(beta, X, y, offsets, ridge)
+    ll, objective = _objective(blocks, beta, ridge)
     path = [objective]
     converged = False
     iterations = 0
-    h = expit(offsets + X @ beta)
+    fitted, _ = _fitted(blocks, beta)
     for it in range(1, max_iter + 1):
         iterations = it
-        grad = X.T @ (y - h) - ridge * beta
+        grad, hess = np.zeros(m), np.zeros((m, m))
+        for (X, y, _), h in zip(blocks, fitted):
+            grad += X.T @ (y - h)
+            hess += (X * (h * (1.0 - h))[:, None]).T @ X
+        grad -= ridge * beta
         if float(np.max(np.abs(grad))) == 0.0:
             # Exactly stationary (e.g. all covariates zero); nothing to move.
             converged = True
             break
-        w = h * (1.0 - h)
-        hess = (X * w[:, None]).T @ X + ridge * np.eye(m)
+        hess += ridge * np.eye(m)
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -239,7 +320,7 @@ def _fit(tenure, outcome, X, widths, baseline: BaselineHazard, ridge: float, tol
             raise FitDiverged("non-finite Newton step", last_beta=beta, iterations=it)
 
         candidate = beta + step
-        new_objective = log_likelihood(candidate, X, y, offsets, ridge)
+        new_ll, new_objective = _objective(blocks, candidate, ridge)
         halvings = 0
         while not (math.isfinite(new_objective) and new_objective >= objective):
             halvings += 1
@@ -249,12 +330,12 @@ def _fit(tenure, outcome, X, widths, baseline: BaselineHazard, ridge: float, tol
                     last_beta=beta, iterations=it)
             step *= 0.5
             candidate = beta + step
-            new_objective = log_likelihood(candidate, X, y, offsets, ridge)
+            new_ll, new_objective = _objective(blocks, candidate, ridge)
 
-        beta = candidate
+        beta, ll = candidate, new_ll
         path.append(new_objective)
-        h = expit(offsets + X @ beta)  # also the next iteration's
-        if float(np.max(np.abs(y - h))) < _SEPARATION_ATOL:
+        fitted, gap = _fitted(blocks, beta)  # also the next iteration's
+        if gap < _SEPARATION_ATOL:
             raise FitDiverged("perfect separation", last_beta=beta, iterations=it)
         improvement = new_objective - objective
         objective = new_objective
@@ -265,7 +346,7 @@ def _fit(tenure, outcome, X, widths, baseline: BaselineHazard, ridge: float, tol
     return OddsModel(
         beta=beta,
         ridge=ridge,
-        log_likelihood=log_likelihood(beta, X, y, offsets, ridge=0.0),
+        log_likelihood=ll,
         iterations=iterations,
         converged=converged,
         baseline_sha=baseline.content_sha(),

@@ -467,6 +467,25 @@ class TestFitOddsCommand:
         assert model.baseline_sha == baseline.content_sha()
         assert model.beta[0] == pytest.approx(0.8, abs=0.25)
 
+    @pytest.mark.parametrize("max_iter, warned", [("1", True), ("50", False)])
+    def test_unconverged_fit_warns(self, tmp_path, caplog, max_iter, warned):
+        rng = np.random.default_rng(15)
+        bpath = tmp_path / "baseline.json"
+        save_baseline(bpath, baseline_from_rates([0.1] * 8, exposure=1000, tail_start=0))
+        cal = tmp_path / "cal.csv"
+        dataio.write_calibration(cal, [
+            dataio.CalibrationRecord(f"c{i}", i % 8, int(rng.random() < 0.1),
+                                     covariates=(float(rng.normal()),))
+            for i in range(1_500)])
+        out = tmp_path / "model.json"
+        assert main(["fit-odds", "--calibration", str(cal), "--baseline", str(bpath),
+                     "--out", str(out), "--max-iter", max_iter]) == 0
+        assert load_model(out).converged is not warned
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == (["fit did not converge in 1 iterations (--max-iter 1); the "
+                             "coefficients are not a maximum of the likelihood"]
+                            if warned else [])
+
     def test_missing_covariates_fail(self, cohort_dir, tmp_path):
         baseline = tmp_path / "baseline.json"
         main(["baseline", "--calibration", str(cohort_dir / "calibration.csv"),

@@ -291,8 +291,24 @@ def _panel(tmp_path, n=3_000, seed=5):
     return path
 
 
-def test_fit_odds_command_equals_record_api(tmp_path):
-    cal = _panel(tmp_path)
+def _with_blank_lines(path, every):
+    """``path`` with a blank line after every ``every``-th row."""
+    header, *rows = path.read_text(encoding="ascii").splitlines(keepends=True)
+    path.write_text(header + "".join(row + "\n" * (i % every == every - 1)
+                                     for i, row in enumerate(rows)), encoding="ascii")
+
+
+# The odds fit sums over 2048-row blocks: row counts at and around the block
+# seams, and a file whose blank lines make the reader's batches shorter, so
+# that the fit re-cuts them.
+@pytest.mark.parametrize("n, blank_every", [
+    (2_047, None), (2_048, None), (2_049, None), (3_000, None), (4_097, None), (5_000, 100)])
+def test_fit_odds_command_equals_record_api(tmp_path, n, blank_every):
+    cal = _panel(tmp_path, n)
+    if blank_every is not None:
+        _with_blank_lines(cal, blank_every)
+        sizes = [len(b.tenure) for b in dataio.read_calibration_batches(cal)]
+        assert sizes[0] < dataio.CALIBRATION_BATCH_SIZE and sum(sizes) == n
     bpath = tmp_path / "baseline.json"
     save_baseline(bpath, baseline_from_rates([0.08] * 30, exposure=1000, tail_start=10))
     out = tmp_path / "model.json"
@@ -300,10 +316,49 @@ def test_fit_odds_command_equals_record_api(tmp_path):
                  "--out", str(out)]) == 0
     rows = [PersonPeriodRow(r.tenure, r.churned, r.covariates)
             for r in dataio.read_calibration(cal)]
+    assert len(rows) == n
     expected = tmp_path / "expected.json"
     save_model(expected, fit_odds_model(rows, baseline_from_rates(
         [0.08] * 30, exposure=1000, tail_start=10)))
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_fit_odds_memory_per_row(tmp_path):
+    """``fit-odds`` holds at most 128 B more per added row at its peak, twice
+    the 64 B of an 8-covariate design row: the design is held once, in the
+    reader's batches, with no stacked copy and no design-sized temporary
+    (stacking the batches held about 255 B)."""
+    rng = np.random.default_rng(11)
+    bpath = tmp_path / "baseline.json"
+    save_baseline(bpath, baseline_from_rates([0.08] * 30, exposure=1000, tail_start=10))
+    paths = []
+    for n in (20_000, 80_000):
+        x = rng.normal(size=(n, 8))
+        tenure = rng.integers(0, 30, n)
+        churned = (rng.random(n) < 1 / (1 + np.exp(2.5 - x[:, 0] * 0.5))).astype(int)
+        path = tmp_path / f"panel{n}.csv"
+        path.write_text(
+            "customer_id,tenure,churned," + ",".join(f"x{j}" for j in range(1, 9)) + "\n"
+            + "".join(f"c{i},{t},{y}," + ",".join(f"{v:.6f}" for v in row) + "\n"
+                      for i, (t, y, row) in enumerate(zip(tenure.tolist(), churned.tolist(),
+                                                          x.tolist()))),
+            encoding="ascii")
+        paths.append(path)
+
+    def fit(path):
+        return main(["fit-odds", "--calibration", str(path), "--baseline", str(bpath),
+                     "--out", str(tmp_path / "model.json")])
+
+    assert fit(paths[0]) == 0  # imports and first-call caches are not counted below
+    peaks = []
+    for path in paths:
+        tracemalloc.start()
+        try:
+            assert fit(path) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 60_000 <= 128, peaks
 
 
 @pytest.mark.parametrize("competing", [False, True])

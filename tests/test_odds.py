@@ -15,6 +15,7 @@ from clvkit.errors import (
     EmptyCalibration,
     FitDiverged,
     InvalidDocument,
+    InvalidRecord,
     OffsetUndefined,
 )
 from clvkit.odds import (
@@ -151,6 +152,16 @@ class TestFit:
     def test_empty_rows(self):
         with pytest.raises(EmptyCalibration):
             fit_odds_model([], flat_view_baseline())
+
+    def test_ragged_row_past_the_first_block_names_its_row_in_the_whole_input(self):
+        # The fit checks its rows 2048 at a time; row 2500 lies in the second
+        # block, 452 rows into it.
+        rows = [PersonPeriodRow(i % 4, int(i % 9 == 0), (0.1 * (i % 7), 1.0))
+                for i in range(3_000)]
+        rows[2500] = PersonPeriodRow(1, 0, (0.5,))
+        with pytest.raises(InvalidRecord, match=r"^record 2500: expected 2 covariates, got 1$") as err:
+            fit_odds_model(rows, flat_view_baseline())
+        assert err.value.row == 2500
 
     def test_log_likelihood_reported_unpenalized(self):
         baseline = varying_baseline()
