@@ -302,7 +302,8 @@ def _with_blank_lines(path, every):
 # seams, and a file whose blank lines make the reader's batches shorter, so
 # that the fit re-cuts them.
 @pytest.mark.parametrize("n, blank_every", [
-    (2_047, None), (2_048, None), (2_049, None), (3_000, None), (4_097, None), (5_000, 100)])
+    *(pytest.param(n, None, id=str(n)) for n in (2_047, 2_048, 2_049, 3_000, 4_097)),
+    pytest.param(5_000, 100, id="5000-blank-lines")])
 def test_fit_odds_command_equals_record_api(tmp_path, n, blank_every):
     cal = _panel(tmp_path, n)
     if blank_every is not None:

@@ -21,6 +21,8 @@ from clvkit.errors import (
 from clvkit.odds import (
     OddsModel,
     PersonPeriodRow,
+    fit_odds_batches,
+    fit_odds_columns,
     fit_odds_model,
     log_likelihood,
     model_from_dict,
@@ -152,6 +154,18 @@ class TestFit:
     def test_empty_rows(self):
         with pytest.raises(EmptyCalibration):
             fit_odds_model([], flat_view_baseline())
+
+    def test_batches_of_any_size_fit_as_the_whole_columns(self):
+        # Batches are re-cut into 2048-row blocks, so where a batch ends never
+        # changes the model, down to its last bit.
+        rows, X, y = generate_model_rows(varying_baseline(), (0.5, -0.2), n=7_000, seed=8)
+        tenure = np.array([r.tenure for r in rows])
+        whole = fit_odds_columns(tenure, y, X, varying_baseline())
+        for cuts in ([2048, 4096], [100, 3000, 3001, 5000], [1, 2047, 2049, 6999]):
+            batches = zip(*(np.split(a, cuts) for a in (tenure, y, X)))
+            model = fit_odds_batches(batches, varying_baseline())
+            assert model.to_dict() == whole.to_dict(), cuts
+            assert model.objective_path == whole.objective_path
 
     def test_ragged_row_past_the_first_block_names_its_row_in_the_whole_input(self):
         # The fit checks its rows 2048 at a time; row 2500 lies in the second
