@@ -21,24 +21,28 @@ a record end, outside quoted sections; a blank record is skipped but keeps
 its row number. A quote opens a section only at a field start or right
 after the quote that closed one (so ``""`` in a section reads ``"``), and
 any quote in a section closes it; any other quote, and NUL, is an ordinary
-character: ``a"b`` reads ``a"b`` and ``"ab"c`` reads ``abc``. A batch is
-a slice of one block: a batch of ``_PARSE_ROWS`` records or more is a block
-of its own, and a smaller one is cut from a block of the fewest whole
-batches that hold ``_PARSE_ROWS`` records. Each block is parsed by one
-``fixedpoint.parse_lines`` call: plain fixed-point number cells and
-one-byte code cells (``cause``) to the values ``int`` and ``float`` give,
-and a column with a quoted or any other cell as text, which is parsed cell
-by cell. Each schema is one table of rules in check order (the field count,
-the id, each column's parse and range rules, then rules over two columns),
-evaluated as masks over a batch; the error reported is that of the smallest
-failing row, and within that row of the first rule it breaks, so it names
-the row number (header = row 1, counting csv records), column and reason a
-row-by-row reader would, at any batch size, before any record of its batch
-is consumed. A repeated id is found by an index of the ids read
-(``idindex.IdIndex``) that holds no str per id: each batch's ids joined into
-one str, and each id's hash and number as one int64 key, in sorted runs
-behind a bit filter; every match of hashes is confirmed on the text. Text
-that is not UTF-8, or a cell past csv's field size limit, is
+character: ``a"b`` reads ``a"b`` and ``"ab"c`` reads ``abc``. Records
+are tokenized and parsed ``_PARSE_ROWS`` at a time, at every batch size: a
+block is ``_PARSE_ROWS`` records, or, for a smaller batch, the fewest whole
+batches that hold as many. A smaller batch is a slice of one block, and a
+larger one is built from the pieces of consecutive blocks. Each block is
+parsed by one ``fixedpoint.parse_lines`` call: plain fixed-point number
+cells and one-byte code cells (``cause``) to the values ``int`` and
+``float`` give, ids to their UTF-8 bytes (``fixedpoint.Ids``, decoded only
+for a message, a record or the writer's quoting), and a column with a
+quoted or any other cell as text, which is parsed cell by cell. Each schema
+is one table of rules in check order (the field count, the id, each
+column's parse and range rules, then rules over two columns), evaluated as
+masks over each block's piece of a batch, in row order, before the checked
+pieces are joined; the error reported is that of the smallest failing row,
+and within that row of the first rule it breaks, so it names the row number
+(header = row 1, counting csv records), column and reason a row-by-row
+reader would, at any batch size, before any record of its batch is
+consumed. A repeated id is found by an index of the ids read
+(``idindex.IdIndex``) that holds no str per id: each piece's id bytes, and
+each id's keyed hash and number as one int64 key, in sorted runs behind a
+bit filter; every match of hashes is confirmed on the bytes. Text that is
+not UTF-8, or a cell past csv's field size limit, is
 ``InvalidDocument`` naming the file, raised after the records before it (for
 bytes that do not decode, those before the line that holds the first such
 byte) have been checked.
@@ -65,7 +69,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,7 +85,9 @@ CAUSES = (CAUSE_VOLUNTARY, CAUSE_INVOLUNTARY)
 
 PROJECTION_COLUMNS = ["customer_id", "alpha", "ert_months", "clv", "truncated_at"]
 
-# Records tokenized and parsed as one block, at least: a larger batch is one block.
+# Records tokenized and parsed as one block: a larger batch is built from
+# blocks. Against one block per 8192-row batch, this took `score`'s peak
+# down by about 2.4 MB (the byte matrices of a block's number parse).
 _PARSE_ROWS = 2048
 # Rows per batch. A calibration batch is one block: 2-46 ms less than 512-row
 # batches on the benchmark's calibration files, for at most 0.2 MB more peak memory.
@@ -102,6 +108,7 @@ _PROJECTION_LINE = f"%s,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d\n"
 # (on Python 3.11) leaves an id with a lone "\r" unquoted, so a hand-written
 # rule could drift from it.
 _CSV_SPECIAL = re.compile('["\r\n]')
+_CSV_SPECIAL_BYTES = re.compile(b'["\r\n]')
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Rows that fixedpoint.format_lines prints at a time, so that its byte
 # matrices stay small.
@@ -153,11 +160,12 @@ class CalibrationBatch(NamedTuple):
     From a file, ``tenure`` and ``churned`` are int64; ``cause`` holds "V",
     "I" or "" (survivors) per row if the file has a cause column, else None;
     ``covariates`` is a C-contiguous (rows, m) float64 array, or None when
-    the file has no ``x`` columns. The record-level estimators
-    build batches whose columns hold the records' own objects instead.
+    the file has no ``x`` columns, and ``ids`` are ``fixedpoint.Ids``.
+    The record-level estimators build batches whose columns hold the
+    records' own objects instead.
     """
 
-    ids: tuple[str, ...]
+    ids: Sequence[str]
     tenure: np.ndarray
     churned: np.ndarray
     cause: np.ndarray | None
@@ -192,10 +200,11 @@ class ScoringBatch(NamedTuple):
     """Consecutive scoring rows as columns.
 
     Single-risk batches carry ``churn_score``, competing-risks batches
-    ``score_v`` and ``score_inv``; the other score columns are None.
+    ``score_v`` and ``score_inv``; the other score columns are None. From
+    a file, ``ids`` are ``fixedpoint.Ids``.
     """
 
-    ids: tuple[str, ...]
+    ids: Sequence[str]
     tenure: np.ndarray
     margin: np.ndarray
     churn_score: np.ndarray | None = None
@@ -228,7 +237,7 @@ class ScoringBatch(NamedTuple):
 class ProjectionBatch(NamedTuple):
     """Scorer output for consecutive customers, as columns."""
 
-    ids: tuple[str, ...]
+    ids: Sequence[str]
     alpha: np.ndarray
     ert_months: np.ndarray
     clv: np.ndarray
@@ -353,6 +362,8 @@ class _Rule(NamedTuple):
 _INTEGER = _Parser(int, np.int64, "d")
 _NUMBER = _Parser(float, np.float64, "f")
 _FLAG = _Parser({"0": 0, "1": 1}.__getitem__, np.int64, "b")
+# Ids: any cell is one. Its column, from the bytes or from text, is ``fixedpoint.Ids``.
+_ID = _Parser(str, None, "i")
 
 
 def _code(codes: tuple[str, ...]) -> _Parser:
@@ -362,14 +373,6 @@ def _code(codes: tuple[str, ...]) -> _Parser:
     bytes, a cell that is empty or one ASCII byte is read as it is."""
     known = dict.fromkeys(("", *codes))
     return _Parser(lambda cell: cell if cell in known else "?", "U1", "c")
-
-
-def _empty(cells: tuple[str, ...]) -> np.ndarray:
-    """Rows whose cell is empty, with a Python call per cell only if one is."""
-    n = len(cells)
-    if "" not in cells:
-        return np.zeros(n, dtype=bool)
-    return np.fromiter(map("".__eq__, cells), bool, n)
 
 
 def _field_count_error(names: list[str]) -> Callable[[int, list[str]], InvalidValue]:
@@ -402,7 +405,7 @@ def _leading_rules(names: list[str]) -> list[_Rule]:
     """The field count, id and tenure rules every schema starts with."""
     return [
         _Rule("", None, lambda c: c["fields"] != len(names), _field_count_error(names)),
-        _Rule("customer_id", None, lambda c: _empty(c["customer_id"]), "must be non-empty"),
+        _Rule("customer_id", _ID, lambda c: c["customer_id"].sizes() == 0, "must be non-empty"),
         _Rule("customer_id", None, lambda c: c["earlier"].repeated(c["customer_id"]),
               lambda row, cells: DuplicateCustomerId(cells[0], row)),
         _Rule("tenure", _INTEGER, None, "{!r} is not an integer"),
@@ -451,10 +454,14 @@ def _parsed(cells: tuple[str, ...], parser: _Parser) -> tuple[np.ndarray, np.nda
 
     Only a column that fails as a whole is parsed cell by cell: its failed
     cells then hold 0, and an integer column holds Python ints, so that a
-    tenure past int64 keeps its value for the range rules.
+    tenure past int64 keeps its value for the range rules. Ids always parse.
     """
-    parse, dtype, _ = parser
+    parse, dtype, kind = parser
     n = len(cells)
+    if kind == "i":
+        from .fixedpoint import Ids
+
+        return Ids.of(cells), np.zeros(n, dtype=bool)
     try:
         return np.fromiter(map(parse, cells), dtype, n), np.zeros(n, dtype=bool)
     except (ValueError, KeyError, OverflowError):  # OverflowError: an int past int64
@@ -474,8 +481,9 @@ def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: lis
     """One batch's columns by name, parsed; raises the error of its first failing row.
 
     ``numbers`` are the rows' numbers in the file, ``columns`` their cells
-    by column, cut or padded with "" to ``names``, and ``fields`` their
-    numbers of fields (None if every row has as many as ``names``).
+    by column (a tuple of str, or parsed from the bytes), cut or padded with
+    "" to ``names``, and ``fields`` their numbers of fields (None if every
+    row has as many as ``names``).
     """
     n = len(numbers)
     c = dict(zip(names, columns))
@@ -484,7 +492,7 @@ def _checked_columns(rules: list[_Rule], names: list[str], numbers, columns: lis
     masks = []
     for rule in rules:
         mask = np.zeros(n, dtype=bool)
-        if rule.parser is not None and not isinstance(c[rule.column], np.ndarray):
+        if rule.parser is not None and isinstance(c[rule.column], tuple):
             c[rule.column], mask = _parsed(c[rule.column], rule.parser)
         if rule.test is not None:
             mask |= rule.test(c)
@@ -681,8 +689,9 @@ def _byte_kinds(names: list[str], rules: list[_Rule]) -> str:
 
 def _columns(data: bytes, records: _Records, width: int, kinds: str):
     """The columns of the non-blank records of a block (``parse_lines``, a
-    text column as a tuple; a column with a ``quoted`` cell as text), their
-    missing cells empty and extra ones dropped, and their numbers of cells."""
+    text column as a tuple; a column other than the ids with a ``quoted``
+    cell as text), their missing cells empty and extra ones dropped, and
+    their numbers of cells."""
     from .fixedpoint import parse_lines  # loaded on the first read
 
     first = records.first[records.index]
@@ -697,9 +706,10 @@ def _columns(data: bytes, records: _Records, width: int, kinds: str):
         starts, stops = np.append(starts, 0)[cells], np.append(stops, 0)[cells]
     if records.quoted is not None:
         text = set(np.flatnonzero(records.quoted[cells].any(axis=0)).tolist())
-        kinds = "".join("s" if j in text else kind for j, kind in enumerate(kinds))
+        kinds = "".join("s" if j in text and kind != "i" else kind
+                        for j, kind in enumerate(kinds))
     del cells
-    return [c if isinstance(c, np.ndarray) else tuple(c)
+    return [tuple(c) if isinstance(c, list) else c
             for c in parse_lines(data, starts.T, stops.T, kinds, records.dropped)], counts
 
 
@@ -715,13 +725,15 @@ def _header(lines: _Lines, path: str | Path) -> list[str] | None:
 
 
 def _batches(lines: _Lines, path: str | Path, width: int, kinds: str, size: int):
-    """The row numbers, columns and field counts (``_columns``) of each batch
-    of ``size`` records after the header, blank ones left out: slices of a
-    block of ``size * ceil(_PARSE_ROWS / size)`` records, tokenized and
-    parsed at once. A record csv cannot read ends the records; its error is
-    raised after the batches of those before it."""
-    block = size * -(-_PARSE_ROWS // size)
+    """Each batch of ``size`` records after the header, blank ones left out,
+    as a list of its pieces in each block, in order: their row numbers,
+    columns and field counts (``_columns``). A block of ``_PARSE_ROWS``
+    records, or for a smaller batch of the fewest whole batches that hold
+    as many, is tokenized and parsed at once. A record csv cannot read ends
+    the records; its error is raised after the batches of those before it."""
+    block = _PARSE_ROWS if size >= _PARSE_ROWS else size * -(-_PARSE_ROWS // size)
     first, error = 2, None  # the row number of the block's first record
+    pieces, room = [], size  # the batch's pieces so far, and the records it lacks
     while error is None:
         data, records = lines.take(block)
         if not data:
@@ -730,13 +742,38 @@ def _batches(lines: _Lines, path: str | Path, width: int, kinds: str, size: int)
         index, count, error = records.index, records.count, records.error
         del data, records  # free the bounds before the batches are read
         numbers = first + index
-        for start in range(0, count, size):
-            rows = slice(*np.searchsorted(index, (start, start + size)).tolist())
+        start = 0
+        while start < count:
+            stop = min(start + room, count)
+            rows = slice(*np.searchsorted(index, (start, stop)).tolist())
             if rows.start < rows.stop:
-                yield numbers[rows], [c[rows] for c in columns], fields[rows]
+                pieces.append((numbers[rows], [c[rows] for c in columns], fields[rows]))
+            room -= stop - start
+            start = stop
+            if not room:
+                if pieces:
+                    yield pieces
+                pieces, room = [], size
+        del columns, fields, numbers  # free the block once its batches are read
         first += count
+    if pieces:
+        yield pieces
     if error is not None:
         raise InvalidDocument(path, f"row {first}: {error}")
+
+
+def _checked_batch(pieces: list, rules: list[_Rule], names: list[str], earlier: IdIndex) -> dict:
+    """The columns of a batch's ``pieces`` (``_batches``), each piece
+    checked (``_checked_columns``) in row order and taken off the list, then
+    joined."""
+    checked = []
+    while pieces:
+        checked.append(_checked_columns(rules, names, *pieces.pop(0), earlier))
+    if len(checked) == 1:
+        return checked[0]
+    return {name: np.concatenate(parts) if isinstance(parts[0], np.ndarray)
+            else type(parts[0]).join(parts)
+            for name, parts in ((name, [c[name] for c in checked]) for name in names)}
 
 
 def _read_batches(path: str | Path, schema, batch_of, size: int):
@@ -745,7 +782,8 @@ def _read_batches(path: str | Path, schema, batch_of, size: int):
     ``schema(header)`` checks the file's header and returns the column names
     of its rows and their rules; ``batch_of(c, names)`` builds a batch from
     the checked columns. Text that is not UTF-8, or a record csv cannot
-    read, is InvalidDocument naming the file.
+    read, is InvalidDocument naming the file. No batch is held while the
+    next is read.
     """
     from .idindex import IdIndex  # loaded on the first read
 
@@ -757,13 +795,8 @@ def _read_batches(path: str | Path, schema, batch_of, size: int):
         header = _header(lines, path)
         if lines.error is None:
             names, rules = schema(header)
-            for numbers, columns, fields in _batches(lines, path, len(names),
-                                                     _byte_kinds(names, rules), size):
-                c = _checked_columns(rules, names, numbers, columns, fields, earlier)
-                del columns  # free the cells before the next batch is read
-                batch = batch_of(c, names)
-                del c
-                yield batch
+            for pieces in _batches(lines, path, len(names), _byte_kinds(names, rules), size):
+                yield batch_of(_checked_batch(pieces, rules, names, earlier), names)
     if (exc := lines.error) is not None:
         raise InvalidDocument(path, f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x} "
                                     "cannot be decoded)")
@@ -794,7 +827,7 @@ def read_scoring_batches(path: str | Path, mode: str = "single",
     """Stream validated scoring rows from ``path`` as column batches.
 
     Memory stays flat in the file length apart from the index of ids read
-    (``idindex.IdIndex``), which keeps each id's text and 14 to 20 bytes
+    (``idindex.IdIndex``), which keeps each id's bytes and 14 to 20 bytes
     more to find duplicates.
     """
     _check_mode(mode)
@@ -827,7 +860,7 @@ def _csv_field(value: str) -> str:
     return out.getvalue()[:-2]
 
 
-def _write_template(fh, template: str, ids: tuple[str, ...], columns: list,
+def _write_template(fh, template: str, ids: Sequence[str], columns: list,
                     quote: bool) -> None:
     """Write ``template % (id, *fields)`` line by line, with ids quoted as
     ``csv.writer`` does if ``quote``."""
@@ -838,35 +871,38 @@ def _write_template(fh, template: str, ids: tuple[str, ...], columns: list,
         c.tolist() if isinstance(c, np.ndarray) else c for c in columns))))
 
 
-def _write_rows(fh, template: str, ids: tuple[str, ...], columns: Iterable) -> int:
+def _write_rows(fh, template: str, ids: Sequence[str], columns: Iterable) -> int:
     """Write one ``template`` line per id, with ids quoted as ``csv.writer`` quotes them.
 
     ``columns`` holds the other fields, one array (or sequence) per column.
-    The ids are joined and searched once. Array columns under a template of
-    an id and ``%.6f`` and ``%d`` fields are printed by
-    ``fixedpoint.format_lines`` from the joined ids' bytes, ``_FORMAT_ROWS``
-    rows at a time. A batch with an id that csv may quote, any other
-    template or column, and a slice that ``format_lines`` does not print go
-    through the template line by line.
+    The ids' bytes (``fixedpoint.Ids``, or str ids joined and encoded) are
+    searched once. Array columns under a template of an id and ``%.6f`` and
+    ``%d`` fields are printed by ``fixedpoint.format_lines`` from those
+    bytes, ``_FORMAT_ROWS`` rows at a time. A batch with an id that csv may
+    quote, any other template or column, and a slice that ``format_lines``
+    does not print go through the template line by line.
     """
-    from .fixedpoint import field_kinds, format_lines  # compiled only where rows are written
+    from .fixedpoint import Ids, field_kinds, format_lines  # compiled only where rows are written
 
     columns = list(columns)
     kinds = field_kinds(template)
-    joined = ",".join(ids) + ","  # each id and a comma after it
-    quote = joined.count(",") != len(ids) or _CSV_SPECIAL.search(joined) is not None
-    text = None
-    if not (quote or kinds is None or len(kinds) != len(columns)
-            or not all(isinstance(c, np.ndarray) and c.ndim == 1 for c in columns)):
+    if isinstance(ids, Ids):  # each id's bytes and a comma after it
+        text = ids.text
+        quote = (np.count_nonzero(text == _COMMA) != len(ids)
+                 or _CSV_SPECIAL_BYTES.search(text) is not None)
+    else:
+        joined = ",".join(ids) + ","
+        quote = joined.count(",") != len(ids) or _CSV_SPECIAL.search(joined) is not None
         try:
             text = np.frombuffer(joined.encode(), np.uint8)
         except UnicodeEncodeError:  # the template raises the file's error
-            pass
-    del joined
-    if text is None:
+            text = None
+        del joined
+    if (quote or text is None or kinds is None or len(kinds) != len(columns)
+            or not all(isinstance(c, np.ndarray) and c.ndim == 1 for c in columns)):
         _write_template(fh, template, ids, columns, quote)
         return len(ids)
-    ends = np.flatnonzero(text == 44) + 1  # where each id's bytes and comma end
+    ends = np.flatnonzero(text == _COMMA) + 1  # where each id's bytes and comma end
     for start in range(0, len(ids), _FORMAT_ROWS):
         rows = slice(start, start + _FORMAT_ROWS)
         part = [c[rows] for c in columns]
@@ -879,7 +915,7 @@ def _write_rows(fh, template: str, ids: tuple[str, ...], columns: Iterable) -> i
 
 
 def write_csv(path: str | Path, header: list[str], template: str,
-              batches: Iterable[tuple[tuple[str, ...], Iterable]]) -> int:
+              batches: Iterable[tuple[Sequence[str], Iterable]]) -> int:
     """Write ``header`` and, for each ``(ids, columns)`` batch, one line per id.
 
     Lines are ``template % (id, *fields)``; returns the number of rows written.
@@ -916,6 +952,7 @@ def write_projection_batches(path: str | Path, batches: Iterable[ProjectionBatch
             fh.write(",".join(PROJECTION_COLUMNS) + "\n")
             for b in batches:
                 count += _write_rows(fh, _PROJECTION_LINE, b.ids, b[1:])
+                del b  # free the batch before the next is read
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -31,13 +31,16 @@ integer cell is ``±N``, and a flag cell the one byte ``0`` or ``1``. A
 code cell is empty or one ASCII byte other than NUL, and a code column
 comes as a one-character numpy str column (``U1``). A column with any
 other cell (``+1``, ``.5``, ``1e3``, ``nan``, `` 1``, a non-ASCII digit,
-16 digits or more; a longer code) comes as text.
+16 digits or more; a longer code) comes as text. An id column comes as
+``Ids``: the cells' bytes, never decoded while they are read.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -190,26 +193,106 @@ _POW10 = 10.0 ** np.arange(16)
 _PAD = bytes(_CELL_BYTES // 4 * 4 + 4)
 
 
-def _text_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                dropped: np.ndarray | None) -> list[str]:
-    """The cells from ``starts`` to ``ends`` (exclusive) of ``text``, as str,
-    without the bytes ``dropped`` marks, sliced out together, decoded and split once (at byte offsets if one holds a "\\n")."""
-    lengths = ends - starts + 1  # each cell and a newline
+def _cell_bytes(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                dropped: np.ndarray | None, separator: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells from ``starts`` to ``ends`` (exclusive) of ``text``, each
+    followed by the byte ``separator``, without the bytes ``dropped`` marks,
+    sliced out together; and the offset after each cell's separator."""
+    lengths = ends - starts + 1  # each cell and a separator
     stops = np.cumsum(lengths)
     index = np.arange(stops[-1]) + np.repeat(starts - stops + lengths, lengths)
     picked = text[index]
-    picked[stops - 1] = 10
+    picked[stops - 1] = separator
     if dropped is not None:
         kept = ~dropped[index]
         kept[stops - 1] = True
         picked = picked[kept]
-    cells = picked.tobytes().decode().split("\n")[:-1]
-    if len(cells) == len(starts):
-        return cells
-    if dropped is not None:
         stops = np.cumsum(kept)[stops - 1]
-    picked = picked.tobytes()
-    return [picked[a:b - 1].decode() for a, b in zip([0, *stops[:-1].tolist()], stops.tolist())]
+    return picked, stops
+
+
+def _split(picked: np.ndarray, stops: np.ndarray, separator: str) -> list[str]:
+    """The cells of ``_cell_bytes`` as str, decoded and split once (at their
+    offsets if a cell holds the separator)."""
+    cells = picked.tobytes().decode().split(separator)[:-1]
+    if len(cells) == len(stops):
+        return cells
+    data = picked.tobytes()
+    return [data[a:b - 1].decode() for a, b in zip([0, *stops[:-1].tolist()], stops.tolist())]
+
+
+def _text_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                dropped: np.ndarray | None) -> list[str]:
+    """The cells from ``starts`` to ``ends`` of ``text`` as str, without the
+    bytes ``dropped`` marks."""
+    return _split(*_cell_bytes(text, starts, ends, dropped, 10), "\n")
+
+
+class Ids(Sequence):
+    """Customer ids as one array of their UTF-8 bytes: ``text`` (uint8)
+    holds each id's bytes and a comma after it, in order, which is what
+    ``format_lines`` prints ids from, and ``ends`` the offset after each
+    comma. A read-only sequence of str: ids are decoded only when they are
+    taken out (for an error message, a record or the writer's quoting), a
+    slice shares ``text``, and ``==`` compares the ids."""
+
+    __slots__ = ("text", "ends")
+
+    def __init__(self, text: np.ndarray, ends: np.ndarray):
+        self.text, self.ends = text, ends
+
+    @classmethod
+    def of(cls, cells: Iterable[str]) -> Ids:
+        encoded = [cell.encode() for cell in cells]
+        return cls(np.frombuffer(b"".join(cell + b"," for cell in encoded), np.uint8),
+                   np.cumsum([len(cell) + 1 for cell in encoded], dtype=np.int64))
+
+    @classmethod
+    def join(cls, parts: Sequence[Ids]) -> Ids:
+        """The ids of ``parts``, in order."""
+        offsets = np.cumsum([0] + [part.text.size for part in parts[:-1]])
+        return cls(np.concatenate([part.text for part in parts]),
+                   np.concatenate([part.ends + offset for part, offset in zip(parts, offsets)]))
+
+    def __len__(self) -> int:
+        return self.ends.size
+
+    def _start(self, i: int) -> int:
+        return int(self.ends[i - 1]) if i else 0
+
+    def utf8(self, i: int) -> bytes:
+        """The bytes of id ``i`` (from 0)."""
+        return self.text[self._start(i):int(self.ends[i]) - 1].tobytes()
+
+    def sizes(self) -> np.ndarray:
+        """Each id's number of bytes."""
+        sizes = self.ends - 1
+        sizes[1:] -= self.ends[:-1]
+        return sizes
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            rows = range(len(self))[i]
+            if rows.step != 1:
+                raise ValueError("Ids are sliced with a step of 1")
+            first = self._start(rows.start)
+            return Ids(self.text[first:self._start(rows.stop)], self.ends[i] - first)
+        return self.utf8(range(len(self))[i]).decode()
+
+    def __iter__(self):
+        return iter(_split(self.text, self.ends, ","))
+
+    def __eq__(self, other):
+        if isinstance(other, Ids):
+            return np.array_equal(self.ends, other.ends) and np.array_equal(self.text, other.text)
+        if isinstance(other, (tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Ids({list(self)!r})"
 
 
 def _code_cells(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
@@ -297,11 +380,12 @@ def parse_lines(data: bytes, starts: np.ndarray, ends: np.ndarray, kinds: str,
     column by column, given (columns, rows) arrays of each cell's first
     byte and the byte after its last (at most ``len(data)``); its byte
     matrices take about 1.7 MB for 2048 rows of 11 cells. ``kinds`` holds
-    each column's kind: ``s`` text, ``c`` a code (a ``U1`` array), ``d`` an
-    integer or ``b`` a 0 or 1 flag (int64 arrays), ``f`` a float (float64).
-    A text column, and a number or code column with a cell that is not read
-    (see the module docstring), comes as a list of str, without the bytes
-    that ``dropped`` (a bool array, one longer than ``data``) marks."""
+    each column's kind: ``s`` text, ``i`` ids (``Ids``), ``c`` a code (a
+    ``U1`` array), ``d`` an integer or ``b`` a 0 or 1 flag (int64 arrays),
+    ``f`` a float (float64). A text column, and a number or code column
+    with a cell that is not read (see the module docstring), comes as a
+    list of str. Text and ids come without the bytes that ``dropped`` (a
+    bool array, one longer than ``data``) marks."""
     padded = np.frombuffer(b"".join((_PAD, data, b"\n")), np.uint8)
     text = padded[len(_PAD):]  # the block and a newline
     numeric = [j for j, kind in enumerate(kinds) if kind in "dbf"]
@@ -309,7 +393,10 @@ def parse_lines(data: bytes, starts: np.ndarray, ends: np.ndarray, kinds: str,
     fit = [j for j, n in zip(numeric, longest) if n <= _CELL_BYTES]
     columns = dict(zip(fit, _number_cells(padded, starts[fit], ends[fit],
                                           [kinds[j] for j in fit]) if fit else ()))
-    for j in (j for j, kind in enumerate(kinds) if kind == "c"):
-        columns[j] = _code_cells(text, starts[j], ends[j])
+    for j, kind in enumerate(kinds):
+        if kind == "c":
+            columns[j] = _code_cells(text, starts[j], ends[j])
+        elif kind == "i":
+            columns[j] = Ids(*_cell_bytes(text, starts[j], ends[j], dropped, 44))
     return [_text_cells(text, starts[j], ends[j], dropped) if columns.get(j) is None
             else columns[j] for j in range(len(kinds))]

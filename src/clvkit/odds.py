@@ -199,8 +199,15 @@ def log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray,
     the two terms are weighted by y and 1 - y instead, so that inf * 0
     gives NaN there as it always has (the fit halves such a step).
     """
+    return _log_likelihood(beta, X, y, offsets, ridge, bool(((y == 0) | (y == 1)).all()))
+
+
+def _log_likelihood(beta: np.ndarray, X: np.ndarray, y: np.ndarray, offsets: np.ndarray,
+                    ridge: float, binary: bool) -> float:
+    """``log_likelihood``, given whether y is all 0 or 1: the fit's blocks
+    are, as ``_design`` has checked, so their objective passes skip the test."""
     eta = offsets + X @ beta
-    if np.isfinite(eta).all() and ((y == 0) | (y == 1)).all():
+    if np.isfinite(eta).all() and binary:
         ll = -np.logaddexp(0.0, np.where(y == 1, -eta, eta)).sum()
     else:
         ll = -(np.logaddexp(0.0, -eta) * y + np.logaddexp(0.0, eta) * (1.0 - y)).sum()
@@ -264,7 +271,7 @@ def _objective(blocks: list[tuple], beta: np.ndarray, ridge: float) -> tuple[flo
     that less the ridge penalty."""
     total = 0.0
     for X, y, offsets in blocks:
-        total += log_likelihood(beta, X, y, offsets)
+        total += _log_likelihood(beta, X, y, offsets, 0.0, True)
     return total, total - 0.5 * ridge * float(beta @ beta)
 
 

@@ -50,9 +50,11 @@ def score_causes(batches: Iterable[ScoringBatch], causes: Sequence[Cause], *,
         if any(score is None for score in scores):
             raise ValueError(f"records lack {'/'.join(columns)}")
         alphas, alpha = coefficients(scores, tables, batch.tenure, batch.ids)
-        ert, clv, truncated = project_batch(tables, alphas, batch.tenure, batch.margin,
-                                            discount, config)
-        yield ProjectionBatch(batch.ids, alpha, ert, clv, truncated)
+        projected = ProjectionBatch(batch.ids, alpha, *project_batch(
+            tables, alphas, batch.tenure, batch.margin, discount, config))
+        del batch, scores, alphas, alpha  # hold no batch while the next is read
+        yield projected
+        del projected
 
 
 def _rows(records: Iterable[ScoringRecord], causes: Sequence[Cause],

@@ -499,8 +499,9 @@ class _CsvRecords:
         return header and [self.back(cell) for cell in header]
 
     def batches(self, path, width, kinds, size):
-        """Batches of ``size`` records, blank ones left out: row numbers,
-        cells by column (cut or padded with "" to ``width``), field counts."""
+        """Batches of ``size`` records, blank ones left out, each as one
+        piece: row numbers, cells by column (cut or padded with "" to
+        ``width``), field counts."""
         first = 2
         while True:
             rows, error = [], None
@@ -514,8 +515,8 @@ class _CsvRecords:
             if rows:
                 fields = np.array([len(cells) for cells in rows])
                 padded = [(cells + [""] * width)[:width] for cells in rows]
-                yield (numbers, [tuple(column) for column in zip(*padded)],
-                       None if (fields == width).all() else fields)
+                yield [(numbers, [tuple(column) for column in zip(*padded)],
+                        None if (fields == width).all() else fields)]
             if error is not None:
                 raise error
             if count < size:
@@ -745,9 +746,9 @@ def _exact_batches(path, reader, mode, size):
 
 
 def _text_columns(kinds, columns):
-    """The places of the number and code columns that ``parse_lines`` gave as text."""
+    """The places of the number, code and id columns that ``parse_lines`` gave as text."""
     return [j for j, (kind, column) in enumerate(zip(kinds, columns))
-            if kind != "s" and not isinstance(column, np.ndarray)]
+            if kind != "s" and isinstance(column, list)]
 
 
 def _assert_bytes_read_as_text(path, reader, mode, sizes=PARSER_BATCH_SIZES):
@@ -1075,13 +1076,14 @@ def _spy_byte_parser():
 
 
 def test_a_batch_is_one_block(tmp_path):
-    # A batch of 2048 records or more is tokenized and parsed at once, and a
-    # smaller one is cut from a block of whole batches.
+    # Records are tokenized and parsed 2048 at a time at every batch size: a
+    # larger batch is built from consecutive blocks, and a smaller one is cut
+    # from a block of the fewest whole batches that hold 2048 records.
     n = 3 * 8192 + 100
     path = tmp_path / "in.csv"
     path.write_text("customer_id,tenure,churn_score,margin\n" + _filler(n), encoding="utf-8")
-    for size, blocks in [(dataio.SCORING_BATCH_SIZE, [8192, 8192, 8192, 100]),
-                         (3000, [3000] * 8 + [676]), (7, [2051] * 12 + [64])]:
+    for size, blocks in [(dataio.SCORING_BATCH_SIZE, [2048] * 12 + [100]),
+                         (3000, [2048] * 12 + [100]), (7, [2051] * 12 + [64])]:
         parsed, text, spy = _spy_byte_parser()
         with spy:
             batches = list(dataio.read_scoring_batches(path, "single", size))

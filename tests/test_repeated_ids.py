@@ -1,9 +1,9 @@
 """The readers' index of ids read so far (``idindex.IdIndex``) against a set.
 
-Duplicate customer ids are found by keeping, per batch, the ids' text and
-their hashes in sorted runs behind a bit filter, not a set of strs. These
-tests check that the index marks exactly the rows a set would, with the
-hash as it is and with the hash patched to a handful of values so that
+Duplicate customer ids are found by keeping, per batch, the ids' bytes and
+their keyed hashes in sorted runs behind a bit filter, not a set of strs.
+These tests check that the index marks exactly the rows a set would, with
+the hash as it is and with the hash patched to a handful of values so that
 unequal ids share hashes, and that the memory it keeps per id stays small.
 """
 
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clvkit import dataio, idindex
+from clvkit.fixedpoint import Ids
 from clvkit.errors import DuplicateCustomerId, InvalidValue
 
 _BATCH_SIZES = [1, 7, 2048, 8192]
@@ -40,12 +41,16 @@ def _id_lists(draw):
     return draw(st.permutations(pool + filler + repeats))
 
 
-def _few_hashes(value: str) -> int:
+_ID_HASH = idindex._id_hash
+
+
+def _few_hashes(ids: Ids):
     """Five hash values, with the high 32 bits all set or all clear."""
-    return hash(value) % 5 - 2
+    return _ID_HASH(ids) % 5 - 2
 
 
-_HASHES = pytest.mark.parametrize("id_hash", [hash, _few_hashes], ids=["hash", "five hashes"])
+_HASHES = pytest.mark.parametrize("id_hash", [_ID_HASH, _few_hashes],
+                                  ids=["hash", "five hashes"])
 
 
 @_HASHES
@@ -60,7 +65,7 @@ def test_index_marks_the_rows_a_set_marks(id_hash, ids, size):
             for cell in batch:
                 expected.append(cell in seen)
                 seen.add(cell)
-            assert index.repeated(batch).tolist() == expected
+            assert index.repeated(Ids.of(batch)).tolist() == expected
 
 
 def _quoted(cell: str) -> str:
