@@ -754,7 +754,6 @@ def _batches(lines: _Lines, path: str | Path, width: int, kinds: str, size: int)
                 if pieces:
                     yield pieces
                 pieces, room = [], size
-        del columns, fields, numbers  # free the block once its batches are read
         first += count
     if pieces:
         yield pieces
