@@ -87,7 +87,8 @@ PROJECTION_COLUMNS = ["customer_id", "alpha", "ert_months", "clv", "truncated_at
 
 # Records tokenized and parsed as one block: a larger batch is built from
 # blocks. Against one block per 8192-row batch, this took `score`'s peak
-# down by about 2.4 MB (the byte matrices of a block's number parse).
+# (VmHWM) down by about 3 MB on the benchmark's scoring files, most of it
+# the byte matrices of a block's number parse.
 _PARSE_ROWS = 2048
 # Rows per batch. A calibration batch is one block: 2-46 ms less than 512-row
 # batches on the benchmark's calibration files, for at most 0.2 MB more peak memory.

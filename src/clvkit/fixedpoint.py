@@ -243,6 +243,7 @@ class Ids(Sequence):
 
     @classmethod
     def of(cls, cells: Iterable[str]) -> Ids:
+        """The ids ``cells``, encoded."""
         encoded = [cell.encode() for cell in cells]
         return cls(np.frombuffer(b"".join(cell + b"," for cell in encoded), np.uint8),
                    np.cumsum([len(cell) + 1 for cell in encoded], dtype=np.int64))
