@@ -108,8 +108,7 @@ _PROJECTION_LINE = f"%s,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%d\n"
 # holding one (or a comma) has its ids quoted by csv.writer itself, which
 # (on Python 3.11) leaves an id with a lone "\r" unquoted, so a hand-written
 # rule could drift from it.
-_CSV_SPECIAL = re.compile('["\r\n]')
-_CSV_SPECIAL_BYTES = re.compile(b'["\r\n]')
+_CSV_SPECIAL = re.compile(b'["\r\n]')
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Rows that fixedpoint.format_lines prints at a time, so that its byte
 # matrices stay small.
@@ -348,8 +347,8 @@ class _Parser(NamedTuple):
     """Cell text to value, the dtype of the parsed column, and the kind of
     cell ``fixedpoint.parse_lines`` reads from bytes to the same values."""
 
-    parse: Callable[[str], object]
-    dtype: type | str
+    parse: Callable[[str], object] | None
+    dtype: type | str | None
     kind: str
 
 
@@ -363,8 +362,9 @@ class _Rule(NamedTuple):
 _INTEGER = _Parser(int, np.int64, "d")
 _NUMBER = _Parser(float, np.float64, "f")
 _FLAG = _Parser({"0": 0, "1": 1}.__getitem__, np.int64, "b")
-# Ids: any cell is one. Its column, from the bytes or from text, is ``fixedpoint.Ids``.
-_ID = _Parser(str, None, "i")
+# Ids: any cell is one, and the column always comes from the bytes, as
+# ``fixedpoint.Ids``, so it has nothing to parse.
+_ID = _Parser(None, None, "i")
 
 
 def _code(codes: tuple[str, ...]) -> _Parser:
@@ -455,14 +455,10 @@ def _parsed(cells: tuple[str, ...], parser: _Parser) -> tuple[np.ndarray, np.nda
 
     Only a column that fails as a whole is parsed cell by cell: its failed
     cells then hold 0, and an integer column holds Python ints, so that a
-    tenure past int64 keeps its value for the range rules. Ids always parse.
+    tenure past int64 keeps its value for the range rules.
     """
-    parse, dtype, kind = parser
+    parse, dtype, _ = parser
     n = len(cells)
-    if kind == "i":
-        from .fixedpoint import Ids
-
-        return Ids.of(cells), np.zeros(n, dtype=bool)
     try:
         return np.fromiter(map(parse, cells), dtype, n), np.zeros(n, dtype=bool)
     except (ValueError, KeyError, OverflowError):  # OverflowError: an int past int64
@@ -731,7 +727,11 @@ def _batches(lines: _Lines, path: str | Path, width: int, kinds: str, size: int)
     columns and field counts (``_columns``). A block of ``_PARSE_ROWS``
     records, or for a smaller batch of the fewest whole batches that hold
     as many, is tokenized and parsed at once. A record csv cannot read ends
-    the records; its error is raised after the batches of those before it."""
+    the records; its error is raised after the batches of those before it.
+    The block's ids are hashed at once too (``idindex.hashed``), so that a
+    batch of a few records does not pay for a hash of its own."""
+    from .idindex import hashed
+
     block = _PARSE_ROWS if size >= _PARSE_ROWS else size * -(-_PARSE_ROWS // size)
     first, error = 2, None  # the row number of the block's first record
     pieces, room = [], size  # the batch's pieces so far, and the records it lacks
@@ -740,6 +740,8 @@ def _batches(lines: _Lines, path: str | Path, width: int, kinds: str, size: int)
         if not data:
             break
         columns, fields = _columns(data, records, width, kinds) if records.index.size else ([], [])
+        for ids in (c for c, kind in zip(columns, kinds) if kind == "i"):
+            hashed(ids)
         index, count, error = records.index, records.count, records.error
         del data, records  # free the bounds before the batches are read
         numbers = first + index
@@ -875,34 +877,31 @@ def _write_rows(fh, template: str, ids: Sequence[str], columns: Iterable) -> int
     """Write one ``template`` line per id, with ids quoted as ``csv.writer`` quotes them.
 
     ``columns`` holds the other fields, one array (or sequence) per column.
-    The ids' bytes (``fixedpoint.Ids``, or str ids joined and encoded) are
+    The ids' bytes (``fixedpoint.Ids``; str ids are encoded to them) are
     searched once. Array columns under a template of an id and ``%.6f`` and
     ``%d`` fields are printed by ``fixedpoint.format_lines`` from those
     bytes, ``_FORMAT_ROWS`` rows at a time. A batch with an id that csv may
-    quote, any other template or column, and a slice that ``format_lines``
-    does not print go through the template line by line.
+    quote or that UTF-8 cannot encode, any other template or column, and a
+    slice that ``format_lines`` does not print go through the template line
+    by line.
     """
     from .fixedpoint import Ids, field_kinds, format_lines  # compiled only where rows are written
 
     columns = list(columns)
-    kinds = field_kinds(template)
-    if isinstance(ids, Ids):  # each id's bytes and a comma after it
-        text = ids.text
-        quote = (np.count_nonzero(text == _COMMA) != len(ids)
-                 or _CSV_SPECIAL_BYTES.search(text) is not None)
-    else:
-        joined = ",".join(ids) + ","
-        quote = joined.count(",") != len(ids) or _CSV_SPECIAL.search(joined) is not None
+    if not isinstance(ids, Ids):
         try:
-            text = np.frombuffer(joined.encode(), np.uint8)
+            ids = Ids.of(ids)
         except UnicodeEncodeError:  # the template raises the file's error
-            text = None
-        del joined
-    if (quote or text is None or kinds is None or len(kinds) != len(columns)
+            _write_template(fh, template, ids, columns, True)
+            return len(ids)
+    kinds = field_kinds(template)
+    text = ids.text  # each id's bytes and a comma after it
+    quote = np.count_nonzero(text == _COMMA) != len(ids) or _CSV_SPECIAL.search(text) is not None
+    if (quote or kinds is None or len(kinds) != len(columns)
             or not all(isinstance(c, np.ndarray) and c.ndim == 1 for c in columns)):
         _write_template(fh, template, ids, columns, quote)
         return len(ids)
-    ends = np.flatnonzero(text == _COMMA) + 1  # where each id's bytes and comma end
+    ends = ids.ends
     for start in range(0, len(ids), _FORMAT_ROWS):
         rows = slice(start, start + _FORMAT_ROWS)
         part = [c[rows] for c in columns]

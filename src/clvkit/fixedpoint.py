@@ -234,19 +234,23 @@ class Ids(Sequence):
     ``format_lines`` prints ids from, and ``ends`` the offset after each
     comma. A read-only sequence of str: ids are decoded only when they are
     taken out (for an error message, a record or the writer's quoting), a
-    slice shares ``text``, and ``==`` compares the ids."""
+    slice shares ``text``, and ``==`` compares the ids. ``hashes`` is None,
+    or each id's hash in the readers' id index (``idindex.hashed``), which
+    a slice shares too, so that a block's ids are hashed once."""
 
-    __slots__ = ("text", "ends")
+    __slots__ = ("text", "ends", "hashes")
 
-    def __init__(self, text: np.ndarray, ends: np.ndarray):
-        self.text, self.ends = text, ends
+    def __init__(self, text: np.ndarray, ends: np.ndarray, hashes: np.ndarray | None = None):
+        self.text, self.ends, self.hashes = text, ends, hashes
 
     @classmethod
     def of(cls, cells: Iterable[str]) -> Ids:
-        """The ids ``cells``, encoded."""
+        """The ids ``cells``, encoded; UnicodeEncodeError if UTF-8 cannot
+        encode one (a lone surrogate)."""
         encoded = [cell.encode() for cell in cells]
-        return cls(np.frombuffer(b"".join(cell + b"," for cell in encoded), np.uint8),
-                   np.cumsum([len(cell) + 1 for cell in encoded], dtype=np.int64))
+        sizes = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        return cls(np.frombuffer(b",".join(encoded) + b"," * bool(encoded), np.uint8),
+                   np.cumsum(sizes + 1))
 
     @classmethod
     def join(cls, parts: Sequence[Ids]) -> Ids:
@@ -277,7 +281,8 @@ class Ids(Sequence):
             if rows.step != 1:
                 raise ValueError("Ids are sliced with a step of 1")
             first = self._start(rows.start)
-            return Ids(self.text[first:self._start(rows.stop)], self.ends[i] - first)
+            return Ids(self.text[first:self._start(rows.stop)], self.ends[i] - first,
+                       None if self.hashes is None else self.hashes[i])
         return self.utf8(range(len(self))[i]).decode()
 
     def __iter__(self):

@@ -11,8 +11,12 @@ here. Each batch's ids are kept as those bytes with each id's end offset,
 and as int64 keys: each id's 64-bit hash (``_id_hash``) with its low 32
 bits replaced by the id's number in the file (from 0), modulo 2**32, so a
 key keeps 32 bits of the hash. The hash is keyed by 40 random bytes drawn
-once per process, so no file can be made to collide on purpose; ids that
-share the 32 kept bits are each confirmed against every earlier one. The
+once per process, and mixes each 8-byte word of an id whole under the key
+before the words are summed, so which ids share a hash changes from one
+process to the next. It is not a cryptographic hash: ids that share the 32
+kept bits are each confirmed against every earlier one, so a file built
+to make them share would be slow to read, not read wrongly. A block's ids
+are hashed once (``hashed``), whatever the batches it is cut into. The
 keys sit in sorted runs: a new batch's run merges with the last run while
 that is no bigger, so there are about log2(batches) runs. A filter of 16 to
 64 bits per id (one bit per key, from its hash bits) passes every key that a
@@ -41,10 +45,13 @@ _WORD_PAD = np.zeros(8, np.uint8)
 def _id_hash(ids: Ids) -> np.ndarray:
     """Each id's 64-bit hash, as int64, of its bytes and their number under
     ``_KEY``. An id is read as little-endian 8-byte words from its first
-    byte, its last word zero-filled past it; each word is mixed with its
-    place in the id, the mixed words are summed (modulo 2**64), and the sum
-    and the id's size are mixed once more. One name, so that a test can
-    patch it."""
+    byte, its last word zero-filled past it; each word is xored with a key
+    word of its place in the id and mixed whole (``_mixed``), the mixed
+    words are summed (modulo 2**64), and the sum and the id's size are
+    mixed once more. A word must be mixed whole before the sum: with only a
+    multiply, a change of a word's bit 62 changes its term in 4 bits
+    whatever the key, so ids that differ in such bits fall into few sums.
+    One name, so that a test can patch it."""
     sizes = ids.sizes()
     counts = (sizes + 7) >> 3  # words per id
     firsts = np.cumsum(counts) - counts  # each id's first word
@@ -57,16 +64,30 @@ def _id_hash(ids: Ids) -> np.ndarray:
     words &= _U64(2**64 - 1) >> (64 - 8 * np.minimum(left, 8)).astype(_U64)
     words ^= place.astype(_U64) * _KEY[1] + _KEY[0]
     words *= _KEY[2]
-    words ^= words >> _U64(32)
+    _mixed(words)
     sums = np.zeros(owner.size + 1, _U64)
     np.cumsum(words, out=sums[1:])
     h = sums[firsts + counts] - sums[firsts]
     h += sizes.astype(_U64) * _KEY[3] + _KEY[4]
+    return _mixed(h).view(np.int64)
+
+
+def hashed(ids: Ids) -> Ids:
+    """``ids`` with each id's hash (``_id_hash``) kept as ``ids.hashes``,
+    which its slices share: the readers hash a block's ids once, however
+    many batches it is cut into."""
+    ids.hashes = _id_hash(ids)
+    return ids
+
+
+def _mixed(x: np.ndarray) -> np.ndarray:
+    """``x`` (uint64) through MurmurHash3's 64-bit finalizer, in place: each
+    bit of the result depends on every bit of the input."""
     for multiplier in (_U64(0xFF51AFD7ED558CCD), _U64(0xC4CEB9FE1A85EC53)):
-        h ^= h >> _U64(33)
-        h *= multiplier
-    h ^= h >> _U64(33)
-    return h.view(np.int64)
+        x ^= x >> _U64(33)
+        x *= multiplier
+    x ^= x >> _U64(33)
+    return x
 
 
 # A key's low bits: its id's number modulo 2**32. The rest are the hash's.
@@ -95,7 +116,8 @@ class IdIndex:
         """The rows of ``ids`` whose id is on an earlier row or was added
         before; ``ids`` are added."""
         n, first = len(ids), self.count
-        keys = (_id_hash(ids) & _HASH_BITS
+        hashes = _id_hash(ids) if ids.hashes is None else ids.hashes
+        keys = (hashes & _HASH_BITS
                 | np.arange(first, first + n, dtype=np.int64) & _NUMBER_BITS)
         keys.sort()
         repeated = np.zeros(n, dtype=bool)

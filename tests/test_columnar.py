@@ -501,7 +501,7 @@ class _CsvRecords:
     def batches(self, path, width, kinds, size):
         """Batches of ``size`` records, blank ones left out, each as one
         piece: row numbers, cells by column (cut or padded with "" to
-        ``width``), field counts."""
+        ``width``; the id column as ``fixedpoint.Ids``), field counts."""
         first = 2
         while True:
             rows, error = [], None
@@ -515,7 +515,8 @@ class _CsvRecords:
             if rows:
                 fields = np.array([len(cells) for cells in rows])
                 padded = [(cells + [""] * width)[:width] for cells in rows]
-                yield [(numbers, [tuple(column) for column in zip(*padded)],
+                yield [(numbers, [fixedpoint.Ids.of(column) if kind == "i" else column
+                                  for kind, column in zip(kinds, zip(*padded))],
                         None if (fields == width).all() else fields)]
             if error is not None:
                 raise error

@@ -9,10 +9,12 @@ unequal ids share hashes, and that the memory it keeps per id stays small.
 
 from __future__ import annotations
 
+import os
 import time
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,42 @@ def test_a_file_read_twice_fails_at_its_second_half_in_linear_time(tmp_path):
             pass
     assert str(raised.value) == str(DuplicateCustomerId("c0000000", n + 2))
     assert time.process_time() - start < 5.0
+
+
+def test_ids_that_differ_in_each_words_bit_62_hash_apart():
+    """4096 ids of 12 words that differ only in each word's last byte, "a"
+    (0x61) or "!" (0x21): bit 62 of the word. A hash that only multiplied
+    each keyed word before summing them put these ids in a few dozen sums
+    whatever its key, so a file of them took a comparison of each id with
+    every earlier one. Under any key they hash apart, also in the 32 bits
+    a key keeps."""
+    ids = Ids.of(["".join("xxxxxxx" + "!a"[bits >> j & 1] for j in range(12))
+                  for bits in range(1 << 12)])
+    for _ in range(3):
+        key = np.frombuffer(os.urandom(40), np.uint64) | np.array([0, 1, 1, 0, 0], np.uint64)
+        with mock.patch.object(idindex, "_KEY", key):
+            hashes = idindex._id_hash(ids)
+        assert np.unique(hashes).size == len(ids)
+        assert np.unique(hashes >> 32).size >= len(ids) - 4  # about 0.002 pairs share them
+
+
+def test_a_block_is_hashed_once_at_any_batch_size(tmp_path):
+    """A batch of one record takes its id's hash from its block's, so small
+    batches pay for no hash of their own."""
+    path = tmp_path / "c.csv"
+    path.write_text("customer_id,tenure,churned\n"
+                    + "".join(f"c{i},1,0\n" for i in range(5000)), encoding="ascii")
+    for size in (1, 7, 8192):
+        calls = []
+
+        def id_hash(ids):
+            calls.append(len(ids))
+            return _ID_HASH(ids)
+
+        with mock.patch.object(idindex, "_id_hash", id_hash):
+            batches = dataio.read_calibration_batches(path, batch_size=size)
+            assert sum(len(batch.ids) for batch in batches) == 5000
+        assert len(calls) == -(-5000 // dataio._PARSE_ROWS), size
 
 
 def test_memory_per_id_read(tmp_path):
